@@ -7,10 +7,12 @@ evolves by conjugation, rho -> G rho G^dagger.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputFormatError, InvalidValueError
+from .io import json_int, json_list, json_real, matrix_from_payload, matrix_to_payload
 from .linalg import as_square_matrix, assert_density_matrix, assert_unitary, qubit_count
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -39,7 +41,8 @@ class GateOp:
     ``targets`` holds controls first, target last. ``theta`` is required for
     PhaseShift and ControlledPhase; ``unitary`` is required for
     ControlledUnitary, where targets are (control, t1, ..., tk) and the
-    payload acts on the k-qubit register (t1 most significant).
+    payload acts on the k-qubit register (t1 most significant). The payload
+    is checked for unitarity on the gate's first ``validate`` only.
     """
 
     kind: str
@@ -65,11 +68,11 @@ class GateOp:
         if self.kind == "ControlledUnitary":
             if self.unitary is None:
                 raise InvalidValueError("ControlledUnitary needs a unitary payload")
-            u = assert_unitary(self.unitary)
-            k = qubit_count(u.shape[0])
+            d = self._checked_payload.shape[0]
+            k = qubit_count(d)
             if len(t) != k + 1:
                 raise InvalidValueError(
-                    f"ControlledUnitary on a {u.shape[0]}-dim payload needs "
+                    f"ControlledUnitary on a {d}-dim payload needs "
                     f"{k + 1} wires, got {len(t)}"
                 )
         else:
@@ -79,6 +82,10 @@ class GateOp:
                 raise InvalidValueError(
                     f"{self.kind} acts on {_FIXED_KINDS[self.kind]} wires, got {len(t)}"
                 )
+
+    @cached_property
+    def _checked_payload(self) -> np.ndarray:
+        return assert_unitary(self.unitary)
 
 
 def phase_gate(theta: float) -> np.ndarray:
@@ -111,7 +118,7 @@ def _small_matrix(g: GateOp) -> np.ndarray:
         return controlled_matrix(controlled_matrix(PAULI_X))
     if g.kind == "ControlledPhase":
         return controlled_matrix(phase_gate(g.theta))
-    return controlled_matrix(np.asarray(g.unitary, dtype=complex))
+    return controlled_matrix(g.unitary)
 
 
 def _embed(u_small: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:
@@ -141,18 +148,28 @@ def gate_matrix(g: GateOp, num_qubits: int) -> np.ndarray:
 
 def apply(rho: np.ndarray, g: GateOp) -> np.ndarray:
     """Conjugate a density matrix by one gate."""
-    rho = assert_density_matrix(rho)
-    n = qubit_count(rho.shape[0])
-    m = gate_matrix(g, n)
-    return m @ rho @ m.conj().T
+    return apply_sequence(rho, [g])
 
 
 def apply_sequence(rho: np.ndarray, gates) -> np.ndarray:
-    """Apply gates in list order (index 0 acts first)."""
+    """Apply gates in list order (index 0 acts first).
+
+    Checks the state and every gate once; the private core it then runs
+    checks nothing.
+    """
     rho = assert_density_matrix(rho)
     n = qubit_count(rho.shape[0])
+    gates = list(gates)
     for g in gates:
-        m = gate_matrix(g, n)
+        g.validate(n)
+    return _apply_sequence(rho, gates, n)
+
+
+def _apply_sequence(rho: np.ndarray, gates, num_qubits: int) -> np.ndarray:
+    # Unchecked core: rho is a valid state on num_qubits wires and every gate
+    # has been validated for that register.
+    for g in gates:
+        m = _embed(_small_matrix(g), g.targets, num_qubits)
         rho = m @ rho @ m.conj().T
     return rho
 
@@ -178,14 +195,24 @@ _PAULI_BY_AXIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
 
 def pauli_expectation(rho: np.ndarray, axis: str, qubit: int) -> float:
-    """Expectation of a single-qubit Pauli operator on one wire."""
+    """Expectation of a single-qubit Pauli operator on one wire.
+
+    Checks the state, axis and wire once; the private core it then runs
+    checks nothing.
+    """
     rho = assert_density_matrix(rho)
     n = qubit_count(rho.shape[0])
     if axis not in _PAULI_BY_AXIS:
         raise InvalidValueError(f"axis must be one of x, y, z; got {axis!r}")
-    if not 0 <= qubit < n:
+    if not (isinstance(qubit, (int, np.integer)) and 0 <= qubit < n):
         raise InvalidValueError(f"qubit {qubit} out of range for {n} qubits")
-    a, b = 1 << qubit, 1 << (n - 1 - qubit)
+    return _pauli_expectation(rho, axis, qubit)
+
+
+def _pauli_expectation(rho: np.ndarray, axis: str, qubit: int) -> float:
+    # Unchecked core: rho is a valid state and qubit one of its wires.
+    a = 1 << qubit
+    b = rho.shape[0] // (2 * a)
     r6 = rho.reshape(a, 2, b, a, 2, b)
     reduced = np.einsum("xiyxjy->ij", r6)
     return float(np.trace(reduced @ _PAULI_BY_AXIS[axis]).real)
@@ -193,7 +220,11 @@ def pauli_expectation(rho: np.ndarray, axis: str, qubit: int) -> float:
 
 def depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     """Mix a state with the maximally mixed one: (1-p) rho + p I/N."""
-    rho = assert_density_matrix(rho)
+    return _depolarize(assert_density_matrix(rho), p)
+
+
+def _depolarize(rho: np.ndarray, p: float) -> np.ndarray:
+    # Checks the strength only: rho is a valid state.
     if not (isinstance(p, (int, float, np.floating)) and 0.0 <= p <= 1.0):
         raise InvalidValueError(f"noise strength must lie in [0, 1], got {p!r}")
     d = rho.shape[0]
@@ -206,11 +237,7 @@ def gate_to_json(g: GateOp) -> dict:
     if g.theta is not None:
         rec["theta"] = float(g.theta)
     if g.unitary is not None:
-        u = np.asarray(g.unitary, dtype=complex)
-        rec["unitary"] = {
-            "dim": u.shape[0],
-            "entries": [[float(z.real), float(z.imag)] for z in u.ravel()],
-        }
+        rec["unitary"] = matrix_to_payload(g.unitary)
     return rec
 
 
@@ -220,14 +247,11 @@ def gate_from_json(rec) -> GateOp:
     kind = rec["kind"]
     if kind not in GATE_KINDS:
         raise InputFormatError(f"unknown gate kind {kind!r}")
-    try:
-        targets = tuple(int(i) for i in rec["targets"])
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad targets in gate record: {rec['targets']!r}") from exc
+    targets = tuple(
+        json_int(i, "gate target") for i in json_list(rec["targets"], "gate targets")
+    )
     theta = rec.get("theta")
-    unitary = None
-    if "unitary" in rec:
-        from .io import matrix_from_payload
-
-        unitary = matrix_from_payload(rec["unitary"])
-    return GateOp(kind, targets, theta=None if theta is None else float(theta), unitary=unitary)
+    if theta is not None:
+        theta = json_real(theta, "gate theta")
+    unitary = matrix_from_payload(rec["unitary"]) if "unitary" in rec else None
+    return GateOp(kind, targets, theta=theta, unitary=unitary)

@@ -25,7 +25,6 @@ import numpy as np
 from . import io
 from .circuits import controlled_matrix, depolarize
 from .errors import InputFormatError, InvalidValueError, QscatterError
-from .linalg import assert_density_matrix, assert_unitary
 from .phasespace import PhasePoint, phase_point_operator, wigner_direct, wigner_via_circuit
 from .scattering import scattering_circuit
 from .spectrometer import (
@@ -35,18 +34,6 @@ from .spectrometer import (
 )
 from .states import pseudo_pure
 from .synthesis import sequence_to_json, synth_phase_point_circuit
-
-
-def _load_density(path):
-    rho = io.load_matrix(path)
-    assert_density_matrix(rho)
-    return rho
-
-
-def _load_unitary(path):
-    u = io.load_matrix(path)
-    assert_unitary(u)
-    return u
 
 
 def _parse_point(text: str) -> tuple[int, int]:
@@ -59,24 +46,18 @@ def _parse_point(text: str) -> tuple[int, int]:
         raise InputFormatError(f"--point expects integers, got {text!r}") from exc
 
 
-def _check_noise(p: float) -> float:
-    if not 0.0 <= p <= 1.0:
-        raise InvalidValueError(f"noise probability must be in [0, 1], got {p}")
-    return float(p)
-
-
 def cmd_scatter(args) -> int:
-    rho = _load_density(args.rho)
-    u = _load_unitary(args.u)
+    rho = io.load_matrix(args.rho)
+    u = io.load_matrix(args.u)
     result = scattering_circuit(rho, u)
     sys.stdout.write(io.scatter_json(result))
     return 0
 
 
 def cmd_wigner(args) -> int:
-    rho = _load_density(args.rho)
+    rho = io.load_matrix(args.rho)
     if args.noise_p:
-        rho = depolarize(rho, _check_noise(args.noise_p))
+        rho = depolarize(rho, args.noise_p)
     n = rho.shape[0]
     if args.point is not None:
         q, p = _parse_point(args.point)
@@ -100,7 +81,7 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    u = _load_unitary(args.u)
+    u = io.load_matrix(args.u)
     if args.structure and args.via_circuit:
         raise InvalidValueError(
             "--via-circuit simulates the spectral density; drop --structure"
@@ -141,10 +122,8 @@ def cmd_synth(args) -> int:
 def cmd_demo_fig3(args) -> int:
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
-    noise = _check_noise(args.noise_p) if args.noise_p else 0.0
     for label in range(4):
-        rho = pseudo_pure(label, 4, noise)
-        grid = wigner_direct(rho)
+        grid = wigner_direct(pseudo_pure(label, 4, args.noise_p))
         path = os.path.join(outdir, f"state{label}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(io.wigner_csv(grid))
@@ -156,12 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qscatter",
         description="Probe-qubit tomography and spectroscopy of small quantum systems.",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for randomized input generation (built-in subcommands are deterministic)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -200,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--n", required=True, type=int, help="system dimension")
     p_synth.add_argument("--q", required=True, type=int)
     p_synth.add_argument("--p", required=True, type=int)
-    p_synth.add_argument("--emit", choices=["json"], default="json")
     p_synth.add_argument(
         "--verify", action="store_true",
         help="compose the gates and compare against the dense operator",

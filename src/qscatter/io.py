@@ -33,28 +33,54 @@ def matrix_to_payload(m: np.ndarray) -> dict:
     }
 
 
+# JSON numbers decode to exactly these types; booleans decode to bool, a
+# subclass of int, so the checks compare types rather than use isinstance.
+_JSON_NUMBERS = (int, float)
+
+
+def json_int(value, what: str) -> int:
+    """A decoded JSON integer; floats, strings and booleans are rejected."""
+    if type(value) is not int:
+        raise InputFormatError(f"{what} must be an integer, got {value!r:.40}")
+    return value
+
+
+def json_real(value, what: str) -> float:
+    """A decoded JSON number; strings, lists and booleans are rejected."""
+    if type(value) not in _JSON_NUMBERS:
+        raise InputFormatError(f"{what} must be a number, got {value!r:.40}")
+    return float(value)
+
+
+def json_list(value, what: str) -> list:
+    if type(value) is not list:
+        raise InputFormatError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def matrix_from_payload(payload) -> np.ndarray:
     """Decode {"dim": n, "entries": [[re, im], ...]} (row-major) to an array."""
     if not isinstance(payload, dict):
         raise InputFormatError("matrix payload must be a JSON object")
     if "dim" not in payload or "entries" not in payload:
         raise InputFormatError("matrix payload needs 'dim' and 'entries'")
-    try:
-        dim = int(payload["dim"])
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError("matrix 'dim' must be an integer") from exc
+    dim = json_int(payload["dim"], "matrix 'dim'")
     if dim < 1:
         raise InputFormatError(f"matrix 'dim' must be positive, got {dim}")
-    entries = payload["entries"]
-    if not isinstance(entries, list) or len(entries) != dim * dim:
-        raise InputFormatError(
-            f"matrix of dim {dim} needs {dim * dim} entries, got "
-            f"{len(entries) if isinstance(entries, list) else type(entries).__name__}"
-        )
+    entries = json_list(payload["entries"], "matrix 'entries'")
+    if len(entries) != dim * dim:
+        raise InputFormatError(f"matrix of dim {dim} needs {dim * dim} entries, got {len(entries)}")
     try:
-        flat = np.array([complex(re, im) for re, im in entries])
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError("matrix entries must be [re, im] pairs") from exc
+        flat = [
+            complex(re, im)
+            for re, im in entries
+            if type(re) in _JSON_NUMBERS and type(im) in _JSON_NUMBERS
+        ]
+    except (TypeError, ValueError):  # an entry that is not a pair
+        flat = []
+    if len(flat) != len(entries):
+        raise InputFormatError("matrix entries must be [re, im] pairs of numbers")
+    flat = np.array(flat)
     if not np.isfinite(flat).all():
         raise InputFormatError("matrix entries must be finite")
     return flat.reshape(dim, dim)

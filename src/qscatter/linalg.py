@@ -1,9 +1,9 @@
 """Dense complex linear algebra shared by every register-level module.
 
-Matrices are plain numpy arrays of dtype complex128. Validation is explicit:
-callers that need a density matrix or a unitary push their input through
-``assert_density_matrix`` / ``assert_unitary`` once at the boundary and work
-with the raw array afterwards.
+Matrices are plain numpy arrays of dtype complex128. Every public function
+checks each matrix its caller passes exactly once, through
+``assert_density_matrix`` / ``assert_unitary``, and never re-checks arrays
+the library builds itself; private cores take raw, already-checked arrays.
 """
 
 import numpy as np
@@ -26,35 +26,6 @@ def as_square_matrix(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise InvalidValueError("matrix entries must be finite")
     return m
-
-
-def require_same_dim(a: np.ndarray, b: np.ndarray) -> int:
-    if a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"incompatible operands: {a.shape} versus {b.shape}"
-        )
-    return a.shape[0]
-
-
-def matmul(a, b) -> np.ndarray:
-    """Product of two square matrices of equal dimension."""
-    a, b = as_square_matrix(a), as_square_matrix(b)
-    require_same_dim(a, b)
-    return a @ b
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product; the first factor is the more significant register."""
-    return np.kron(as_square_matrix(a), as_square_matrix(b))
-
-
-def trace(a) -> complex:
-    return complex(np.trace(as_square_matrix(a)))
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_square_matrix(a).conj().T
 
 
 def dft_matrix(n: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from .linalg import (
     dft_matrix,
     is_density_matrix,
 )
-from .scattering import scattering_circuit
+from .scattering import _dense_probe
 
 IMAG_RESIDUE_TOL = 1e-12
 
@@ -44,8 +44,7 @@ class PhasePoint:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
-            raise InvalidValueError(f"register dimension must be >= 2, got {self.n!r}")
+        _check_dim(self.n)
         for name, v in (("q", self.q), ("p", self.p)):
             if not (isinstance(v, (int, np.integer)) and 0 <= v < 2 * self.n):
                 raise InvalidValueError(
@@ -170,8 +169,7 @@ def wigner_via_circuit(rho: np.ndarray, alpha: PhasePoint) -> float:
             f"state dim {rho.shape[0]} does not match grid dim {alpha.n}"
         )
     u = 2 * alpha.n * phase_point_operator(alpha)
-    res = scattering_circuit(rho, u)
-    return res.sigma_z / (2 * alpha.n)
+    return _dense_probe(rho, u).sigma_z / (2 * alpha.n)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import GateOp, apply_sequence, pauli_expectation
+from .circuits import GateOp, _apply_sequence, _pauli_expectation
 from .errors import DimensionMismatchError, InvalidValueError
 from .linalg import assert_density_matrix, assert_unitary, qubit_count
 
@@ -35,44 +35,51 @@ class ScatteringResult:
         return complex(self.sigma_z, -self.sigma_x)
 
 
-def direct_trace(rho: np.ndarray, u: np.ndarray) -> complex:
-    """Tr(U rho) evaluated without any circuit; the oracle side of the duality."""
+def _check_operands(rho, u) -> tuple[np.ndarray, np.ndarray]:
     rho = assert_density_matrix(rho)
     u = assert_unitary(u)
     if rho.shape != u.shape:
         raise DimensionMismatchError(
             f"state dim {rho.shape[0]} does not match operator dim {u.shape[0]}"
         )
+    return rho, u
+
+
+def direct_trace(rho: np.ndarray, u: np.ndarray) -> complex:
+    """Tr(U rho) evaluated without any circuit; the oracle side of the duality."""
+    rho, u = _check_operands(rho, u)
     return complex(np.trace(u @ rho))
 
 
-def _probe_readout(joint: np.ndarray, gates: list[GateOp]) -> ScatteringResult:
-    # The closing PhaseShift aligns the transverse detection axis so that the
-    # x readout returns -Im Tr(U rho); it commutes with the z readout.
+def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int) -> ScatteringResult:
+    # Unchecked core: rho is a valid state, every gate valid on the wires
+    # probe, system, work. Probe and work wires start in |0>, so rho fills
+    # every w-th row and column of the joint state. The closing PhaseShift
+    # makes the x readout return -Im Tr(U rho); it commutes with z.
+    d = rho.shape[0]
+    w = (1 << num_qubits) // (2 * d)
+    joint = np.zeros((2 * d * w, 2 * d * w), dtype=complex)
+    joint[: d * w : w, : d * w : w] = rho
     seq = [GateOp("Hadamard", (0,))] + gates + [
         GateOp("Hadamard", (0,)),
         GateOp("PhaseShift", (0,), theta=_FRAME_THETA),
     ]
-    final = apply_sequence(joint, seq)
-    z = pauli_expectation(final, "z", 0)
-    x = pauli_expectation(final, "x", 0)
+    final = _apply_sequence(joint, seq, num_qubits)
+    z = _pauli_expectation(final, "z", 0)
+    x = _pauli_expectation(final, "x", 0)
     return ScatteringResult(sigma_z=z, sigma_x=x)
+
+
+def _dense_probe(rho: np.ndarray, u: np.ndarray) -> ScatteringResult:
+    # Dense controlled-U on wires 0..k; rho and u are checked, of equal dim.
+    k = qubit_count(u.shape[0])
+    cu = GateOp("ControlledUnitary", tuple(range(k + 1)), unitary=u)
+    return _probe_readout(rho, [cu], k + 1)
 
 
 def scattering_circuit(rho: np.ndarray, u: np.ndarray) -> ScatteringResult:
     """Run the probe circuit with a dense controlled-U block."""
-    rho = assert_density_matrix(rho)
-    u = assert_unitary(u)
-    if rho.shape != u.shape:
-        raise DimensionMismatchError(
-            f"state dim {rho.shape[0]} does not match operator dim {u.shape[0]}"
-        )
-    k = qubit_count(rho.shape[0])
-    probe0 = np.zeros((2, 2), dtype=complex)
-    probe0[0, 0] = 1.0
-    joint = np.kron(probe0, rho)
-    cu = GateOp("ControlledUnitary", tuple(range(k + 1)), unitary=u)
-    return _probe_readout(joint, [cu])
+    return _dense_probe(*_check_operands(rho, u))
 
 
 def scattering_circuit_gates(
@@ -86,13 +93,11 @@ def scattering_circuit_gates(
     """
     rho = assert_density_matrix(rho)
     k = qubit_count(rho.shape[0])
-    if num_qubits < k + 1:
+    if not (isinstance(num_qubits, (int, np.integer)) and num_qubits >= k + 1):
         raise InvalidValueError(
-            f"need at least {k + 1} wires for a {rho.shape[0]}-dim system, got {num_qubits}"
+            f"need an integer number of wires >= {k + 1}, got {num_qubits!r}"
         )
-    probe0 = np.zeros((2, 2), dtype=complex)
-    probe0[0, 0] = 1.0
-    joint = np.kron(probe0, rho)
-    for _ in range(num_qubits - k - 1):
-        joint = np.kron(joint, probe0)
-    return _probe_readout(joint, list(gates))
+    gates = list(gates)
+    for g in gates:
+        g.validate(num_qubits)
+    return _probe_readout(rho, gates, num_qubits)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .circuits import depolarize
+from .circuits import _depolarize
 from .errors import InvalidValueError
 
 
@@ -27,7 +27,4 @@ def pseudo_pure(label: int, dim: int, noise_p: float = 0.0) -> np.ndarray:
     With noise strength p the result is (1-p)|label><label| + p I/N, the
     standard idealization of an ensemble preparation.
     """
-    rho = basis_state(label, dim)
-    if noise_p:
-        rho = depolarize(rho, noise_p)
-    return rho
+    return _depolarize(basis_state(label, dim), noise_p)

@@ -29,6 +29,7 @@ import numpy as np
 
 from .circuits import GateOp, compose_sequence, gate_from_json, gate_to_json
 from .errors import InputFormatError, InvalidValueError
+from .io import json_int, json_list
 from .linalg import qubit_count
 from .phasespace import PhasePoint
 
@@ -190,9 +191,5 @@ def sequence_to_json(seq: GateSequence) -> dict:
 def sequence_from_json(payload) -> GateSequence:
     if not isinstance(payload, dict) or "num_qubits" not in payload or "gates" not in payload:
         raise InputFormatError("sequence payload needs 'num_qubits' and 'gates'")
-    gates = tuple(gate_from_json(rec) for rec in payload["gates"])
-    try:
-        n = int(payload["num_qubits"])
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError("num_qubits must be an integer") from exc
-    return GateSequence(num_qubits=n, gates=gates)
+    gates = tuple(gate_from_json(rec) for rec in json_list(payload["gates"], "gates"))
+    return GateSequence(num_qubits=json_int(payload["num_qubits"], "num_qubits"), gates=gates)

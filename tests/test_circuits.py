@@ -212,6 +212,11 @@ class TestPauliExpectation:
         with pytest.raises(InvalidValueError, match="axis"):
             pauli_expectation(basis_state(0, 2), "q", 0)
 
+    @pytest.mark.parametrize("qubit", [0.5, 2, -1])
+    def test_bad_qubit(self, qubit):
+        with pytest.raises(InvalidValueError, match="qubit"):
+            pauli_expectation(basis_state(0, 4), "z", qubit)
+
 
 class TestDepolarize:
     def test_endpoints(self):
@@ -281,6 +286,21 @@ class TestGateJson:
             gate_from_json({"kind": "Swap", "targets": [0, 1]})
         with pytest.raises(InputFormatError):
             gate_from_json({"kind": "CNOT", "targets": ["a", "b"]})
+
+    @pytest.mark.parametrize(
+        "rec",
+        [
+            {"kind": "Hadamard", "targets": [0.7]},
+            {"kind": "Hadamard", "targets": [True]},
+            {"kind": "Hadamard", "targets": 0},
+            {"kind": "PhaseShift", "targets": [0], "theta": "abc"},
+            {"kind": "PhaseShift", "targets": [0], "theta": [1]},
+            {"kind": "PhaseShift", "targets": [0], "theta": True},
+        ],
+    )
+    def test_rejects_mistyped_fields(self, rec):
+        with pytest.raises(InputFormatError):
+            gate_from_json(rec)
 
 
 def test_phase_gate_matrix():

@@ -174,6 +174,11 @@ class TestSynth:
         assert seq.num_qubits == 3
         assert len(seq.gates) > 0
 
+    def test_emit_flag_is_a_usage_error(self):
+        cp = run_cli("synth", "--n", 4, "--q", 1, "--p", 3, "--emit", "json")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+
     def test_verify_flag_reports_exactness(self, inputs):
         cp = run_cli("synth", "--n", 8, "--q", 5, "--p", 7, "--verify")
         payload = json.loads(cp.stdout)
@@ -279,6 +284,7 @@ class TestDeterminism:
         assert capped.returncode == 0
         assert plain.stdout == capped.stdout
 
-    def test_seed_flag_is_accepted(self, inputs):
+    def test_seed_flag_is_a_usage_error(self, inputs):
         cp = run_cli("--seed", 7, "scatter", "--rho", inputs["rho4"], "--u", inputs["u4"])
-        assert cp.returncode == 0
+        assert cp.returncode == 2
+        assert cp.stdout == ""

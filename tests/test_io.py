@@ -47,6 +47,11 @@ class TestMatrixFiles:
             {"dim": 0, "entries": []},
             {"dim": 1, "entries": [[np.inf, 0]]},
             {"dim": 1, "entries": [["a", "b"]]},
+            {"dim": 2.7, "entries": [[1, 0]] * 4},
+            {"dim": "2", "entries": [[1, 0]] * 4},
+            {"dim": True, "entries": [[1, 0]]},
+            {"dim": 1, "entries": [[True, False]]},
+            {"dim": 1, "entries": [[1, 0, 0]]},
         ],
     )
     def test_rejects_malformed_payloads(self, payload):

@@ -12,17 +12,13 @@ from qscatter.linalg import (
     as_square_matrix,
     assert_density_matrix,
     assert_unitary,
-    dagger,
     dft_matrix,
     is_density_matrix,
     is_hermitian,
     is_unitary,
-    kron,
-    matmul,
     qubit_count,
     random_density_matrix,
     random_unitary,
-    trace,
 )
 
 
@@ -39,21 +35,6 @@ class TestBasics:
     def test_as_square_matrix_rejects_nan(self):
         with pytest.raises(InvalidValueError):
             as_square_matrix(np.array([[np.nan, 0], [0, 1]]))
-
-    def test_matmul_requires_equal_dims(self):
-        with pytest.raises(DimensionMismatchError):
-            matmul(np.eye(2), np.eye(3))
-
-    def test_kron_order(self):
-        # first factor is the more significant register
-        a = np.diag([1, 2])
-        b = np.eye(2)
-        assert np.allclose(kron(a, b), np.diag([1, 1, 2, 2]))
-
-    def test_trace_and_dagger(self):
-        m = np.array([[1, 2j], [0, 3]])
-        assert trace(m) == 4 + 0j
-        assert np.allclose(dagger(m), np.array([[1, 0], [-2j, 3]]))
 
 
 class TestDftMatrix:

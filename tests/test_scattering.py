@@ -97,6 +97,10 @@ class TestGateListRoute:
         with pytest.raises(InvalidValueError, match="wires"):
             scattering_circuit_gates(maximally_mixed(4), [], 2)
 
+    def test_non_integer_wire_count(self):
+        with pytest.raises(InvalidValueError, match="wires"):
+            scattering_circuit_gates(maximally_mixed(4), [], 3.0)
+
 
 class TestValidation:
     def test_dimension_mismatch(self):

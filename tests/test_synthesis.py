@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qscatter.circuits import GateOp, controlled_matrix
-from qscatter.errors import InvalidValueError
+from qscatter.errors import InputFormatError, InvalidValueError
 from qscatter.linalg import random_unitary
 from qscatter.phasespace import PhasePoint, phase_point_operator, reflection, shift_u, shift_v
 from qscatter.synthesis import (
@@ -180,6 +180,20 @@ class TestSequenceType:
         back = sequence_from_json(sequence_to_json(seq))
         assert back.num_qubits == seq.num_qubits
         assert np.abs(back.matrix() - seq.matrix()).max() < 1e-15
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"num_qubits": 2},
+            {"num_qubits": 2, "gates": 5},
+            {"num_qubits": 2.7, "gates": []},
+            {"num_qubits": "2", "gates": []},
+            {"num_qubits": True, "gates": []},
+        ],
+    )
+    def test_json_rejects_malformed_payload(self, payload):
+        with pytest.raises(InputFormatError):
+            sequence_from_json(payload)
 
     def test_json_payload_shape(self):
         payload = sequence_to_json(synth_controlled_shift(1, 1))
