@@ -7,7 +7,6 @@ evolves by conjugation, rho -> G rho G^dagger.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +40,7 @@ class GateOp:
     ``targets`` holds controls first, target last. ``theta`` is required for
     PhaseShift and ControlledPhase; ``unitary`` is required for
     ControlledUnitary, where targets are (control, t1, ..., tk) and the
-    payload acts on the k-qubit register (t1 most significant). The payload
-    is checked for unitarity on the gate's first ``validate`` only.
+    payload acts on the k-qubit register (t1 most significant).
     """
 
     kind: str
@@ -68,11 +66,11 @@ class GateOp:
         if self.kind == "ControlledUnitary":
             if self.unitary is None:
                 raise InvalidValueError("ControlledUnitary needs a unitary payload")
-            d = self._checked_payload.shape[0]
-            k = qubit_count(d)
+            u = assert_unitary(self.unitary)
+            k = qubit_count(u.shape[0])
             if len(t) != k + 1:
                 raise InvalidValueError(
-                    f"ControlledUnitary on a {d}-dim payload needs "
+                    f"ControlledUnitary on a {u.shape[0]}-dim payload needs "
                     f"{k + 1} wires, got {len(t)}"
                 )
         else:
@@ -82,10 +80,6 @@ class GateOp:
                 raise InvalidValueError(
                     f"{self.kind} acts on {_FIXED_KINDS[self.kind]} wires, got {len(t)}"
                 )
-
-    @cached_property
-    def _checked_payload(self) -> np.ndarray:
-        return assert_unitary(self.unitary)
 
 
 def phase_gate(theta: float) -> np.ndarray:

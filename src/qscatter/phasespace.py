@@ -26,11 +26,12 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidValueError
 from .linalg import (
+    as_square_matrix,
     assert_density_matrix,
     dft_matrix,
     is_density_matrix,
 )
-from .scattering import _dense_probe
+from .scattering import scattering_circuit
 
 IMAG_RESIDUE_TOL = 1e-12
 
@@ -162,14 +163,16 @@ def wigner_direct(rho: np.ndarray) -> WignerGrid:
 
 
 def wigner_via_circuit(rho: np.ndarray, alpha: PhasePoint) -> float:
-    """One grid value measured by scattering off the unitary 2N * A(alpha)."""
-    rho = assert_density_matrix(rho)
-    if rho.shape[0] != alpha.n:
-        raise DimensionMismatchError(
-            f"state dim {rho.shape[0]} does not match grid dim {alpha.n}"
-        )
+    """One grid value measured by scattering off the unitary 2N * A(alpha).
+
+    Only the dimensions are compared here; ``scattering_circuit`` checks the
+    state.
+    """
+    dim = as_square_matrix(rho).shape[0]
+    if dim != alpha.n:
+        raise DimensionMismatchError(f"state dim {dim} does not match grid dim {alpha.n}")
     u = 2 * alpha.n * phase_point_operator(alpha)
-    return _dense_probe(rho, u).sigma_z / (2 * alpha.n)
+    return scattering_circuit(rho, u).sigma_z / (2 * alpha.n)
 
 
 @dataclass(frozen=True)

@@ -70,16 +70,12 @@ def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int) -> Sca
     return ScatteringResult(sigma_z=z, sigma_x=x)
 
 
-def _dense_probe(rho: np.ndarray, u: np.ndarray) -> ScatteringResult:
-    # Dense controlled-U on wires 0..k; rho and u are checked, of equal dim.
+def scattering_circuit(rho: np.ndarray, u: np.ndarray) -> ScatteringResult:
+    """Run the probe circuit with a dense controlled-U block."""
+    rho, u = _check_operands(rho, u)
     k = qubit_count(u.shape[0])
     cu = GateOp("ControlledUnitary", tuple(range(k + 1)), unitary=u)
     return _probe_readout(rho, [cu], k + 1)
-
-
-def scattering_circuit(rho: np.ndarray, u: np.ndarray) -> ScatteringResult:
-    """Run the probe circuit with a dense controlled-U block."""
-    return _dense_probe(*_check_operands(rho, u))
 
 
 def scattering_circuit_gates(

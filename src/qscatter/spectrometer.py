@@ -90,11 +90,6 @@ def trace_powers(u: np.ndarray, t_max: int) -> TraceSeries:
     u = assert_unitary(u)
     if not (isinstance(t_max, (int, np.integer)) and t_max >= 0):
         raise InvalidValueError(f"t_max must be a non-negative integer, got {t_max!r}")
-    return _trace_powers(u, t_max)
-
-
-def _trace_powers(u: np.ndarray, t_max: int) -> TraceSeries:
-    # Unchecked core: u is a checked unitary and t_max a non-negative integer.
     n = u.shape[0]
     lam = np.linalg.eigvals(u)
     values = np.array([np.sum(lam**t) for t in range(t_max + 1)])
@@ -119,23 +114,21 @@ def _check_n1(n1) -> int:
 
 def spectral_density(u: np.ndarray, n1: int) -> SpectralSeries:
     """Eigenphase density bins from the Fourier transform of the trace series."""
-    u = assert_unitary(u)
     n1 = _check_n1(n1)
     d = 1 << n1
-    ts = _trace_powers(u, d - 1)
+    ts = trace_powers(u, d - 1)  # checks u
     f = np.fft.fft(ts.values)  # f[k] = sum_t values[t] exp(-2 pi i k t / D)
-    bins = f[(2 * np.arange(d)) % d].real / (u.shape[0] * d)
+    bins = f[(2 * np.arange(d)) % d].real / (ts.dim * d)
     return SpectralSeries(n1=n1, bins=bins, phase_multiple=2)
 
 
 def structure_function(u: np.ndarray, n1: int) -> SpectralSeries:
     """Fourier transform of |Tr(U^t)|^2 / N^2 over the counter labels."""
-    u = assert_unitary(u)
     n1 = _check_n1(n1)
     d = 1 << n1
-    ts = _trace_powers(u, d - 1)
+    ts = trace_powers(u, d - 1)  # checks u
     f = np.fft.fft(np.abs(ts.values) ** 2)
-    bins = f.real / (u.shape[0] ** 2 * d)
+    bins = f.real / (ts.dim**2 * d)
     return SpectralSeries(n1=n1, bins=bins, phase_multiple=1)
 
 

@@ -27,4 +27,5 @@ def pseudo_pure(label: int, dim: int, noise_p: float = 0.0) -> np.ndarray:
     With noise strength p the result is (1-p)|label><label| + p I/N, the
     standard idealization of an ensemble preparation.
     """
-    return _depolarize(basis_state(label, dim), noise_p)
+    rho = basis_state(label, dim)
+    return _depolarize(rho, noise_p) if noise_p else rho

@@ -2,7 +2,9 @@
 
 Every public function checks each matrix its caller passes exactly once;
 arrays the library builds itself (the probe-and-system joint state, evolved
-states, 2N * A(alpha), depolarized and basis states) are never checked again.
+states, depolarized and basis states) are never checked again.
+``wigner_via_circuit`` hands 2N * A(alpha) to ``scattering_circuit``, which
+checks it once.
 """
 
 import numpy as np
@@ -106,7 +108,7 @@ CALL_COUNTS = {
         lambda: scattering.scattering_circuit_gates(RHO, [_cu(U)], 3), [(N, N)], 1,
     ),
     "direct_trace": (lambda: scattering.direct_trace(RHO, U), [(N, N)], 1),
-    "wigner_via_circuit": (lambda: phasespace.wigner_via_circuit(RHO, ALPHA), [(N, N)], 0),
+    "wigner_via_circuit": (lambda: phasespace.wigner_via_circuit(RHO, ALPHA), [(N, N)], 1),
     "wigner_direct": (lambda: phasespace.wigner_direct(RHO), [(N, N)], 0),
     "apply": (lambda: circuits.apply(RHO_2N, _cu(U)), [(2 * N, 2 * N)], 1),
     "apply_sequence": (
@@ -147,14 +149,14 @@ def test_each_input_is_checked_exactly_once(name, monkeypatch):
     assert len(unitary_checks) == want_unitary
 
 
-def test_controlled_unitary_payload_is_checked_once_per_gate(monkeypatch):
-    checks = []
-    is_unitary = linalg.is_unitary
-    monkeypatch.setattr(linalg, "is_unitary", lambda a: checks.append(a) or is_unitary(a))
-    g = _cu(U)
-    for _ in range(3):
-        circuits.gate_matrix(g, 3)
-    assert len(checks) == 1
+def test_controlled_unitary_payload_is_checked_on_every_validate():
+    # GateOp is frozen but its payload array is not: a change made after a
+    # first successful use must still be refused.
+    g = _cu(U.copy())
+    circuits.gate_matrix(g, 3)
+    g.unitary[0, 0] *= 1.5
+    with pytest.raises(InvalidValueError, match="not unitary"):
+        circuits.apply_sequence(RHO_2N, [g])
 
 
 @st.composite
