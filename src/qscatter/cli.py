@@ -104,11 +104,12 @@ def cmd_synth(args) -> int:
     seq = synth_phase_point_circuit(alpha)
     payload = sequence_to_json(seq)
     if args.verify:
+        composed = seq.matrix()  # refuses a register over the qubit budget
         target = controlled_matrix(2 * args.n * phase_point_operator(alpha))
         # pad with an identity work wire (least significant) if the circuit used one
         pad = (1 << seq.num_qubits) // target.shape[0]
         expected = np.kron(target, np.eye(pad))
-        err = float(np.abs(seq.matrix() - expected).max())
+        err = float(np.abs(composed - expected).max())
         payload["verify"] = {"max_error": io.round12(err), "ok": bool(err < 1e-12)}
         if err >= 1e-12:
             sys.stdout.write(json.dumps(payload) + "\n")

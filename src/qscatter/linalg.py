@@ -8,8 +8,14 @@ the library builds itself; private cores take raw, already-checked arrays.
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidValueError, PowerOfTwoError
+from .errors import (
+    DimensionMismatchError,
+    InvalidValueError,
+    PowerOfTwoError,
+    QubitBudgetError,
+)
 
+QUBIT_BUDGET = 12
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -50,6 +56,17 @@ def qubit_count(dim: int) -> int:
     if (1 << k) != dim:
         raise PowerOfTwoError(f"dimension {dim} is not a power of two")
     return k
+
+
+def check_qubit_budget(num_qubits: int, layout: str = "") -> None:
+    """Refuse a register wider than QUBIT_BUDGET; call before allocating it.
+
+    ``layout`` is appended to the message, e.g. " (1 probe + 3 counter + 2 system)".
+    """
+    if num_qubits > QUBIT_BUDGET:
+        raise QubitBudgetError(
+            f"circuit needs {num_qubits} qubits{layout}; the budget is {QUBIT_BUDGET}"
+        )
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:

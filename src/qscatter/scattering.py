@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import GateOp, _apply_sequence, _pauli_expectation
+from .circuits import GateOp, _apply_sequence, _check_gates, _pauli_expectation
 from .errors import DimensionMismatchError, InvalidValueError
-from .linalg import assert_density_matrix, assert_unitary, qubit_count
+from .linalg import assert_density_matrix, assert_unitary, check_qubit_budget, qubit_count
 
 _FRAME_THETA = -np.pi / 2
 
@@ -93,7 +93,5 @@ def scattering_circuit_gates(
         raise InvalidValueError(
             f"need an integer number of wires >= {k + 1}, got {num_qubits!r}"
         )
-    gates = list(gates)
-    for g in gates:
-        g.validate(num_qubits)
-    return _probe_readout(rho, gates, num_qubits)
+    check_qubit_budget(num_qubits)
+    return _probe_readout(rho, _check_gates(gates, num_qubits), num_qubits)

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValueError, QubitBudgetError
-from .linalg import assert_unitary, dft_matrix, qubit_count
+from .errors import InvalidValueError
+from .linalg import assert_unitary, check_qubit_budget, dft_matrix, qubit_count
 
-QUBIT_BUDGET = 12
 _SERIES_SELF_CHECK_TOL = 1e-9
 
 
@@ -145,12 +144,7 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
     n1 = _check_n1(n1)
     n = u.shape[0]
     k = qubit_count(n)
-    total = 1 + n1 + k
-    if total > QUBIT_BUDGET:
-        raise QubitBudgetError(
-            f"circuit needs {total} qubits (1 probe + {n1} counter + {k} system); "
-            f"the budget is {QUBIT_BUDGET}"
-        )
+    check_qubit_budget(1 + n1 + k, f" (1 probe + {n1} counter + {k} system)")
     d = 1 << n1
     fbar = dft_matrix(d).conj()  # Fourier gate with the analysis kernel sign
 

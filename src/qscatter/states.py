@@ -6,8 +6,15 @@ from .circuits import _depolarize
 from .errors import InvalidValueError
 
 
+def _check_dim(dim) -> int:
+    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
+        raise InvalidValueError(f"dimension must be a positive integer, got {dim!r}")
+    return int(dim)
+
+
 def basis_state(label: int, dim: int) -> np.ndarray:
     """Projector |label><label| as a density matrix."""
+    dim = _check_dim(dim)
     if not (isinstance(label, (int, np.integer)) and 0 <= label < dim):
         raise InvalidValueError(f"label must lie in [0, {dim}), got {label!r}")
     rho = np.zeros((dim, dim), dtype=complex)
@@ -16,8 +23,7 @@ def basis_state(label: int, dim: int) -> np.ndarray:
 
 
 def maximally_mixed(dim: int) -> np.ndarray:
-    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-        raise InvalidValueError(f"dimension must be a positive integer, got {dim!r}")
+    dim = _check_dim(dim)
     return np.eye(dim, dtype=complex) / dim
 
 

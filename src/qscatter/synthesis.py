@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import GateOp, compose_sequence, gate_from_json, gate_to_json
+from .circuits import GateOp, _check_gates, compose_sequence, gate_from_json, gate_to_json
 from .errors import InputFormatError, InvalidValueError
 from .io import json_int, json_list
 from .linalg import qubit_count
@@ -46,13 +46,13 @@ class GateSequence:
     gates: tuple[GateOp, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
+        gates = tuple(_check_gates(self.gates, self.num_qubits))
+        for g in gates:
             if g.kind not in SEQUENCE_KINDS:
                 raise InvalidValueError(
                     f"synthesized sequences may not contain {g.kind!r}"
                 )
-            g.validate(self.num_qubits)
+        object.__setattr__(self, "gates", gates)
 
     def matrix(self) -> np.ndarray:
         """Dense composition; gates[0] acts first."""

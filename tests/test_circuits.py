@@ -1,9 +1,15 @@
 """Tests for the density-matrix gate engine and state constructors."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qscatter.circuits import (
+    _FIXED_KINDS,
+    GATE_KINDS,
     GateOp,
     HADAMARD,
     PAULI_X,
@@ -21,9 +27,16 @@ from qscatter.circuits import (
     pauli_expectation,
     phase_gate,
 )
-from qscatter.errors import InputFormatError, InvalidValueError
-from qscatter.linalg import random_unitary
+from qscatter.errors import InputFormatError, InvalidValueError, QubitBudgetError
+from qscatter.linalg import QUBIT_BUDGET, random_density_matrix, random_unitary
+from qscatter.phasespace import PhasePoint
+from qscatter.scattering import scattering_circuit_gates
 from qscatter.states import basis_state, maximally_mixed, pseudo_pure
+from qscatter.synthesis import (
+    GateSequence,
+    synth_controlled_reflection,
+    synth_phase_point_circuit,
+)
 
 
 def bit(index, wire, n):
@@ -150,6 +163,56 @@ class TestSequences:
         )
 
 
+@st.composite
+def gate_on_register(draw):
+    """A state on 1..6 qubits and one gate of any kind on randomly ordered wires."""
+    kind = draw(st.sampled_from(sorted(GATE_KINDS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = unitary = None
+    if kind == "ControlledUnitary":
+        k = draw(st.integers(1, 3))
+        unitary, wires = random_unitary(1 << k, rng), k + 1
+    else:
+        wires = _FIXED_KINDS[kind]
+    if kind in ("PhaseShift", "ControlledPhase"):
+        theta = draw(st.floats(-2 * np.pi, 2 * np.pi))
+    n = draw(st.integers(max(1, wires), 6))
+    order = draw(st.permutations(range(n)))
+    gate = GateOp(kind, tuple(order[:wires]), theta=theta, unitary=unitary)
+    return random_density_matrix(1 << n, rng), gate, n
+
+
+class TestLocalKernel:
+    """apply_sequence must agree with conjugation by the dense gate_matrix."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gate_on_register())
+    def test_one_gate_equals_dense_conjugation(self, case):
+        rho, g, n = case
+        before = rho.copy()
+        m = gate_matrix(g, n)
+        out = apply_sequence(rho, [g])
+        assert np.abs(out - m @ rho @ m.conj().T).max() < 1e-12
+        assert np.array_equal(rho, before)
+
+    def test_synthesized_point_circuit_at_n256(self):
+        # 794 gates on 10 wires (probe, 8 system bits, one work wire); the
+        # reference builds A(q, p) from its index maps, not from matrix powers.
+        n, q, p = 256, 201, 77
+        seq = synth_phase_point_circuit(PhasePoint(q=q, p=p, n=n))
+        assert (len(seq.gates), seq.num_qubits) == (794, 10)
+        rho = random_density_matrix(n, np.random.default_rng(256))
+        j = np.arange(n)
+        a = np.zeros((n, n), dtype=complex)
+        a[(q - j) % n, j] = (
+            np.exp(-2j * np.pi * p * j / n) * np.exp(1j * np.pi * ((p * q) % (2 * n)) / n)
+        ) / (2 * n)
+        start = time.perf_counter()
+        res = scattering_circuit_gates(rho, seq.gates, seq.num_qubits)
+        assert time.perf_counter() - start < 10.0
+        assert abs(res.trace_estimate - np.trace(2 * n * a @ rho)) < 1e-10
+
+
 class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(InvalidValueError, match="unknown gate kind"):
@@ -182,6 +245,54 @@ class TestValidation:
     def test_controlled_unitary_wire_count(self):
         with pytest.raises(InvalidValueError, match="wires"):
             GateOp("ControlledUnitary", (0, 1), unitary=np.eye(4)).validate(3)
+
+    @pytest.mark.parametrize("targets", [0, [0], "0", (0.0,), ("a",), (True,), None])
+    def test_targets_must_be_a_tuple_of_ints(self, targets):
+        with pytest.raises(InvalidValueError, match="tuple of integer"):
+            GateOp("Hadamard", targets).validate(1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: apply_sequence(maximally_mixed(2), [g]),
+            lambda g: compose_sequence([g], 1),
+            lambda g: scattering_circuit_gates(maximally_mixed(2), [g], 2),
+            lambda g: GateSequence(num_qubits=2, gates=(g,)),
+        ],
+        ids=["apply_sequence", "compose_sequence", "scattering_circuit_gates", "GateSequence"],
+    )
+    @pytest.mark.parametrize("entry", [object(), "Hadamard", ("Hadamard", (0,))])
+    def test_gate_lists_refuse_non_gates(self, call, entry):
+        with pytest.raises(InvalidValueError, match="GateOp"):
+            call(entry)
+
+    def test_gate_list_must_be_iterable(self):
+        with pytest.raises(InvalidValueError, match="GateOp"):
+            apply_sequence(maximally_mixed(2), GateOp("Hadamard", (0,)))
+
+
+class TestQubitBudget:
+    def test_compose_refuses_a_register_over_budget_before_allocating(self):
+        with pytest.raises(QubitBudgetError, match="budget is 12"):
+            compose_sequence([], QUBIT_BUDGET + 1)
+        with pytest.raises(QubitBudgetError):
+            compose_sequence([GateOp("Hadamard", (0,))], 40)
+
+    def test_gate_sequence_matrix_refuses_a_register_over_budget(self):
+        seq = synth_controlled_reflection(QUBIT_BUDGET)  # 1 probe + 12 system + 1 work
+        assert seq.num_qubits == QUBIT_BUDGET + 2
+        with pytest.raises(QubitBudgetError):
+            seq.matrix()
+
+    def test_probe_circuit_refuses_a_register_over_budget(self):
+        # The wire count is the caller's: the joint state would be 4**13 entries.
+        with pytest.raises(QubitBudgetError):
+            scattering_circuit_gates(maximally_mixed(2), [], QUBIT_BUDGET + 1)
+
+    @pytest.mark.parametrize("num_qubits", [2.5, -1, "3", None])
+    def test_compose_refuses_a_non_integer_register(self, num_qubits):
+        with pytest.raises(InvalidValueError, match="number of qubits"):
+            compose_sequence([], num_qubits)
 
 
 class TestPauliExpectation:
@@ -255,6 +366,16 @@ class TestStates:
     def test_pseudo_pure_noisy(self):
         out = pseudo_pure(3, 4, noise_p=0.2)
         assert np.allclose(out, 0.8 * basis_state(3, 4) + 0.05 * np.eye(4))
+
+    @pytest.mark.parametrize(
+        "make",
+        [maximally_mixed, lambda d: basis_state(0, d), lambda d: pseudo_pure(0, d, 0.1)],
+        ids=["maximally_mixed", "basis_state", "pseudo_pure"],
+    )
+    @pytest.mark.parametrize("dim", [2.5, 0, -4, "4", None])
+    def test_dimension_must_be_a_positive_integer(self, make, dim):
+        with pytest.raises(InvalidValueError, match="dimension must be a positive integer"):
+            make(dim)
 
 
 class TestGateJson:

@@ -254,6 +254,12 @@ class TestErrorExits:
         assert cp.returncode == 6
         assert error_payload(cp)["error"] == "qubit-budget"
 
+    def test_synth_verify_refuses_a_register_over_budget(self):
+        cp = run_cli("synth", "--n", 4096, "--p", 0, "--q", 0, "--verify")
+        assert cp.returncode == 6
+        assert error_payload(cp)["error"] == "qubit-budget"
+        assert cp.stdout == ""
+
     def test_invalid_value(self, inputs):
         cp = run_cli("wigner", "--rho", inputs["rho4"], "--point", "9,0")
         assert cp.returncode == 7
