@@ -18,16 +18,26 @@ t = 0).
 
 The structure function applies the single-turn kernel exp(-2 pi i E t / D)
 to |Tr(U^t)|^2 / N^2 instead, measuring correlations between eigenphases.
+
+Both Fourier routes read Tr(U^t) from the eigenvalues of U, checked at every
+t against products of U itself: baby steps U^0 .. U^(m-1) and giant steps
+U^(am), about 2 sqrt(t_max) matrix products instead of t_max (Paterson and
+Stockmeyer, SIAM J. Comput. 2, 60, 1973). The circuit route simulates the
+three registers with ``np.fft`` as the counter Fourier gate and one batched
+product as the power map. Every route holds the counter to the qubit budget,
+so n1 <= 12 (and t_max < 2**12) before any work starts.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidValueError
-from .linalg import assert_unitary, check_qubit_budget, dft_matrix, qubit_count
+from .linalg import assert_unitary, check_qubit_budget, qubit_count
 
 _SERIES_SELF_CHECK_TOL = 1e-9
+_BABY_STACK_BYTES = 4 << 20  # caps the self-check's stack of baby-step powers
 
 
 @dataclass(frozen=True)
@@ -80,34 +90,49 @@ class SpectralSeries:
 
 
 def trace_powers(u: np.ndarray, t_max: int) -> TraceSeries:
-    """Trace of every power of U up to t_max.
+    """Trace of every power of U up to t_max < 2**QUBIT_BUDGET.
 
-    Evaluated from the eigenvalues and cross-checked against repeated matrix
-    multiplication; disagreement beyond 1e-9 aborts rather than returning a
-    silently wrong series.
+    Evaluated from the eigenvalues and cross-checked at every t against
+    matrix products of U: with m baby-step powers B_b = U^b and giant steps
+    G_a = U^(am), Tr(U^(am+b)) = sum(G_a * B_b^T), one matrix-vector product
+    per giant step. Disagreement beyond 1e-9 at any t aborts, naming the first
+    such t, rather than returning a silently wrong series.
     """
-    u = assert_unitary(u)
     if not (isinstance(t_max, (int, np.integer)) and t_max >= 0):
         raise InvalidValueError(f"t_max must be a non-negative integer, got {t_max!r}")
+    check_qubit_budget(int(t_max).bit_length(), f" (counter for t_max={t_max})")
+    u = assert_unitary(u)
     n = u.shape[0]
     lam = np.linalg.eigvals(u)
     values = np.array([np.sum(lam**t) for t in range(t_max + 1)])
 
-    acc = np.eye(n, dtype=complex)
-    for t in range(t_max + 1):
-        if abs(np.trace(acc) - values[t]) > _SERIES_SELF_CHECK_TOL:
-            raise InvalidValueError(
-                f"trace series self-check failed at t={t}: eigenvalue and "
-                f"iterated-product routes disagree beyond 1e-9"
-            )
-        if t < t_max:
-            acc = acc @ u
+    m = max(1, min(math.isqrt(t_max) + 1, _BABY_STACK_BYTES // (16 * n * n)))
+    baby = np.empty((m, n, n), dtype=complex)  # baby[b] = (U^b)^T
+    baby[0] = np.eye(n)
+    for b in range(1, m):
+        baby[b] = baby[b - 1] @ u.T
+    stack = baby.reshape(m, n * n)
+    giant_step = (baby[m - 1] @ u.T).T  # U^m
+    giant = np.eye(n, dtype=complex)
+    products = np.empty(t_max + 1, dtype=complex)
+    for start in range(0, t_max + 1, m):
+        count = min(m, t_max + 1 - start)
+        products[start:start + count] = stack[:count] @ giant.ravel()
+        if start + m <= t_max:
+            giant = giant @ giant_step
+    failed = np.flatnonzero(np.abs(products - values) > _SERIES_SELF_CHECK_TOL)
+    if failed.size:
+        raise InvalidValueError(
+            f"trace series self-check failed at t={failed[0]}: eigenvalue and "
+            f"iterated-product routes disagree beyond 1e-9"
+        )
     return TraceSeries(dim=n, values=values)
 
 
 def _check_n1(n1) -> int:
     if not (isinstance(n1, (int, np.integer)) and n1 >= 2):
         raise InvalidValueError(f"counter register needs n1 >= 2 qubits, got {n1!r}")
+    check_qubit_budget(n1, " (counter)")
     return int(n1)
 
 
@@ -135,10 +160,11 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
     """Simulate the three-register circuit for every counter label.
 
     The system enters as I/N, decomposed into computational basis states that
-    are evolved as state vectors in one batch; the probe z polarization is
-    read off the final amplitudes. Controlled blocks are applied as full
-    matrices on their register slice. The joint register (probe + counter +
-    system) must fit the 12-qubit budget.
+    are evolved as state vectors in one batch, one (D, N, N) array per label;
+    the probe z polarization is read off the final amplitudes. On the probe-1
+    branch the counter Fourier gate is an orthonormal FFT over the counter
+    axis and the power map |t>|n> -> |t> U^t |n> one batched matrix product.
+    The joint register (probe + counter + system) must fit the 12-qubit budget.
     """
     u = assert_unitary(u)
     n1 = _check_n1(n1)
@@ -146,7 +172,6 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
     k = qubit_count(n)
     check_qubit_budget(1 + n1 + k, f" (1 probe + {n1} counter + {k} system)")
     d = 1 << n1
-    fbar = dft_matrix(d).conj()  # Fourier gate with the analysis kernel sign
 
     upow = np.empty((d, n, n), dtype=complex)
     upow[0] = np.eye(n)
@@ -162,10 +187,11 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
         # Probe Hadamard splits |0> into equal branches.
         psi1 = psi0 * inv_sqrt2
         psi0 = psi0 * inv_sqrt2
-        # Controlled blocks act on the probe-1 branch only.
-        psi1 = np.tensordot(fbar, psi1, axes=(1, 0))
-        psi1 = np.einsum("tij,tjc->tic", upow, psi1)
-        psi1 = np.tensordot(fbar, psi1, axes=(1, 0))
+        # Controlled blocks act on the probe-1 branch only. The Fourier gate
+        # has the analysis kernel sign: dft_matrix(D).conj() == fft, "ortho".
+        psi1 = np.fft.fft(psi1, axis=0, norm="ortho")
+        psi1 = np.matmul(upow, psi1)
+        psi1 = np.fft.fft(psi1, axis=0, norm="ortho")
         # Closing probe Hadamard, then <sigma_z> from the branch norms,
         # averaged over the mixture.
         top = (psi0 + psi1) * inv_sqrt2

@@ -149,6 +149,20 @@ def test_each_input_is_checked_exactly_once(name, monkeypatch):
     assert len(unitary_checks) == want_unitary
 
 
+def test_trace_series_self_check_does_not_call_eigvals(monkeypatch):
+    # The products that check the series never read the eigenvalues they check.
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting_eigvals(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    spectrometer.trace_powers(U, 255)
+    assert calls == [(N, N)]
+
+
 def test_controlled_unitary_payload_is_checked_on_every_validate():
     # GateOp is frozen but its payload array is not: a change made after a
     # first successful use must still be refused.

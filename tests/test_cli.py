@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qscatter import io
+from qscatter import cli, io
 from qscatter.linalg import random_density_matrix, random_unitary
 from qscatter.phasespace import wigner_direct
 from qscatter.scattering import direct_trace
@@ -25,10 +25,10 @@ from qscatter.synthesis import sequence_from_json
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     cmd = [sys.executable, "-m", "qscatter.cli", *map(str, args)]
     merged = dict(os.environ, **(env or {}))
-    return subprocess.run(cmd, capture_output=True, text=True, env=merged)
+    return subprocess.run(cmd, capture_output=True, text=True, env=merged, timeout=timeout)
 
 
 def run_pkg_main(*args):
@@ -254,6 +254,14 @@ class TestErrorExits:
         assert cp.returncode == 6
         assert error_payload(cp)["error"] == "qubit-budget"
 
+    @pytest.mark.parametrize("extra", [[], ["--structure"]])
+    def test_fourier_routes_refuse_a_counter_over_budget(self, inputs, extra):
+        # 2**40 counter labels would loop and allocate without end: refused first
+        cp = run_cli("spectrum", "--u", inputs["sz"], "--n1", 40, *extra, timeout=60)
+        assert cp.returncode == 6
+        assert error_payload(cp)["error"] == "qubit-budget"
+        assert cp.stdout == ""
+
     def test_synth_verify_refuses_a_register_over_budget(self):
         cp = run_cli("synth", "--n", 4096, "--p", 0, "--q", 0, "--verify")
         assert cp.returncode == 6
@@ -281,6 +289,28 @@ class TestErrorExits:
     def test_usage_error_is_argparse_code(self):
         cp = run_cli("wigner")
         assert cp.returncode == 2
+
+
+SPECTRUM_FIXTURES = FIXTURES / "spectrum"
+
+
+class TestSpectrumGoldens:
+    """Frozen Fourier-route stdout: <matrix>_n1-<n1>_<density|structure>.<format>."""
+
+    @pytest.mark.parametrize(
+        "golden", sorted(SPECTRUM_FIXTURES.glob("*_n1-*")), ids=lambda path: path.name
+    )
+    def test_stdout_bytes(self, golden, capsys):
+        matrix, n1, kind = golden.stem.split("_")
+        args = ["spectrum", "--u", str(SPECTRUM_FIXTURES / f"{matrix}.json"),
+                "--n1", n1.removeprefix("n1-"), "--format", golden.suffix[1:]]
+        if kind == "structure":
+            args.append("--structure")
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+    def test_every_golden_is_collected(self):
+        assert len(list(SPECTRUM_FIXTURES.glob("*_n1-*"))) == 24
 
 
 class TestDeterminism:

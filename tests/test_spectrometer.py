@@ -11,7 +11,7 @@ import pytest
 
 from qscatter.circuits import PAULI_Z
 from qscatter.errors import InvalidValueError, QubitBudgetError
-from qscatter.linalg import random_unitary
+from qscatter.linalg import QUBIT_BUDGET, dft_matrix, random_unitary
 from qscatter.phasespace import shift_u
 from qscatter.spectrometer import (
     SpectralSeries,
@@ -48,6 +48,48 @@ class TestTracePowers:
     def test_rejects_bad_t_max(self):
         with pytest.raises(InvalidValueError):
             trace_powers(np.eye(2), -1)
+
+    def test_series_length_is_held_to_the_budget(self):
+        edge = (1 << QUBIT_BUDGET) - 1
+        assert trace_powers(np.eye(2), edge).t_max == edge
+        with pytest.raises(QubitBudgetError):
+            trace_powers(np.eye(2), edge + 1)
+        with pytest.raises(QubitBudgetError):
+            trace_powers(np.eye(2), 1 << 40)
+
+
+def _with_eigvals(monkeypatch, perturb):
+    """Make every eigvals call return perturbed eigenvalues."""
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: perturb(eigvals(a)))
+
+
+class TestSelfCheck:
+    def test_shifted_eigenvalues_fail_at_t1(self, monkeypatch):
+        u = random_unitary(8, np.random.default_rng(11))
+        _with_eigvals(monkeypatch, lambda lam: lam + 1e-6)
+        with pytest.raises(InvalidValueError, match=r"self-check failed at t=1:"):
+            trace_powers(u, 63)
+
+    def test_phase_drift_fails_at_the_first_t_past_tolerance(self, monkeypatch):
+        # U = V diag(exp(i phi)) V^dagger has Tr(U^t) = sum_j exp(i phi_j t);
+        # drifting every eigenphase by delta moves the eigenvalue series by
+        # |Tr(U^t)| * |exp(i delta t) - 1|, which first exceeds 1e-9 at t_star.
+        rng = np.random.default_rng(1)
+        phi = rng.uniform(0, 2 * np.pi, size=8)
+        v = random_unitary(8, rng)
+        u = (v * np.exp(1j * phi)) @ v.conj().T
+        delta, t_max = 1e-12, 4095
+        t = np.arange(t_max + 1)
+        exact = np.exp(1j * np.outer(t, phi)).sum(axis=1)
+        gap = np.abs(exact) * np.abs(np.exp(1j * delta * t) - 1)
+        t_star = int(np.flatnonzero(gap > 1e-9)[0])
+        # clear of rounding on both sides, and past the first giant step
+        assert gap[t_star] > 1e-9 + 1e-11 and gap[:t_star].max() < 1e-9 - 1e-11
+        assert t_star > np.sqrt(t_max) + 1
+        _with_eigvals(monkeypatch, lambda lam: lam * np.exp(1j * delta))
+        with pytest.raises(InvalidValueError, match=rf"self-check failed at t={t_star}:"):
+            trace_powers(u, t_max)
 
 
 class TestSpectralDensity:
@@ -99,6 +141,13 @@ class TestSpectralDensity:
         with pytest.raises(InvalidValueError):
             spectral_density(np.eye(2), 1)
 
+    @pytest.mark.parametrize("route", [spectral_density, structure_function])
+    def test_counter_is_held_to_the_budget(self, route):
+        assert route(np.eye(2), QUBIT_BUDGET).num_labels == 1 << QUBIT_BUDGET
+        for n1 in (QUBIT_BUDGET + 1, 40):
+            with pytest.raises(QubitBudgetError, match="counter"):
+                route(np.eye(2), n1)
+
 
 class TestPeakRecovery:
     def test_well_separated_phases_land_within_one_bin(self):
@@ -138,6 +187,37 @@ class TestCircuitEquivalence:
         direct = spectral_density(u, n1)
         circuit = spectral_density_via_circuit(u, n1)
         assert np.abs(direct.bins - circuit.bins).max() < 1e-9
+
+    @pytest.mark.parametrize("n1,n", [(2, 2), (3, 2), (2, 4)])
+    def test_equals_dense_simulation_of_the_whole_register(self, n1, n):
+        # Probe (most significant) x counter x system, I/N on the system.
+        u = random_unitary(n, np.random.default_rng(10 * n1 + n))
+        d = 1 << n1
+        branch0, branch1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+        def controlled(block):
+            return np.kron(branch0, np.eye(d * n)) + np.kron(branch1, block)
+
+        hadamard = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(d * n))
+        fourier = controlled(np.kron(dft_matrix(d).conj(), np.eye(n)))
+        power = np.zeros((d * n, d * n), dtype=complex)
+        for t in range(d):
+            power[t * n:(t + 1) * n, t * n:(t + 1) * n] = np.linalg.matrix_power(u, t)
+        circuit = hadamard @ fourier @ controlled(power) @ fourier @ hadamard
+        z = np.kron(np.diag([1.0, -1.0]), np.eye(d * n))
+        expected = np.empty(d)
+        for energy in range(d):
+            label = np.zeros((d, d))
+            label[energy, energy] = 1.0
+            rho = np.kron(np.kron(branch0, label), np.eye(n) / n)
+            expected[energy] = np.trace(z @ circuit @ rho @ circuit.conj().T).real
+        got = spectral_density_via_circuit(u, n1).bins
+        assert np.abs(got - expected).max() < 1e-12
+
+    def test_counter_fourier_transform_is_the_conjugate_dft(self):
+        x = random_unitary(8, np.random.default_rng(2))[:, :3]
+        assert np.allclose(np.fft.fft(x, axis=0, norm="ortho"), dft_matrix(8).conj() @ x,
+                           rtol=0, atol=1e-14)
 
     def test_budget_enforced(self):
         with pytest.raises(QubitBudgetError, match="1 probe"):
