@@ -8,10 +8,20 @@ For an N-dimensional register the grid point alpha = (q, p), with
 where U is the cyclic position shift |q> -> |q+1 mod N>, V = F U F^dagger is
 the matching momentum shift (diagonal, entries exp(2 pi i j / N)), R is the
 position reflection |q> -> |-q mod N>, and F is the discrete Fourier matrix
-from linalg. The product p*q in the scalar phase is reduced mod 2N before
-exponentiation so integer grid arithmetic stays exact.
+from linalg. Each A(q, p) is a permutation times a diagonal (Leonhardt,
+PRA 53, 2998, 1996),
+
+    A(q, p)|x> = exp(i pi ((p q - 2 p x) mod 2N) / N) / 2N * |q - x mod N>,
+
+and every operator here is built exactly from that index map, with the
+integer phase exponent reduced mod 2N before exponentiation.
 
 W(q, p) = Re Tr[A(q, p) rho] is the quasi-probability distribution of rho.
+The trace reads only the anti-diagonal rho[x, (q - x) mod N], so the grid is
+one FFT per anti-diagonal, O(N^2 log N) time and O(N^2) memory with nothing
+cached; ``reconstruct`` inverts it with one FFT per grid row. The grid side
+2N is held to 2**QUBIT_BUDGET (N <= 2048) before any work starts.
+
 The grid is fourfold redundant: A(q+N, p) = (-1)^p A(q, p) and
 A(q, p+N) = (-1)^q A(q, p), so each N x N subgrid operator appears four
 times with signs. Hilbert-Schmidt pairings and state reconstruction sum over
@@ -20,7 +30,6 @@ brute-force calibration of that convention is frozen in the test fixtures.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +37,7 @@ from .errors import DimensionMismatchError, InvalidValueError
 from .linalg import (
     as_square_matrix,
     assert_density_matrix,
-    dft_matrix,
+    check_qubit_budget,
     is_density_matrix,
 )
 from .scattering import scattering_circuit
@@ -59,69 +68,44 @@ def _check_dim(n) -> int:
     return int(n)
 
 
-@lru_cache(maxsize=None)
-def _shift_u(n: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    m[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
-    m.setflags(write=False)
-    return m
-
-
-@lru_cache(maxsize=None)
-def _shift_v(n: int) -> np.ndarray:
-    f = dft_matrix(n)
-    m = f @ _shift_u(n) @ f.conj().T
-    m.setflags(write=False)
-    return m
-
-
-@lru_cache(maxsize=None)
-def _reflection(n: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    m[(-np.arange(n)) % n, np.arange(n)] = 1.0
-    m.setflags(write=False)
-    return m
+def _check_grid(n: int) -> None:
+    """Refuse a grid side 2n over 2**QUBIT_BUDGET; call before allocating."""
+    check_qubit_budget((2 * n - 1).bit_length(), f" for a {2 * n}x{2 * n} Wigner grid")
 
 
 def shift_u(n: int) -> np.ndarray:
     """Cyclic position shift |q> -> |q+1 mod n>."""
-    return _shift_u(_check_dim(n))
+    n = _check_dim(n)
+    m = np.zeros((n, n), dtype=complex)
+    m[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
+    return m
 
 
 def shift_v(n: int) -> np.ndarray:
-    """Momentum shift F U F^dagger; diagonal in the computational basis."""
-    return _shift_v(_check_dim(n))
+    """Momentum shift F U F^dagger = diag(exp(2 pi i j / n))."""
+    n = _check_dim(n)
+    return np.diag(np.exp(2j * np.pi * np.arange(n) / n))
 
 
 def reflection(n: int) -> np.ndarray:
     """Position reflection |q> -> |-q mod n>; fixes |0> and squares to I."""
-    return _reflection(_check_dim(n))
-
-
-@lru_cache(maxsize=None)
-def _phase_point(n: int, q: int, p: int) -> np.ndarray:
-    uq = np.linalg.matrix_power(_shift_u(n), q % n)
-    vmp = np.linalg.matrix_power(_shift_v(n).conj().T, p % n)
-    phase = np.exp(1j * np.pi * ((p * q) % (2 * n)) / n)
-    m = uq @ _reflection(n) @ vmp * (phase / (2 * n))
-    m.setflags(write=False)
+    n = _check_dim(n)
+    m = np.zeros((n, n), dtype=complex)
+    m[(-np.arange(n)) % n, np.arange(n)] = 1.0
     return m
 
 
 def phase_point_operator(alpha: PhasePoint) -> np.ndarray:
-    """Hermitian point operator A(alpha); 2N times it is unitary."""
-    return _phase_point(alpha.n, int(alpha.q), int(alpha.p))
+    """Hermitian point operator A(alpha); 2N times it is unitary.
 
-
-@lru_cache(maxsize=None)
-def _point_stack(n: int) -> np.ndarray:
-    """All point operators as one (2n, 2n, n, n) array indexed [q, p]."""
-    stack = np.empty((2 * n, 2 * n, n, n), dtype=complex)
-    for q in range(2 * n):
-        for p in range(2 * n):
-            stack[q, p] = _phase_point(n, q, p)
-    stack.setflags(write=False)
-    return stack
+    Built from its index map, so every entry is one rounded exponential.
+    """
+    n, q, p = alpha.n, int(alpha.q), int(alpha.p)
+    x = np.arange(n)
+    a = np.zeros((n, n), dtype=complex)
+    phase = np.exp(1j * np.pi * ((p * q - 2 * p * x) % (2 * n)) / n)
+    a[(q - x) % n, x] = phase / (2 * n)
+    return a
 
 
 @dataclass(frozen=True)
@@ -150,16 +134,22 @@ def wigner_direct(rho: np.ndarray) -> WignerGrid:
     Raises if the imaginary residue anywhere on the grid exceeds 1e-12,
     which cannot happen for a valid state (A is Hermitian).
     """
+    _check_grid(max(np.shape(rho), default=0))
     rho = assert_density_matrix(rho)
-    n = rho.shape[0]
-    _check_dim(n)
-    raw = np.einsum("qpij,ji->qp", _point_stack(n), rho)
+    n = _check_dim(rho.shape[0])
+    m = 2 * n
+    j, k = np.arange(n), np.arange(m)
+    # row q of f is the FFT of the anti-diagonal rho[j, (q - j) % n], shared by q + n
+    f = np.fft.fft(rho[j, (j[:, None] - j) % n], axis=1)
+    phase = np.exp(1j * np.pi * k / n) / m
+    raw = f[np.ix_(k % n, k % n)]
+    raw *= phase[np.outer(k, k) % m]
     residue = float(np.abs(raw.imag).max())
     if residue > IMAG_RESIDUE_TOL:
         raise InvalidValueError(
             f"grid has imaginary residue {residue:.3e}, expected < 1e-12"
         )
-    return WignerGrid(n=n, values=raw.real)
+    return WignerGrid(n=n, values=raw.real + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
 def wigner_via_circuit(rho: np.ndarray, alpha: PhasePoint) -> float:
@@ -191,7 +181,14 @@ def reconstruct(w: WignerGrid) -> Reconstruction:
     above the -1e-10 floor).
     """
     n = w.n
-    rho = n * np.einsum("qp,qpij->ij", w.values, _point_stack(n))
+    _check_grid(n)
+    m = 2 * n
+    k, x = np.arange(m)[:, None], np.arange(n)
+    # g[q, x] = 1/2 sum_p W[q, p] exp(i pi p (q - 2x) / n): rows q and q + n feed
+    # the same anti-diagonal entry rho[(q - x) % n, x]
+    g = np.fft.fft(w.values, axis=1)[k, (2 * x - k) % m] / 2
+    rho = np.empty((n, n), dtype=complex)
+    rho[(k[:n] - x) % n, x] = g[:n] + g[n:]
     return Reconstruction(matrix=rho, valid=is_density_matrix(rho, trace_tol=1e-10))
 
 

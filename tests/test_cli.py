@@ -208,7 +208,7 @@ class TestDemoFig3:
             ideal = np.zeros((8, 8))
             ideal[2 * label, :] = 1 / 8
             ideal[(2 * label + 4) % 8, :] = [(-1) ** p / 8 for p in range(8)]
-            assert np.abs(grid - ideal).max() < 1e-10
+            assert np.array_equal(grid, ideal)
 
     def test_noise_shrinks_strips_linearly(self, tmp_path):
         out = tmp_path / "noisy"

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qscatter.errors import DimensionMismatchError, InvalidValueError
+from qscatter.errors import DimensionMismatchError, InvalidValueError, QubitBudgetError
 from qscatter.linalg import dft_matrix, random_density_matrix
 from qscatter.phasespace import (
     PhasePoint,
@@ -128,6 +128,41 @@ class TestGridOperators:
         assert np.allclose(traces, [0.5, 0, 0, 0], atol=1e-12)
 
 
+class TestExplicitSumOracle:
+    """Every route against its defining formula, point by point, odd N included."""
+
+    @staticmethod
+    def dense_operators(n):
+        vdag = shift_v(n).conj().T
+        return {
+            (q, p): np.linalg.matrix_power(shift_u(n), q)
+            @ reflection(n)
+            @ np.linalg.matrix_power(vdag, p)
+            * (np.exp(1j * np.pi * ((p * q) % (2 * n)) / n) / (2 * n))
+            for q, p in full_grid_points(n)
+        }
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_operator_is_the_dense_product(self, n):
+        for (q, p), dense in self.dense_operators(n).items():
+            a = phase_point_operator(PhasePoint(q=q, p=p, n=n))
+            assert np.abs(a - dense).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_grid_is_the_trace_sum(self, n):
+        rho = random_density_matrix(n, np.random.default_rng(40 + n))
+        w = wigner_direct(rho).values
+        for (q, p), a in self.dense_operators(n).items():
+            assert abs(w[q, p] - np.trace(a @ rho).real) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_reconstruct_is_the_operator_sum_for_any_grid(self, n):
+        values = np.random.default_rng(50 + n).standard_normal((2 * n, 2 * n))
+        expected = n * sum(values[qp] * a for qp, a in self.dense_operators(n).items())
+        rec = reconstruct(WignerGrid(n=n, values=values))
+        assert np.abs(rec.matrix - expected).max() < 1e-12
+
+
 class TestCalibrationFixture:
     """Re-derive the frozen summation conventions from scratch at N=2."""
 
@@ -214,6 +249,17 @@ class TestCircuitRoute:
         for q, p in full_grid_points(n):
             via = wigner_via_circuit(rho, PhasePoint(q=q, p=p, n=n))
             assert abs(via - w[q, p]) < 1e-10
+
+    def test_large_register_points_are_unitary(self):
+        # points where a dense, rounded product of shift powers fails the
+        # 1e-12 unitarity check that scattering_circuit applies
+        n = 128
+        rho = random_density_matrix(n, np.random.default_rng(128))
+        points = [(3, 77), (128, 64), (64, 200)]
+        via = [wigner_via_circuit(rho, PhasePoint(q=q, p=p, n=n)) for q, p in points]
+        w = wigner_direct(rho).values
+        for (q, p), value in zip(points, via):
+            assert abs(value - w[q, p]) < 1e-10
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -308,6 +354,29 @@ class TestValidation:
     def test_grid_shape_checked(self):
         with pytest.raises(DimensionMismatchError):
             WignerGrid(n=4, values=np.zeros((4, 4)))
+
+    def test_grid_over_budget_refused_before_validation(self):
+        # zero-cost views: the trace-0 "state" would fail validation, so only
+        # a budget check that runs first can raise QubitBudgetError
+        with pytest.raises(QubitBudgetError, match="4098x4098 Wigner grid"):
+            wigner_direct(np.broadcast_to(np.complex128(0), (2049, 2049)))
+        grid = WignerGrid(n=2049, values=np.broadcast_to(0.0, (4098, 4098)))
+        with pytest.raises(QubitBudgetError, match="4098x4098 Wigner grid"):
+            reconstruct(grid)
+
+    def test_largest_grid_passes_the_budget(self, monkeypatch):
+        with pytest.raises(InvalidValueError, match="finite"):
+            wigner_direct(np.broadcast_to(np.float64(np.nan), (2048, 2048)))
+
+        class Reached(Exception):
+            pass
+
+        def fft(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(np.fft, "fft", fft)
+        with pytest.raises(Reached):
+            reconstruct(WignerGrid(n=2048, values=np.broadcast_to(0.0, (4096, 4096))))
 
     def test_grid_must_be_finite(self):
         bad = np.zeros((4, 4))
