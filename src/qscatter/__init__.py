@@ -19,7 +19,6 @@ if _threads:
 
 from .circuits import (  # noqa: E402
     GateOp,
-    apply,
     apply_sequence,
     compose_sequence,
     controlled_matrix,
@@ -27,7 +26,6 @@ from .circuits import (  # noqa: E402
     gate_from_json,
     gate_matrix,
     gate_to_json,
-    inverse_gate,
     pauli_expectation,
 )
 from .errors import (  # noqa: E402
@@ -39,7 +37,6 @@ from .errors import (  # noqa: E402
     QubitBudgetError,
 )
 from .linalg import (  # noqa: E402
-    dft_matrix,
     is_density_matrix,
     is_unitary,
     qubit_count,
@@ -76,6 +73,7 @@ from .spectrometer import (  # noqa: E402
 from .states import basis_state, maximally_mixed, pseudo_pure  # noqa: E402
 from .synthesis import (  # noqa: E402
     GateSequence,
+    point_circuit_error,
     sequence_from_json,
     sequence_to_json,
     synth_controlled_reflection,
@@ -100,18 +98,15 @@ __all__ = [
     "SpectralSeries",
     "TraceSeries",
     "WignerGrid",
-    "apply",
     "apply_sequence",
     "basis_state",
     "compose_sequence",
     "controlled_matrix",
     "depolarize",
-    "dft_matrix",
     "direct_trace",
     "gate_from_json",
     "gate_matrix",
     "gate_to_json",
-    "inverse_gate",
     "is_density_matrix",
     "is_unitary",
     "line_sum",
@@ -119,6 +114,7 @@ __all__ = [
     "overlap_from_grids",
     "pauli_expectation",
     "phase_point_operator",
+    "point_circuit_error",
     "pseudo_pure",
     "qubit_count",
     "random_density_matrix",

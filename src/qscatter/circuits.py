@@ -1,4 +1,4 @@
-"""Gate-level engine evolving density matrices on qubit registers.
+"""Gate-level engine evolving density matrices and kets on qubit registers.
 
 Wire convention: qubit 0 is the most significant bit of the computational
 basis index, so a basis label reads left to right as |q0 q1 ... >. Gates
@@ -9,9 +9,11 @@ States evolve through one local kernel: rho is viewed as a (2,)*2n tensor
 (row wires, then column wires), and each gate's small target matrix acts on
 its own row axes and, conjugated, on its column axes, only where every
 control wire is 1 (the density-matrix kernels of QuEST, Jones et al.,
-Sci. Rep. 9, 10736, 2019). A gate costs O(4^n 2^k) for k target wires.
+Sci. Rep. 9, 10736, 2019). A gate costs O(4^n 2^k) for k target wires; a
+ket, viewed as a (2,)*n tensor, takes the row pass alone at O(2^n 2^k).
 ``gate_matrix`` and ``compose_sequence`` build dense 2^n x 2^n operators;
-they are the oracles the kernel is tested against and never run inside it.
+they are the oracles the kernel is tested against and no library route
+calls them.
 """
 
 from dataclasses import dataclass
@@ -173,11 +175,6 @@ def gate_matrix(g: GateOp, num_qubits: int) -> np.ndarray:
     return _embed(_small_matrix(g), g.targets, num_qubits)
 
 
-def apply(rho: np.ndarray, g: GateOp) -> np.ndarray:
-    """Conjugate a density matrix by one gate."""
-    return apply_sequence(rho, [g])
-
-
 def _gate_list(gates) -> list[GateOp]:
     # The caller's gates as a list, refusing anything that is not a GateOp.
     try:
@@ -209,21 +206,23 @@ def apply_sequence(rho: np.ndarray, gates) -> np.ndarray:
     return _apply_sequence(rho, _check_gates(gates, n), n)
 
 
-def _apply_sequence(rho: np.ndarray, gates, num_qubits: int) -> np.ndarray:
-    # Unchecked core: rho is a valid state on num_qubits wires and every gate
-    # has been validated for that register. Works on one copy of rho, viewed
-    # as a tensor with row wires on axes 0..n-1 and column wires on n..2n-1.
-    # G rho G^dagger is (G rho) G^dagger: the target matrix u acts on the row
-    # axes, then conj(u) on the column axes, each where the controls are 1.
+def _apply_sequence(state: np.ndarray, gates, num_qubits: int) -> np.ndarray:
+    # Unchecked core: state is a density matrix or a ket on num_qubits wires
+    # and every gate has been validated for that register. Works on one copy
+    # of it, viewed as a tensor with row wires on axes 0..n-1 and, for a
+    # density matrix, column wires on n..2n-1. G rho G^dagger is
+    # (G rho) G^dagger: the target matrix u acts on the row axes, then conj(u)
+    # on the column axes, each where the controls are 1; a ket G psi takes
+    # the row pass only.
     n = num_qubits
-    out = np.array(rho, dtype=complex, order="C")
-    tensor = out.reshape((2,) * (2 * n))
+    out = np.array(state, dtype=complex, order="C")
+    tensor = out.reshape((2,) * (out.ndim * n))
     for g in gates:
         u = _target_matrix(g)
         k = qubit_count(u.shape[0])
         controls, targets = g.targets[:-k], g.targets[-k:]
-        for offset, m in ((0, u), (n, u.conj())):
-            index = [slice(None)] * (2 * n)
+        for offset, m in ((0, u), (n, u.conj()))[: out.ndim]:
+            index = [slice(None)] * tensor.ndim
             for c in controls:
                 index[offset + c] = 1
             # Integer indices drop their axes, shifting the later ones down.
@@ -234,13 +233,15 @@ def _apply_sequence(rho: np.ndarray, gates, num_qubits: int) -> np.ndarray:
 
 def _contract(view: np.ndarray, axes: list[int], m: np.ndarray) -> None:
     # In place: view[..., i, ...] <- sum_j m[i, j] view[..., j, ...], with the
-    # index pair on ``axes``. One-wire matrices update the two slices directly.
+    # index pair on ``axes``. One-wire matrices update the two slices directly;
+    # the trailing Ellipsis keeps each slice a writable view even when the
+    # pair is the view's only axis (a ket gate whose other wires all control).
     if len(axes) > 1:
         moved = np.moveaxis(view, axes, range(len(axes)))
         moved[...] = (m @ moved.reshape(m.shape[0], -1)).reshape(moved.shape)
         return
     lead = (slice(None),) * axes[0]
-    s0, s1 = view[lead + (0,)], view[lead + (1,)]
+    s0, s1 = view[lead + (0, ...)], view[lead + (1, ...)]
     if m[0, 1] == 0 and m[1, 0] == 0:
         if m[0, 0] != 1:
             s0 *= m[0, 0]
@@ -261,8 +262,8 @@ def _contract(view: np.ndarray, axes: list[int], m: np.ndarray) -> None:
 def compose_sequence(gates, num_qubits: int) -> np.ndarray:
     """Dense product of a gate list; gates[0] is applied first.
 
-    The reference the local kernel and synthesized circuits are checked
-    against. Refuses a register above the qubit budget before allocating.
+    The reference the tests hold the local kernel and the synthesis check to.
+    Refuses a register above the qubit budget before allocating.
     """
     if not (isinstance(num_qubits, (int, np.integer)) and num_qubits >= 0):
         raise InvalidValueError(
@@ -274,15 +275,6 @@ def compose_sequence(gates, num_qubits: int) -> np.ndarray:
     for g in gates:
         out = gate_matrix(g, num_qubits) @ out
     return out
-
-
-def inverse_gate(g: GateOp) -> GateOp:
-    """Gate whose matrix is the dagger of g's."""
-    if g.kind in _THETA_KINDS:
-        return GateOp(g.kind, g.targets, theta=-g.theta)
-    if g.kind == "ControlledUnitary":
-        return GateOp(g.kind, g.targets, unitary=np.asarray(g.unitary).conj().T)
-    return g
 
 
 _PAULI_BY_AXIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}

@@ -20,12 +20,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import io
-from .circuits import controlled_matrix, depolarize
+from .circuits import depolarize
 from .errors import InputFormatError, InvalidValueError, QscatterError
-from .phasespace import PhasePoint, phase_point_operator, wigner_direct, wigner_via_circuit
+from .phasespace import PhasePoint, wigner_direct, wigner_via_circuit
 from .scattering import scattering_circuit
 from .spectrometer import (
     spectral_density,
@@ -33,7 +31,7 @@ from .spectrometer import (
     structure_function,
 )
 from .states import pseudo_pure
-from .synthesis import sequence_to_json, synth_phase_point_circuit
+from .synthesis import point_circuit_error, sequence_to_json, synth_phase_point_circuit
 
 
 def _parse_point(text: str) -> tuple[int, int]:
@@ -104,30 +102,26 @@ def cmd_synth(args) -> int:
     seq = synth_phase_point_circuit(alpha)
     payload = sequence_to_json(seq)
     if args.verify:
-        composed = seq.matrix()  # refuses a register over the qubit budget
-        target = controlled_matrix(2 * args.n * phase_point_operator(alpha))
-        # pad with an identity work wire (least significant) if the circuit used one
-        pad = (1 << seq.num_qubits) // target.shape[0]
-        expected = np.kron(target, np.eye(pad))
-        err = float(np.abs(composed - expected).max())
+        err = point_circuit_error(seq, alpha)
         payload["verify"] = {"max_error": io.round12(err), "ok": bool(err < 1e-12)}
         if err >= 1e-12:
             sys.stdout.write(json.dumps(payload) + "\n")
-            raise QscatterError(
-                f"synthesized circuit disagrees with the dense operator ({err:.3e})"
-            )
+            raise QscatterError(f"synthesized circuit disagrees with its target ({err:.3e})")
     sys.stdout.write(json.dumps(payload) + "\n")
     return 0
 
 
 def cmd_demo_fig3(args) -> int:
     outdir = args.outdir
-    os.makedirs(outdir, exist_ok=True)
     for label in range(4):
         grid = wigner_direct(pseudo_pure(label, 4, args.noise_p))
         path = os.path.join(outdir, f"state{label}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(io.wigner_csv(grid))
+        try:
+            os.makedirs(outdir, exist_ok=True)
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(io.wigner_csv(grid))
+        except OSError as exc:
+            raise InputFormatError(f"cannot write {path}: {exc}") from exc
         sys.stdout.write(path + "\n")
     return 0
 
@@ -176,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--p", required=True, type=int)
     p_synth.add_argument(
         "--verify", action="store_true",
-        help="compose the gates and compare against the dense operator",
+        help="run the gates on two test states and compare against the target operator",
     )
     p_synth.set_defaults(func=cmd_synth)
 

@@ -76,7 +76,7 @@ def matrix_from_payload(payload) -> np.ndarray:
             for re, im in entries
             if type(re) in _JSON_NUMBERS and type(im) in _JSON_NUMBERS
         ]
-    except (TypeError, ValueError):  # an entry that is not a pair
+    except (TypeError, ValueError, OverflowError):  # not a pair, or an int beyond float
         flat = []
     if len(flat) != len(entries):
         raise InputFormatError("matrix entries must be [re, im] pairs of numbers")
@@ -92,7 +92,7 @@ def load_matrix(path) -> np.ndarray:
             payload = json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read matrix file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nesting too deep
         raise InputFormatError(f"matrix file {path} is not valid JSON: {exc}") from exc
     return matrix_from_payload(payload)
 

@@ -34,20 +34,6 @@ def as_square_matrix(a) -> np.ndarray:
     return m
 
 
-def dft_matrix(n: int) -> np.ndarray:
-    """Unitary discrete Fourier matrix with kernel exp(+2*pi*i*p*q/n)/sqrt(n).
-
-    Row index is the output (momentum) label, column index the input
-    (position) label. The plus sign in the kernel is load-bearing: it fixes
-    which diagonal operator plays the momentum shift in the phase-space
-    module, and the tests pin it via dft_matrix(4)[1, 1] == i/2.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidValueError(f"DFT size must be a positive integer, got {n!r}")
-    p, q = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(2j * np.pi * p * q / n) / np.sqrt(n)
-
-
 def qubit_count(dim: int) -> int:
     """Number of qubits for a register of dimension ``dim`` (must be 2**k)."""
     if not isinstance(dim, (int, np.integer)) or dim < 1:
@@ -69,28 +55,30 @@ def check_qubit_budget(num_qubits: int, layout: str = "") -> None:
         )
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return bool(np.abs(a - a.conj().T).max() <= tol)
+def is_hermitian(a: np.ndarray) -> bool:
+    return bool(np.abs(a - a.conj().T).max() <= HERMITIAN_TOL)
 
 
-def is_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(a: np.ndarray) -> bool:
     d = a.shape[0]
-    return bool(np.abs(a @ a.conj().T - np.eye(d)).max() <= tol)
+    return bool(np.abs(a @ a.conj().T - np.eye(d)).max() <= UNITARY_TOL)
 
 
-def is_density_matrix(
-    a: np.ndarray,
-    herm_tol: float = HERMITIAN_TOL,
-    trace_tol: float = TRACE_TOL,
-    eig_floor: float = EIGENVALUE_FLOOR,
-) -> bool:
-    """Hermitian, unit trace, and no eigenvalue below the small negative floor."""
-    if not is_hermitian(a, herm_tol):
-        return False
+def _state_defect(a: np.ndarray, trace_tol: float) -> str | None:
+    # Why ``a`` is not a density matrix (see is_density_matrix), or None.
+    if not is_hermitian(a):
+        return "state is not Hermitian within tolerance 1e-12"
     if abs(np.trace(a) - 1.0) > trace_tol:
-        return False
+        return f"state trace is {np.trace(a):.6g}, expected 1"
     ev = np.linalg.eigvalsh((a + a.conj().T) / 2)
-    return bool(ev.min() >= eig_floor)
+    if ev.min() < EIGENVALUE_FLOOR:
+        return f"state has negative eigenvalue {ev.min():.3e}"
+    return None
+
+
+def is_density_matrix(a: np.ndarray, trace_tol: float = TRACE_TOL) -> bool:
+    """Hermitian, unit trace, and no eigenvalue below the small negative floor."""
+    return _state_defect(a, trace_tol) is None
 
 
 def assert_unitary(a) -> np.ndarray:
@@ -102,13 +90,9 @@ def assert_unitary(a) -> np.ndarray:
 
 def assert_density_matrix(a) -> np.ndarray:
     m = as_square_matrix(a)
-    if not is_hermitian(m):
-        raise InvalidValueError("state is not Hermitian within tolerance 1e-12")
-    if abs(np.trace(m) - 1.0) > TRACE_TOL:
-        raise InvalidValueError(f"state trace is {np.trace(m):.6g}, expected 1")
-    ev = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    if ev.min() < EIGENVALUE_FLOOR:
-        raise InvalidValueError(f"state has negative eigenvalue {ev.min():.3e}")
+    defect = _state_defect(m, TRACE_TOL)
+    if defect is not None:
+        raise InvalidValueError(defect)
     return m
 
 

@@ -7,9 +7,9 @@ For an N-dimensional register the grid point alpha = (q, p), with
 
 where U is the cyclic position shift |q> -> |q+1 mod N>, V = F U F^dagger is
 the matching momentum shift (diagonal, entries exp(2 pi i j / N)), R is the
-position reflection |q> -> |-q mod N>, and F is the discrete Fourier matrix
-from linalg. Each A(q, p) is a permutation times a diagonal (Leonhardt,
-PRA 53, 2998, 1996),
+position reflection |q> -> |-q mod N>, and F is the unitary discrete Fourier
+matrix with kernel exp(+2 pi i p q / N) / sqrt(N). Each A(q, p) is a
+permutation times a diagonal (Leonhardt, PRA 53, 2998, 1996),
 
     A(q, p)|x> = exp(i pi ((p q - 2 p x) mod 2N) / N) / 2N * |q - x mod N>,
 
@@ -40,9 +40,10 @@ from .linalg import (
     check_qubit_budget,
     is_density_matrix,
 )
-from .scattering import scattering_circuit
+from .scattering import _check_probe_budget, scattering_circuit
 
 IMAG_RESIDUE_TOL = 1e-12
+_PHASE_BLOCK_BYTES = 4 << 20  # phase scratch per block of grid rows, not per whole grid
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,10 @@ def wigner_direct(rho: np.ndarray) -> WignerGrid:
     f = np.fft.fft(rho[j, (j[:, None] - j) % n], axis=1)
     phase = np.exp(1j * np.pi * k / n) / m
     raw = f[np.ix_(k % n, k % n)]
-    raw *= phase[np.outer(k, k) % m]
+    del f
+    rows = max(1, _PHASE_BLOCK_BYTES // (24 * m))  # int64 index + complex gather
+    for top in range(0, m, rows):
+        raw[top : top + rows] *= phase[k[top : top + rows, None] * k % m]
     residue = float(np.abs(raw.imag).max())
     if residue > IMAG_RESIDUE_TOL:
         raise InvalidValueError(
@@ -155,9 +159,10 @@ def wigner_direct(rho: np.ndarray) -> WignerGrid:
 def wigner_via_circuit(rho: np.ndarray, alpha: PhasePoint) -> float:
     """One grid value measured by scattering off the unitary 2N * A(alpha).
 
-    Only the dimensions are compared here; ``scattering_circuit`` checks the
-    state.
+    Only the register width and the dimensions are checked here;
+    ``scattering_circuit`` checks the state.
     """
+    _check_probe_budget(max(np.shape(rho) + (alpha.n,)))
     dim = as_square_matrix(rho).shape[0]
     if dim != alpha.n:
         raise DimensionMismatchError(f"state dim {dim} does not match grid dim {alpha.n}")

@@ -45,6 +45,12 @@ def _check_operands(rho, u) -> tuple[np.ndarray, np.ndarray]:
     return rho, u
 
 
+def _check_probe_budget(dim: int) -> None:
+    # From the size alone, so callers run it before validating or building anything.
+    k = (int(dim) - 1).bit_length()
+    check_qubit_budget(1 + k, f" (1 probe + {k} system)")
+
+
 def direct_trace(rho: np.ndarray, u: np.ndarray) -> complex:
     """Tr(U rho) evaluated without any circuit; the oracle side of the duality."""
     rho, u = _check_operands(rho, u)
@@ -72,6 +78,7 @@ def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int) -> Sca
 
 def scattering_circuit(rho: np.ndarray, u: np.ndarray) -> ScatteringResult:
     """Run the probe circuit with a dense controlled-U block."""
+    _check_probe_budget(max(np.shape(rho) + np.shape(u), default=1))
     rho, u = _check_operands(rho, u)
     k = qubit_count(u.shape[0])
     cu = GateOp("ControlledUnitary", tuple(range(k + 1)), unitary=u)

@@ -188,7 +188,7 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
         psi1 = psi0 * inv_sqrt2
         psi0 = psi0 * inv_sqrt2
         # Controlled blocks act on the probe-1 branch only. The Fourier gate
-        # has the analysis kernel sign: dft_matrix(D).conj() == fft, "ortho".
+        # has the analysis kernel sign, exp(-2 pi i E k / D) / sqrt(D).
         psi1 = np.fft.fft(psi1, axis=0, norm="ortho")
         psi1 = np.matmul(upow, psi1)
         psi1 = np.fft.fft(psi1, axis=0, norm="ortho")

@@ -5,7 +5,8 @@ control of every emitted gate), wires 1..m hold the system with wire 1 the
 most significant bit, and work wire m+1 is appended when a multiply
 controlled X needs expanding. Expansions restore the work wire for every
 input value, so the composed matrix equals controlled-op (x) I on the work
-wire exactly, not merely on the |0> work subspace.
+wire exactly, not merely on the |0> work subspace. A register of 1 probe +
+m system + 1 work wire over the qubit budget is refused before any gate.
 
 Constructions, each verified against the dense operator in the tests:
 
@@ -21,21 +22,24 @@ Constructions, each verified against the dense operator in the tests:
   the bit weight;
 * the scalar phase of a point operator rides on the probe as a local
   PhaseShift (phase kickback).
+
+``point_circuit_error`` checks a point circuit on two kets through the gate
+kernel, in O(gates * 2^n) with no dense 2^n x 2^n matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import GateOp, _check_gates, compose_sequence, gate_from_json, gate_to_json
+from .circuits import GateOp, _apply_sequence, _check_gates, compose_sequence
+from .circuits import gate_from_json, gate_to_json
 from .errors import InputFormatError, InvalidValueError
 from .io import json_int, json_list
-from .linalg import qubit_count
-from .phasespace import PhasePoint
+from .linalg import check_qubit_budget, qubit_count
+from .phasespace import PhasePoint, phase_point_operator
 
-SEQUENCE_KINDS = frozenset(
-    {"CNOT", "Toffoli", "PhaseShift", "ControlledPhase", "PauliX", "Hadamard"}
-)
+# Each kind is a permutation times a phase, which point_circuit_error relies on.
+SEQUENCE_KINDS = frozenset({"CNOT", "Toffoli", "PhaseShift", "ControlledPhase", "PauliX"})
 
 
 @dataclass(frozen=True)
@@ -49,9 +53,7 @@ class GateSequence:
         gates = tuple(_check_gates(self.gates, self.num_qubits))
         for g in gates:
             if g.kind not in SEQUENCE_KINDS:
-                raise InvalidValueError(
-                    f"synthesized sequences may not contain {g.kind!r}"
-                )
+                raise InvalidValueError(f"synthesized sequences may not contain {g.kind!r}")
         object.__setattr__(self, "gates", gates)
 
     def matrix(self) -> np.ndarray:
@@ -106,9 +108,8 @@ class _Emitter:
 
 def _check_n_sys(n_sys_qubits) -> int:
     if not (isinstance(n_sys_qubits, (int, np.integer)) and n_sys_qubits >= 1):
-        raise InvalidValueError(
-            f"system register needs at least one qubit, got {n_sys_qubits!r}"
-        )
+        raise InvalidValueError(f"system register needs at least one qubit, got {n_sys_qubits!r}")
+    check_qubit_budget(n_sys_qubits + 2, f" (1 probe + {n_sys_qubits} system + 1 work)")
     return int(n_sys_qubits)
 
 
@@ -165,7 +166,7 @@ def synth_phase_point_circuit(alpha: PhasePoint) -> GateSequence:
     if not isinstance(alpha, PhasePoint):
         raise InvalidValueError("expected a PhasePoint")
     n = alpha.n
-    m = qubit_count(n)
+    m = _check_n_sys(qubit_count(n))
     theta = (np.pi * ((alpha.p * alpha.q) % (2 * n)) / n) % (2 * np.pi)
     gates: list[GateOp] = []
     if theta != 0.0:
@@ -175,10 +176,31 @@ def synth_phase_point_circuit(alpha: PhasePoint) -> GateSequence:
         synth_controlled_reflection(m),
         synth_controlled_shift(m, alpha.q),
     ]
-    num_qubits = max(part.num_qubits for part in parts)
-    for part in parts:
+    for part in parts:  # each part holds at least the probe and system wires
         gates.extend(part.gates)
-    return GateSequence(num_qubits=max(num_qubits, 1 + m), gates=tuple(gates))
+    return GateSequence(num_qubits=max(part.num_qubits for part in parts), gates=tuple(gates))
+
+
+def point_circuit_error(seq: GateSequence, alpha: PhasePoint) -> float:
+    """max |Gv - Tv| / max |Tv| for G = ``seq``, T = controlled-(2N A(alpha)) (x) I_work.
+
+    v runs over two kets, all ones and the labels 1..2^n. Permutation-times-phase
+    operators that agree on both are equal: with a shared permutation the result
+    is the largest entry of |G - T|, and otherwise it is at least 2^-n.
+    """
+    if not (isinstance(alpha, PhasePoint) and isinstance(seq, GateSequence)
+            and seq.num_qubits > qubit_count(alpha.n)):
+        raise InvalidValueError("expected a PhasePoint and a GateSequence on its probe + system")
+    n, d = seq.num_qubits, alpha.n
+    check_qubit_budget(n)
+    u = 2 * d * phase_point_operator(alpha)
+    err = 0.0
+    for v in (np.ones(1 << n, dtype=complex), np.arange(1, (1 << n) + 1, dtype=complex)):
+        t = v.reshape(2, d, -1).copy()  # probe, system, work
+        t[1] = u @ t[1]
+        got = _apply_sequence(v, seq.gates, n)
+        err = max(err, float(np.abs(got - t.ravel()).max() / np.abs(t).max()))
+    return err
 
 
 def sequence_to_json(seq: GateSequence) -> dict:

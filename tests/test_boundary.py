@@ -35,10 +35,6 @@ def _cu(u):
 # name: (call with a state, call with an operator); None where the function
 # takes no such argument. The other argument is always valid.
 BOUNDARY = {
-    "apply": (
-        lambda rho: circuits.apply(rho, H0),
-        lambda u: circuits.apply(RHO_2N, _cu(u)),
-    ),
     "apply_sequence": (
         lambda rho: circuits.apply_sequence(rho, [H0]),
         lambda u: circuits.apply_sequence(RHO_2N, [H0, _cu(u)]),
@@ -110,7 +106,6 @@ CALL_COUNTS = {
     "direct_trace": (lambda: scattering.direct_trace(RHO, U), [(N, N)], 1),
     "wigner_via_circuit": (lambda: phasespace.wigner_via_circuit(RHO, ALPHA), [(N, N)], 1),
     "wigner_direct": (lambda: phasespace.wigner_direct(RHO), [(N, N)], 0),
-    "apply": (lambda: circuits.apply(RHO_2N, _cu(U)), [(2 * N, 2 * N)], 1),
     "apply_sequence": (
         lambda: circuits.apply_sequence(RHO_2N, [H0, _cu(U), H0]), [(2 * N, 2 * N)], 1,
     ),

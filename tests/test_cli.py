@@ -9,12 +9,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qscatter import cli, io
+from qscatter import circuits, cli, errors, io, synthesis
 from qscatter.linalg import random_density_matrix, random_unitary
 from qscatter.phasespace import wigner_direct
 from qscatter.scattering import direct_trace
@@ -185,6 +190,23 @@ class TestSynth:
         assert payload["verify"]["ok"] is True
         assert payload["verify"]["max_error"] < 1e-12
 
+    def test_verify_at_the_widest_register(self):
+        # 4,496 gates on 12 wires; composing 4096x4096 matrices would take hours.
+        cp = run_cli("synth", "--n", 1024, "--q", 1023, "--p", 2047, "--verify", timeout=30)
+        assert cp.returncode == 0, cp.stderr
+        payload = json.loads(cp.stdout)
+        assert (payload["num_qubits"], len(payload["gates"])) == (12, 4496)
+        assert payload["verify"]["ok"] is True
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["emit", "verify"])
+    @pytest.mark.parametrize("n", [2048, 4096, 2**40])
+    def test_register_over_budget_is_refused_before_emission(self, n, verify):
+        # 2**40 used to end in a MemoryError traceback, 2**22 ran for minutes.
+        cp = run_cli("synth", "--n", n, "--q", 1, "--p", 1, *verify, timeout=30)
+        assert cp.returncode == 6
+        assert error_payload(cp)["error"] == "qubit-budget"
+        assert cp.stdout == ""
+
 
 class TestDemoFig3:
     def test_writes_four_grids_matching_goldens(self, inputs, tmp_path):
@@ -227,6 +249,14 @@ class TestDemoFig3:
 
 
 class TestErrorExits:
+    def test_unwritable_output_path_is_bad_input(self, tmp_path):
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("not a directory\n")
+        cp = run_cli("demo-fig3", "--outdir", blocker / "x")
+        assert cp.returncode == 3
+        assert error_payload(cp)["error"] == "bad-input"
+        assert cp.stdout == ""
+
     def test_missing_file_is_bad_input(self, tmp_path):
         cp = run_cli("scatter", "--rho", tmp_path / "none.json", "--u", tmp_path / "none.json")
         assert cp.returncode == 3
@@ -324,3 +354,115 @@ class TestDeterminism:
         cp = run_cli("--seed", 7, "scatter", "--rho", inputs["rho4"], "--u", inputs["u4"])
         assert cp.returncode == 2
         assert cp.stdout == ""
+
+
+def _all_subcommands(inputs, outdir):
+    rho, u, sz = inputs["rho4"], inputs["u4"], inputs["sz"]
+    return {
+        "scatter": ["scatter", "--rho", rho, "--u", u],
+        "wigner-csv": ["wigner", "--rho", rho, "--noise-p", "0.1"],
+        "wigner-json": ["wigner", "--rho", rho, "--format", "json"],
+        "wigner-ascii": ["wigner", "--rho", rho, "--format", "ascii"],
+        "wigner-point": ["wigner", "--rho", rho, "--point", "3,5", "--format", "json"],
+        "spectrum": ["spectrum", "--u", u, "--n1", "4"],
+        "spectrum-structure": ["spectrum", "--u", sz, "--n1", "3", "--structure"],
+        "spectrum-via-circuit": ["spectrum", "--u", u, "--n1", "3", "--via-circuit"],
+        "synth": ["synth", "--n", "8", "--q", "5", "--p", "7"],
+        "synth-verify": ["synth", "--n", "64", "--q", "101", "--p", "37", "--verify"],
+        "demo-fig3": ["demo-fig3", "--outdir", str(outdir)],
+    }
+
+
+class TestNoDenseOracleOnAnyRoute:
+    """The dense 2^n x 2^n builders are test oracles; no subcommand calls them."""
+
+    def test_every_subcommand_runs_with_the_oracles_refused(self, inputs, tmp_path, monkeypatch,
+                                                           capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a CLI route reached a dense oracle")
+
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "qscatter"]
+        for name in ("compose_sequence", "gate_matrix", "controlled_matrix"):
+            original = getattr(circuits, name)
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(synthesis.GateSequence, "matrix", refuse)
+        commands = _all_subcommands(inputs, tmp_path / "fig3")
+        assert {argv[0] for argv in commands.values()} == {
+            "scatter", "wigner", "spectrum", "synth", "demo-fig3"
+        }
+        for label, argv in commands.items():
+            assert cli.main(argv) == 0, label
+        assert '"ok": true' in capsys.readouterr().out
+
+
+_EXIT_CODES = {
+    cls.slug: cls.exit_code
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.QscatterError)
+}
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([10**400, -(10**400), 0.5, 2, 4])
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def matrix_file(draw):
+    """Bytes of a malformed matrix file: raw bytes, any JSON, or a near-miss payload."""
+    kind = draw(st.sampled_from(["bytes", "json", "payload"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    if kind == "json":
+        return json.dumps(draw(_JSON)).encode()
+    dim = draw(st.integers(-1, 3) | _JSON_LEAVES)
+    entry = st.lists(st.floats(-1, 1) | _JSON_LEAVES, max_size=3) | _JSON_LEAVES
+    payload = {"dim": dim, "entries": draw(st.lists(entry, max_size=9))}
+    for key in draw(st.sets(st.sampled_from(["dim", "entries"]), max_size=1)):
+        del payload[key]
+    return json.dumps(payload).encode()
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=matrix_file(), command=st.sampled_from(["scatter", "wigner", "spectrum"]))
+def test_malformed_matrix_json_never_leaks_a_traceback(data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "matrix.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        argv = {
+            "scatter": ["scatter", "--rho", path, "--u", path],
+            "wigner": ["wigner", "--rho", path],
+            "spectrum": ["spectrum", "--u", path, "--n1", "2"],
+        }[command]
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors only
+                assert exc.code == 2
+                return
+    if code != 0:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, err.getvalue()
+        assert _EXIT_CODES[json.loads(lines[0])["error"]] == code
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff\xfe\x00", b"[" * 100000, b'{"dim": 1, "entries": [[1' + b"0" * 400 + b', 0]]}'],
+    ids=["not-utf8", "nested-too-deep", "integer-beyond-float"],
+)
+def test_unreadable_matrix_files_are_bad_input(tmp_path, data):
+    path = tmp_path / "matrix.json"
+    path.write_bytes(data)
+    cp = run_cli("wigner", "--rho", path)
+    assert cp.returncode == 3
+    assert error_payload(cp)["error"] == "bad-input"

@@ -12,7 +12,6 @@ from qscatter.linalg import (
     as_square_matrix,
     assert_density_matrix,
     assert_unitary,
-    dft_matrix,
     is_density_matrix,
     is_hermitian,
     is_unitary,
@@ -20,6 +19,7 @@ from qscatter.linalg import (
     random_density_matrix,
     random_unitary,
 )
+from reference import dft_matrix
 
 
 class TestBasics:
@@ -38,6 +38,8 @@ class TestBasics:
 
 
 class TestDftMatrix:
+    """The reference DFT the phase-space and spectrometer tests build on."""
+
     def test_kernel_sign_pinned(self):
         # exp(+2*pi*i*1*1/4)/2 = i/2; the mirror convention would give -i/2
         assert dft_matrix(4)[1, 1] == pytest.approx(0.5j)

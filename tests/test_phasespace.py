@@ -7,13 +7,20 @@ tests/fixtures/phasespace_calibration.json and re-derived here.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qscatter import phasespace
 from qscatter.errors import DimensionMismatchError, InvalidValueError, QubitBudgetError
-from qscatter.linalg import dft_matrix, random_density_matrix
+from qscatter.linalg import random_density_matrix
 from qscatter.phasespace import (
     PhasePoint,
     WignerGrid,
@@ -28,6 +35,7 @@ from qscatter.phasespace import (
     wigner_via_circuit,
 )
 from qscatter.states import basis_state, maximally_mixed, pseudo_pure
+from reference import dft_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -265,6 +273,30 @@ class TestCircuitRoute:
         with pytest.raises(DimensionMismatchError):
             wigner_via_circuit(maximally_mixed(2), PhasePoint(q=0, p=0, n=4))
 
+    @pytest.mark.parametrize("dim,n", [(4096, 4096), (4096, 4), (4, 4096)])
+    def test_register_over_budget_refused_before_the_operator_is_built(
+        self, dim, n, monkeypatch
+    ):
+        def built(*args, **kwargs):
+            raise AssertionError("2N A(alpha) was built")
+
+        monkeypatch.setattr(phasespace, "phase_point_operator", built)
+        view = np.broadcast_to(np.complex128(0), (dim, dim))  # zero-cost
+        with pytest.raises(QubitBudgetError, match=r"1 probe \+ 12 system"):
+            wigner_via_circuit(view, PhasePoint(q=0, p=0, n=n))
+
+    def test_widest_register_reaches_the_operator(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(phasespace, "phase_point_operator", reached)
+        view = np.broadcast_to(np.complex128(0), (2048, 2048))
+        with pytest.raises(Reached):
+            wigner_via_circuit(view, PhasePoint(q=0, p=0, n=2048))
+
 
 class TestReconstruction:
     @pytest.mark.parametrize("n", [2, 4, 8])
@@ -275,6 +307,15 @@ class TestReconstruction:
             rec = reconstruct(wigner_direct(rho))
             assert np.abs(rec.matrix - rho).max() < 1e-10
             assert rec.valid
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 16), rank=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    def test_reconstruct_inverts_the_grid(self, n, rank, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, min(rank, n))) + 1j * rng.standard_normal((n, min(rank, n)))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        assert np.abs(reconstruct(wigner_direct(rho)).matrix - rho).max() < 1e-12
 
     def test_invalid_grid_is_flagged(self):
         rec = reconstruct(WignerGrid(n=2, values=np.zeros((4, 4))))
@@ -377,6 +418,33 @@ class TestValidation:
         monkeypatch.setattr(np.fft, "fft", fft)
         with pytest.raises(Reached):
             reconstruct(WignerGrid(n=2048, values=np.broadcast_to(0.0, (4096, 4096))))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB on Linux")
+    def test_grid_peak_memory_is_about_one_complex_grid(self):
+        # The phase was once gathered through a (2N)^2 int64 index and a (2N)^2
+        # complex gather: at N=1024 the call raised the process peak by 177 MB.
+        # Applied per block of rows it adds about 86 MB, the 64 MB complex grid
+        # and the 32 MB real result.
+        code = textwrap.dedent(
+            """
+            import resource
+            import qscatter  # caps the BLAS threads before numpy loads
+            import numpy as np
+            from qscatter.phasespace import wigner_direct
+            rho = np.zeros((1024, 1024), dtype=complex)
+            rho[0, 0] = 1.0
+            np.linalg.eigvalsh(rho)  # LAPACK workspace, before the baseline
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            wigner_direct(rho)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+            """
+        )
+        env = dict(os.environ, QSCATTER_THREADS="1")
+        cp = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, env=env, timeout=120)
+        assert cp.returncode == 0, cp.stderr
+        complex_grid = 2048**2 * 16
+        assert int(cp.stdout) * 1024 < 1.75 * complex_grid
 
     def test_grid_must_be_finite(self):
         bad = np.zeros((4, 4))

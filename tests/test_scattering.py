@@ -8,8 +8,9 @@ unitary, to near machine precision.
 import numpy as np
 import pytest
 
+from qscatter import scattering
 from qscatter.circuits import GateOp, HADAMARD, PAULI_Y
-from qscatter.errors import DimensionMismatchError, InvalidValueError
+from qscatter.errors import DimensionMismatchError, InvalidValueError, QubitBudgetError
 from qscatter.linalg import random_density_matrix, random_unitary
 from qscatter.scattering import (
     ScatteringResult,
@@ -116,6 +117,30 @@ class TestValidation:
     def test_rejects_non_state(self):
         with pytest.raises(InvalidValueError):
             scattering_circuit(np.eye(2), np.eye(2))
+
+
+class TestQubitBudget:
+    """1 probe + log2(dim) system wires, checked from the shapes before validation."""
+
+    def test_register_over_budget_refused_before_validation(self):
+        # zero-cost views: the zero "state" and "unitary" would fail validation,
+        # so only a budget check that runs first can raise QubitBudgetError
+        big = np.broadcast_to(np.complex128(0), (4096, 4096))
+        for rho, u in ((big, big), (maximally_mixed(2), big), (big, np.eye(2))):
+            with pytest.raises(QubitBudgetError, match=r"1 probe \+ 12 system"):
+                scattering_circuit(rho, u)
+
+    def test_widest_register_reaches_validation(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(scattering, "assert_density_matrix", reached)
+        big = np.broadcast_to(np.complex128(0), (2048, 2048))
+        with pytest.raises(Reached):
+            scattering_circuit(big, big)
 
 
 def test_result_is_plain_record():

@@ -11,7 +11,7 @@ import pytest
 
 from qscatter.circuits import PAULI_Z
 from qscatter.errors import InvalidValueError, QubitBudgetError
-from qscatter.linalg import QUBIT_BUDGET, dft_matrix, random_unitary
+from qscatter.linalg import QUBIT_BUDGET, random_unitary
 from qscatter.phasespace import shift_u
 from qscatter.spectrometer import (
     SpectralSeries,
@@ -21,6 +21,7 @@ from qscatter.spectrometer import (
     structure_function,
     trace_powers,
 )
+from reference import dft_matrix
 
 
 class TestTracePowers:

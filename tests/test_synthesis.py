@@ -2,21 +2,25 @@
 
 Every construction is compared against the dense controlled operator, with
 the work wire (when one appears) required to act as the identity for all
-work-wire values, not only |0>.
+work-wire values, not only |0>. The ket check ``point_circuit_error`` is
+held to that dense comparison.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qscatter import synthesis
 from qscatter.circuits import GateOp, controlled_matrix
-from qscatter.errors import InputFormatError, InvalidValueError
-from qscatter.linalg import random_unitary
+from qscatter.errors import InputFormatError, InvalidValueError, QubitBudgetError
+from qscatter.linalg import QUBIT_BUDGET, random_unitary
 from qscatter.phasespace import PhasePoint, phase_point_operator, reflection, shift_u, shift_v
 from qscatter.synthesis import (
     GateSequence,
+    point_circuit_error,
     sequence_from_json,
     sequence_to_json,
     synth_controlled_reflection,
@@ -167,9 +171,11 @@ class TestPhasePointCircuits:
 
 class TestSequenceType:
     def test_alphabet_enforced(self):
-        bad = GateOp("ControlledUnitary", (0, 1), unitary=np.eye(2))
-        with pytest.raises(InvalidValueError, match="may not contain"):
-            GateSequence(num_qubits=2, gates=(bad,))
+        # Every kind a sequence may hold is a permutation times a phase.
+        for bad in (GateOp("ControlledUnitary", (0, 1), unitary=np.eye(2)),
+                    GateOp("Hadamard", (0,))):
+            with pytest.raises(InvalidValueError, match="may not contain"):
+                GateSequence(num_qubits=2, gates=(bad,))
 
     def test_wires_validated(self):
         with pytest.raises(InvalidValueError):
@@ -223,3 +229,125 @@ def test_work_wire_identity_for_dirty_values():
     for work in (0, 1):
         idx = [i for i in range(32) if (i & 1) == work]
         assert np.abs(m[np.ix_(idx, idx)] - controlled_matrix(shift_u(8))).max() < 1e-12
+
+
+def dense_error(seq, alpha):
+    """max |G - T| with both operators built as dense matrices."""
+    target = padded_controlled(2 * alpha.n * phase_point_operator(alpha), seq.num_qubits)
+    return float(np.abs(seq.matrix() - target).max())
+
+
+def _random_points(sizes, seed):
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        q, p = rng.integers(2 * n, size=2).tolist()
+        yield PhasePoint(q=q, p=p, n=n)
+
+
+ALL_SMALL_POINTS = [
+    PhasePoint(q=q, p=p, n=n) for n in (2, 4, 8) for q in range(2 * n) for p in range(2 * n)
+]
+
+
+class TestPointCircuitError:
+    """The ket check must report what the dense comparison reports."""
+
+    @pytest.mark.parametrize(
+        "points",
+        [ALL_SMALL_POINTS, list(_random_points([16] * 12 + [32] * 12 + [64] * 6, seed=64))],
+        ids=["every-point-n2-n4-n8", "30-random-points-n16-n64"],
+    )
+    def test_equals_the_dense_comparison(self, points):
+        for alpha in points:
+            seq = synth_phase_point_circuit(alpha)
+            err, dense = point_circuit_error(seq, alpha), dense_error(seq, alpha)
+            assert abs(err - dense) <= 1e-15, (alpha, err, dense)
+            assert (err < 1e-12) == (dense < 1e-12)
+            assert err < 1e-12
+
+    def _corrupted(self):
+        alpha = PhasePoint(q=5, p=3, n=8)
+        seq = synth_phase_point_circuit(alpha)
+        gates = list(seq.gates)
+        assert seq.num_qubits == 5  # probe, 3 system wires, work wire 4
+        theta = next(i for i, g in enumerate(gates) if g.theta is not None)
+        two = next(i for i, g in enumerate(gates) if g.kind == "CNOT")
+        swapped = replace(gates[two], targets=gates[two].targets[::-1])
+        moved = replace(gates[theta], theta=gates[theta].theta + 1e-9)
+        cases = {
+            "dropped-first": gates[1:],
+            "dropped-last": gates[:-1],
+            "theta-moved-1e-9": gates[:theta] + [moved] + gates[theta + 1:],
+            "targets-swapped": gates[:two] + [swapped] + gates[two + 1:],
+            "dirty-work-wire": gates + [GateOp("CNOT", (1, 4))],
+        }
+        return alpha, seq.num_qubits, cases
+
+    def test_corrupted_sequences_are_refused(self):
+        alpha, n, cases = self._corrupted()
+        for name, gates in cases.items():
+            bad = GateSequence(num_qubits=n, gates=tuple(gates))
+            err, dense = point_circuit_error(bad, alpha), dense_error(bad, alpha)
+            assert err >= 1e-12, name
+            assert dense >= 1e-12, name
+            if name == "theta-moved-1e-9":  # same permutation: the two agree
+                assert abs(err - dense) <= 1e-15
+            else:  # the permutation moved: at least 2^-n
+                assert err >= 2.0**-n
+
+    def test_runs_without_any_dense_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense oracle called")
+
+        monkeypatch.setattr(synthesis, "compose_sequence", refuse)
+        alpha = PhasePoint(q=201, p=77, n=256)
+        seq = synth_phase_point_circuit(alpha)
+        assert (len(seq.gates), seq.num_qubits) == (794, 10)
+        assert point_circuit_error(seq, alpha) < 1e-12
+
+    @pytest.mark.parametrize(
+        "seq,alpha",
+        [
+            ((), PhasePoint(q=0, p=0, n=4)),
+            (GateSequence(num_qubits=3, gates=()), (0, 0, 4)),
+            (GateSequence(num_qubits=2, gates=()), PhasePoint(q=0, p=0, n=4)),
+        ],
+        ids=["not-a-sequence", "not-a-point", "too-few-wires"],
+    )
+    def test_refuses_bad_arguments(self, seq, alpha):
+        with pytest.raises(InvalidValueError):
+            point_circuit_error(seq, alpha)
+
+    def test_refuses_a_register_over_budget(self):
+        seq = GateSequence(num_qubits=QUBIT_BUDGET + 1, gates=())
+        with pytest.raises(QubitBudgetError):
+            point_circuit_error(seq, PhasePoint(q=0, p=0, n=4))
+
+
+class TestBudgetBeforeEmission:
+    """Every synthesis refuses 1 probe + m system + 1 work wire over the budget."""
+
+    CALLS = {
+        "shift": lambda m: synthesis.synth_controlled_shift(m, 1),
+        "reflection": synthesis.synth_controlled_reflection,
+        "vshift": lambda m: synthesis.synth_controlled_vshift(m, 1),
+        "point": lambda m: synthesis.synth_phase_point_circuit(PhasePoint(q=1, p=1, n=1 << m)),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("m", [QUBIT_BUDGET - 1, 12, 40])
+    def test_refused_before_any_gate(self, name, m, monkeypatch):
+        class Emitted(Exception):
+            pass
+
+        def emitted(*args, **kwargs):
+            raise Emitted
+
+        monkeypatch.setattr(synthesis, "GateOp", emitted)
+        with pytest.raises(QubitBudgetError, match=f"1 probe \\+ {m} system \\+ 1 work"):
+            self.CALLS[name](m)
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_widest_register_is_emitted(self, name):
+        seq = self.CALLS[name](QUBIT_BUDGET - 2)
+        assert seq.num_qubits <= QUBIT_BUDGET
