@@ -22,13 +22,8 @@ import numpy as np
 
 from .errors import InputFormatError, InvalidValueError
 from .io import json_int, json_list, json_real, matrix_from_payload, matrix_to_payload
-from .linalg import (
-    as_square_matrix,
-    assert_density_matrix,
-    assert_unitary,
-    check_qubit_budget,
-    qubit_count,
-)
+from .linalg import as_square_matrix, assert_density_matrix, assert_unitary, check_int
+from .linalg import check_qubit_budget, qubit_count
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -68,19 +63,14 @@ class GateOp:
         if self.kind not in GATE_KINDS:
             raise InvalidValueError(f"unknown gate kind {self.kind!r}")
         t = self.targets
-        if not (
-            isinstance(t, tuple)
-            and all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in t)
-        ):
+        if not isinstance(t, tuple):
             raise InvalidValueError(
                 f"{self.kind} targets must be a tuple of integer wire indices, got {t!r}"
             )
+        for i in t:
+            check_int(i, f"{self.kind} wire index", 0, num_qubits)
         if len(set(t)) != len(t):
             raise InvalidValueError(f"{self.kind} wires must be distinct, got {t}")
-        if any(i < 0 or i >= num_qubits for i in t):
-            raise InvalidValueError(
-                f"{self.kind} wire index out of range for {num_qubits} qubits: {t}"
-            )
         if self.kind in _THETA_KINDS:
             if self.theta is None or not np.isfinite(self.theta):
                 raise InvalidValueError(f"{self.kind} needs a finite theta")
@@ -265,10 +255,7 @@ def compose_sequence(gates, num_qubits: int) -> np.ndarray:
     The reference the tests hold the local kernel and the synthesis check to.
     Refuses a register above the qubit budget before allocating.
     """
-    if not (isinstance(num_qubits, (int, np.integer)) and num_qubits >= 0):
-        raise InvalidValueError(
-            f"number of qubits must be a non-negative integer, got {num_qubits!r}"
-        )
+    num_qubits = check_int(num_qubits, "number of qubits", 0)
     check_qubit_budget(num_qubits)
     gates = _gate_list(gates)
     out = np.eye(1 << num_qubits, dtype=complex)
@@ -290,9 +277,7 @@ def pauli_expectation(rho: np.ndarray, axis: str, qubit: int) -> float:
     n = qubit_count(rho.shape[0])
     if axis not in _PAULI_BY_AXIS:
         raise InvalidValueError(f"axis must be one of x, y, z; got {axis!r}")
-    if not (isinstance(qubit, (int, np.integer)) and 0 <= qubit < n):
-        raise InvalidValueError(f"qubit {qubit} out of range for {n} qubits")
-    return _pauli_expectation(rho, axis, qubit)
+    return _pauli_expectation(rho, axis, check_int(qubit, "qubit", 0, n))
 
 
 def _pauli_expectation(rho: np.ndarray, axis: str, qubit: int) -> float:
@@ -311,7 +296,8 @@ def depolarize(rho: np.ndarray, p: float) -> np.ndarray:
 
 def _depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     # Checks the strength only: rho is a valid state.
-    if not (isinstance(p, (int, float, np.floating)) and 0.0 <= p <= 1.0):
+    real = isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
+    if not (real and 0.0 <= p <= 1.0):
         raise InvalidValueError(f"noise strength must lie in [0, 1], got {p!r}")
     d = rho.shape[0]
     return (1.0 - p) * rho + p * np.eye(d, dtype=complex) / d

@@ -46,10 +46,13 @@ def json_int(value, what: str) -> int:
 
 
 def json_real(value, what: str) -> float:
-    """A decoded JSON number; strings, lists and booleans are rejected."""
+    """A decoded JSON number in float range; strings, lists and booleans are rejected."""
     if type(value) not in _JSON_NUMBERS:
         raise InputFormatError(f"{what} must be a number, got {value!r:.40}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float range, too long to echo
+        raise InputFormatError(f"{what} is beyond float range") from None
 
 
 def json_list(value, what: str) -> list:

@@ -4,6 +4,9 @@ Matrices are plain numpy arrays of dtype complex128. Every public function
 checks each matrix its caller passes exactly once, through
 ``assert_density_matrix`` / ``assert_unitary``, and never re-checks arrays
 the library builds itself; private cores take raw, already-checked arrays.
+
+Integers have one rule, ``check_int``, behind every integer argument: a
+Python or numpy integer, never a boolean, inside its documented range.
 """
 
 import numpy as np
@@ -22,9 +25,30 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
 
+def check_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as a plain int; anything else, a boolean, or outside [lo, hi) is refused."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if (lo is None or value >= lo) and (hi is None or value < hi):
+            return int(value)
+    span = f" in [{lo}, {hi})" if hi is not None else f" >= {lo}" if lo is not None else ""
+    raise InvalidValueError(f"{what} must be an integer{span}, got {value!r:.40}")
+
+
+def largest_side(*arrays) -> int:
+    """Largest extent of any operand from its shape alone, for budgets run before validation."""
+    try:
+        return max((side for a in arrays for side in np.shape(a)), default=0)
+    except ValueError:  # a ragged nested list
+        raise DimensionMismatchError("expected a square matrix, got a ragged nested list") from None
+
+
 def as_square_matrix(a) -> np.ndarray:
     """Coerce to a finite square complex matrix."""
-    m = np.asarray(a, dtype=complex)
+    try:
+        m = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        largest_side(a)  # a ragged nested list is a shape error
+        raise InvalidValueError(f"matrix entries must be numbers, got {a!r:.40}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
@@ -36,12 +60,10 @@ def as_square_matrix(a) -> np.ndarray:
 
 def qubit_count(dim: int) -> int:
     """Number of qubits for a register of dimension ``dim`` (must be 2**k)."""
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise InvalidValueError(f"dimension must be a positive integer, got {dim!r}")
-    k = int(dim).bit_length() - 1
-    if (1 << k) != dim:
+    dim = check_int(dim, "dimension", 1)
+    if dim & (dim - 1):
         raise PowerOfTwoError(f"dimension {dim} is not a power of two")
-    return k
+    return dim.bit_length() - 1
 
 
 def check_qubit_budget(num_qubits: int, layout: str = "") -> None:

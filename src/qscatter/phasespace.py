@@ -34,12 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidValueError
-from .linalg import (
-    as_square_matrix,
-    assert_density_matrix,
-    check_qubit_budget,
-    is_density_matrix,
-)
+from .linalg import as_square_matrix, assert_density_matrix, check_int, check_qubit_budget
+from .linalg import is_density_matrix, largest_side
 from .scattering import _check_probe_budget, scattering_circuit
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -55,18 +51,13 @@ class PhasePoint:
     n: int
 
     def __post_init__(self):
-        _check_dim(self.n)
-        for name, v in (("q", self.q), ("p", self.p)):
-            if not (isinstance(v, (int, np.integer)) and 0 <= v < 2 * self.n):
-                raise InvalidValueError(
-                    f"{name} must lie in [0, {2 * self.n}), got {v!r}"
-                )
+        n = _check_dim(self.n)
+        check_int(self.q, "q", 0, 2 * n)
+        check_int(self.p, "p", 0, 2 * n)
 
 
 def _check_dim(n) -> int:
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise InvalidValueError(f"register dimension must be >= 2, got {n!r}")
-    return int(n)
+    return check_int(n, "register dimension", 2)
 
 
 def _check_grid(n: int) -> None:
@@ -135,7 +126,7 @@ def wigner_direct(rho: np.ndarray) -> WignerGrid:
     Raises if the imaginary residue anywhere on the grid exceeds 1e-12,
     which cannot happen for a valid state (A is Hermitian).
     """
-    _check_grid(max(np.shape(rho), default=0))
+    _check_grid(largest_side(rho))
     rho = assert_density_matrix(rho)
     n = _check_dim(rho.shape[0])
     m = 2 * n
@@ -162,7 +153,7 @@ def wigner_via_circuit(rho: np.ndarray, alpha: PhasePoint) -> float:
     Only the register width and the dimensions are checked here;
     ``scattering_circuit`` checks the state.
     """
-    _check_probe_budget(max(np.shape(rho) + (alpha.n,)))
+    _check_probe_budget(max(largest_side(rho), alpha.n))
     dim = as_square_matrix(rho).shape[0]
     if dim != alpha.n:
         raise DimensionMismatchError(f"state dim {dim} does not match grid dim {alpha.n}")
@@ -211,9 +202,7 @@ def line_sum(w: WignerGrid, a: int, b: int, c: int) -> float:
     fixes p = c, (a, b) = (0, -1) fixes q = c; even-index lines carry
     position or momentum populations and odd-index lines vanish.
     """
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if not isinstance(v, (int, np.integer)):
-            raise InvalidValueError(f"line coefficient {name} must be an integer")
+    a, b, c = (check_int(v, f"line coefficient {name}") for name, v in zip("abc", (a, b, c)))
     if a == 0 and b == 0:
         raise InvalidValueError("line coefficients (a, b) = (0, 0) select no line")
     m = 2 * w.n

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import GateOp, _apply_sequence, _check_gates, _pauli_expectation
-from .errors import DimensionMismatchError, InvalidValueError
-from .linalg import assert_density_matrix, assert_unitary, check_qubit_budget, qubit_count
+from .errors import DimensionMismatchError
+from .linalg import assert_density_matrix, assert_unitary, check_int, check_qubit_budget
+from .linalg import largest_side, qubit_count
 
 _FRAME_THETA = -np.pi / 2
 
@@ -78,7 +79,7 @@ def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int) -> Sca
 
 def scattering_circuit(rho: np.ndarray, u: np.ndarray) -> ScatteringResult:
     """Run the probe circuit with a dense controlled-U block."""
-    _check_probe_budget(max(np.shape(rho) + np.shape(u), default=1))
+    _check_probe_budget(largest_side(rho, u))
     rho, u = _check_operands(rho, u)
     k = qubit_count(u.shape[0])
     cu = GateOp("ControlledUnitary", tuple(range(k + 1)), unitary=u)
@@ -96,9 +97,6 @@ def scattering_circuit_gates(
     """
     rho = assert_density_matrix(rho)
     k = qubit_count(rho.shape[0])
-    if not (isinstance(num_qubits, (int, np.integer)) and num_qubits >= k + 1):
-        raise InvalidValueError(
-            f"need an integer number of wires >= {k + 1}, got {num_qubits!r}"
-        )
+    num_qubits = check_int(num_qubits, "number of wires", k + 1)
     check_qubit_budget(num_qubits)
     return _probe_readout(rho, _check_gates(gates, num_qubits), num_qubits)

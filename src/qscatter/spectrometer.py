@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValueError
-from .linalg import assert_unitary, check_qubit_budget, qubit_count
+from .linalg import assert_unitary, check_int, check_qubit_budget, qubit_count
 
 _SERIES_SELF_CHECK_TOL = 1e-9
 _BABY_STACK_BYTES = 4 << 20  # caps the self-check's stack of baby-step powers
@@ -98,9 +98,8 @@ def trace_powers(u: np.ndarray, t_max: int) -> TraceSeries:
     per giant step. Disagreement beyond 1e-9 at any t aborts, naming the first
     such t, rather than returning a silently wrong series.
     """
-    if not (isinstance(t_max, (int, np.integer)) and t_max >= 0):
-        raise InvalidValueError(f"t_max must be a non-negative integer, got {t_max!r}")
-    check_qubit_budget(int(t_max).bit_length(), f" (counter for t_max={t_max})")
+    t_max = check_int(t_max, "t_max", 0)
+    check_qubit_budget(t_max.bit_length(), f" (counter for t_max={t_max})")
     u = assert_unitary(u)
     n = u.shape[0]
     lam = np.linalg.eigvals(u)
@@ -130,10 +129,9 @@ def trace_powers(u: np.ndarray, t_max: int) -> TraceSeries:
 
 
 def _check_n1(n1) -> int:
-    if not (isinstance(n1, (int, np.integer)) and n1 >= 2):
-        raise InvalidValueError(f"counter register needs n1 >= 2 qubits, got {n1!r}")
+    n1 = check_int(n1, "counter register n1", 2)
     check_qubit_budget(n1, " (counter)")
-    return int(n1)
+    return n1
 
 
 def spectral_density(u: np.ndarray, n1: int) -> SpectralSeries:

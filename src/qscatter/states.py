@@ -3,27 +3,20 @@
 import numpy as np
 
 from .circuits import _depolarize
-from .errors import InvalidValueError
-
-
-def _check_dim(dim) -> int:
-    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-        raise InvalidValueError(f"dimension must be a positive integer, got {dim!r}")
-    return int(dim)
+from .linalg import check_int
 
 
 def basis_state(label: int, dim: int) -> np.ndarray:
     """Projector |label><label| as a density matrix."""
-    dim = _check_dim(dim)
-    if not (isinstance(label, (int, np.integer)) and 0 <= label < dim):
-        raise InvalidValueError(f"label must lie in [0, {dim}), got {label!r}")
+    dim = check_int(dim, "dimension", 1)
+    label = check_int(label, "label", 0, dim)
     rho = np.zeros((dim, dim), dtype=complex)
     rho[label, label] = 1.0
     return rho
 
 
 def maximally_mixed(dim: int) -> np.ndarray:
-    dim = _check_dim(dim)
+    dim = check_int(dim, "dimension", 1)
     return np.eye(dim, dtype=complex) / dim
 
 

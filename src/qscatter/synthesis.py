@@ -35,7 +35,7 @@ from .circuits import GateOp, _apply_sequence, _check_gates, compose_sequence
 from .circuits import gate_from_json, gate_to_json
 from .errors import InputFormatError, InvalidValueError
 from .io import json_int, json_list
-from .linalg import check_qubit_budget, qubit_count
+from .linalg import check_int, check_qubit_budget, qubit_count
 from .phasespace import PhasePoint, phase_point_operator
 
 # Each kind is a permutation times a phase, which point_circuit_error relies on.
@@ -107,18 +107,15 @@ class _Emitter:
 
 
 def _check_n_sys(n_sys_qubits) -> int:
-    if not (isinstance(n_sys_qubits, (int, np.integer)) and n_sys_qubits >= 1):
-        raise InvalidValueError(f"system register needs at least one qubit, got {n_sys_qubits!r}")
-    check_qubit_budget(n_sys_qubits + 2, f" (1 probe + {n_sys_qubits} system + 1 work)")
-    return int(n_sys_qubits)
+    m = check_int(n_sys_qubits, "system register qubits", 1)
+    check_qubit_budget(m + 2, f" (1 probe + {m} system + 1 work)")
+    return m
 
 
 def synth_controlled_shift(n_sys_qubits: int, power: int) -> GateSequence:
     """Probe-controlled |q> -> |q + power mod N> on m system qubits."""
     m = _check_n_sys(n_sys_qubits)
-    if not isinstance(power, (int, np.integer)):
-        raise InvalidValueError(f"shift power must be an integer, got {power!r}")
-    power = int(power) % (1 << m)
+    power = check_int(power, "shift power") % (1 << m)
     em = _Emitter(m)
     for s in range(m - 1, -1, -1):
         if (power >> s) & 1:
@@ -144,13 +141,12 @@ def synth_controlled_reflection(n_sys_qubits: int) -> GateSequence:
 def synth_controlled_vshift(n_sys_qubits: int, power: int) -> GateSequence:
     """Probe-controlled V^(-power); a controlled phase per system bit."""
     m = _check_n_sys(n_sys_qubits)
-    if not isinstance(power, (int, np.integer)):
-        raise InvalidValueError(f"shift power must be an integer, got {power!r}")
     n = 1 << m
+    power = check_int(power, "shift power") % n
     em = _Emitter(m)
     for k in range(1, m + 1):
         weight = 1 << (m - k)
-        theta = (-2 * np.pi * (int(power) % n) * weight / n) % (2 * np.pi)
+        theta = (-2 * np.pi * power * weight / n) % (2 * np.pi)
         if theta != 0.0:
             em.gates.append(GateOp("ControlledPhase", (0, k), theta=theta))
     return em.finish()

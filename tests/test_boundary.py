@@ -4,7 +4,8 @@ Every public function checks each matrix its caller passes exactly once;
 arrays the library builds itself (the probe-and-system joint state, evolved
 states, depolarized and basis states) are never checked again.
 ``wigner_via_circuit`` hands 2N * A(alpha) to ``scattering_circuit``, which
-checks it once.
+checks it once. Every integer argument follows one rule: a Python or numpy
+integer, never a boolean, inside its range.
 """
 
 import numpy as np
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qscatter import circuits, linalg, phasespace, scattering, spectrometer, states
+from qscatter import circuits, linalg, phasespace, scattering, spectrometer, states, synthesis
 from qscatter.circuits import GateOp
-from qscatter.errors import InvalidValueError
+from qscatter.errors import DimensionMismatchError, InvalidValueError
 from qscatter.linalg import random_density_matrix, random_unitary
 from qscatter.phasespace import PhasePoint
 
@@ -95,6 +96,126 @@ def test_public_function_rejects_invalid_input(name, slot, bad, match):
     call(RHO if slot == 0 else U)  # the valid input passes
     with pytest.raises(InvalidValueError, match=match):
         call(bad)
+
+
+BAD_MATRICES = {
+    "ragged": ([[1, 2], [3]], DimensionMismatchError),
+    "strings": ([["a", "b"], ["c", "d"]], InvalidValueError),
+    "dict": ({}, InvalidValueError),
+}
+
+MATRIX_CASES = [
+    pytest.param(name, slot, bad, error, id=f"{name}-{slot_name}-{label}")
+    for name, calls in BOUNDARY.items()
+    for slot, slot_name in enumerate(("state", "operator"))
+    if calls[slot] is not None
+    for label, (bad, error) in BAD_MATRICES.items()
+]
+
+
+@pytest.mark.parametrize("name,slot,bad,error", MATRIX_CASES)
+def test_public_function_refuses_a_malformed_matrix(name, slot, bad, error):
+    # Budgets read the shape before validation, so both reads must refuse.
+    with pytest.raises(error):
+        BOUNDARY[name][slot](bad)
+
+
+@pytest.mark.parametrize("bad,error", BAD_MATRICES.values(), ids=BAD_MATRICES)
+def test_matrix_coercion_refuses_a_malformed_matrix(bad, error):
+    for call in (linalg.as_square_matrix, linalg.assert_unitary, linalg.assert_density_matrix):
+        with pytest.raises(error):
+            call(bad)
+
+
+# name: (call with the integer argument, a valid value). Each call returns a
+# value that is compared exactly between a Python int and np.int64.
+W = phasespace.wigner_direct(RHO)
+INTEGER_ARGUMENTS = {
+    "qubit_count-dim": (linalg.qubit_count, 4),
+    "GateOp-wire": (lambda v: circuits.apply_sequence(RHO, [GateOp("PauliX", (v,))]), 1),
+    "compose_sequence-num_qubits": (lambda v: circuits.compose_sequence([H0], v), 2),
+    "pauli_expectation-qubit": (lambda v: circuits.pauli_expectation(RHO, "x", v), 1),
+    "scattering_circuit_gates-num_qubits": (
+        lambda v: scattering.scattering_circuit_gates(RHO, [_cu(U)], v), 4,
+    ),
+    "basis_state-label": (lambda v: states.basis_state(v, N), 2),
+    "basis_state-dim": (lambda v: states.basis_state(0, v), N),
+    "maximally_mixed-dim": (states.maximally_mixed, N),
+    "pseudo_pure-label": (lambda v: states.pseudo_pure(v, N, 0.1), 3),
+    "PhasePoint-q": (lambda v: phasespace.phase_point_operator(PhasePoint(v, 1, N)), 5),
+    "PhasePoint-p": (lambda v: phasespace.phase_point_operator(PhasePoint(3, v, N)), 7),
+    "PhasePoint-n": (lambda v: phasespace.phase_point_operator(PhasePoint(3, 1, v)), N),
+    "shift_u-n": (phasespace.shift_u, N),
+    "shift_v-n": (phasespace.shift_v, N),
+    "reflection-n": (phasespace.reflection, N),
+    "WignerGrid-n": (lambda v: phasespace.WignerGrid(v, W.values).values, N),
+    "line_sum-a": (lambda v: phasespace.line_sum(W, v, 0, 2), 1),
+    "line_sum-b": (lambda v: phasespace.line_sum(W, 0, v, 4), -1),
+    "line_sum-c": (lambda v: phasespace.line_sum(W, 1, 1, v), 3),
+    "trace_powers-t_max": (lambda v: spectrometer.trace_powers(U, v).values, 5),
+    "spectral_density-n1": (lambda v: spectrometer.spectral_density(U, v).bins, 3),
+    "structure_function-n1": (lambda v: spectrometer.structure_function(U, v).bins, 3),
+    "spectral_density_via_circuit-n1": (
+        lambda v: spectrometer.spectral_density_via_circuit(U, v).bins, 2,
+    ),
+    "synth_controlled_shift-n_sys": (lambda v: synthesis.synth_controlled_shift(v, 3), 2),
+    "synth_controlled_shift-power": (lambda v: synthesis.synth_controlled_shift(2, v), 3),
+    "synth_controlled_reflection-n_sys": (synthesis.synth_controlled_reflection, 3),
+    "synth_controlled_vshift-n_sys": (lambda v: synthesis.synth_controlled_vshift(v, 3), 2),
+    "synth_controlled_vshift-power": (lambda v: synthesis.synth_controlled_vshift(2, v), 3),
+}
+
+
+def _comparable(result):
+    if isinstance(result, synthesis.GateSequence):
+        return synthesis.sequence_to_json(result)
+    return result
+
+
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None], ids=["True", "float", "str", "None"])
+def test_integer_argument_refuses_a_non_integer(name, bad):
+    call, _ = INTEGER_ARGUMENTS[name]
+    with pytest.raises(InvalidValueError, match="must be an integer"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_argument_takes_a_numpy_integer(name):
+    call, good = INTEGER_ARGUMENTS[name]
+    want, got = _comparable(call(good)), _comparable(call(np.int64(good)))
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+def test_boolean_label_is_refused():
+    # numpy reads a boolean index as a mask: basis_state(True, 4) used to be all ones.
+    with pytest.raises(InvalidValueError, match=r"label must be an integer in \[0, 4\), got True"):
+        states.basis_state(True, 4)
+    with pytest.raises(InvalidValueError, match="dimension must be an integer >= 1, got True"):
+        linalg.qubit_count(True)
+
+
+def test_integer_rule_returns_a_plain_int():
+    assert type(linalg.check_int(np.int64(3), "x", 0, 4)) is int
+    assert linalg.check_int(-5, "x") == -5
+    for value, lo, hi in ((4, 0, 4), (-1, 0, None), (np.bool_(True), None, None), (2.0, None, None)):
+        with pytest.raises(InvalidValueError, match="^x must be an integer"):
+            linalg.check_int(value, "x", lo, hi)
+
+
+@pytest.mark.parametrize("p", [True, False, np.bool_(True), "0.5", None, -0.1, 1.5, np.nan])
+def test_noise_strength_refuses_booleans_and_values_outside_the_unit_interval(p):
+    with pytest.raises(InvalidValueError, match="noise strength"):
+        circuits.depolarize(RHO, p)
+
+
+def test_noise_strength_takes_numpy_numbers():
+    for p in (np.int64(1), np.int64(0), np.float32(0.5)):
+        assert np.array_equal(circuits.depolarize(RHO, p), circuits.depolarize(RHO, p.item()))
 
 
 # name: (call, shapes passed to eigvalsh, number of unitarity checks)
