@@ -3,7 +3,9 @@
 Wire convention: qubit 0 is the most significant bit of the computational
 basis index, so a basis label reads left to right as |q0 q1 ... >. Gates
 list control wires first and the target wire(s) last, and a density matrix
-evolves by conjugation, rho -> G rho G^dagger.
+evolves by conjugation, rho -> G rho G^dagger. A ``GateOp`` is checked once,
+when it is made, against one table of kinds, and stores its target matrix;
+a gate list is held only to the register width where it is used.
 
 States evolve through one local kernel: rho is viewed as a (2,)*2n tensor
 (row wires, then column wires), and each gate's small target matrix acts on
@@ -16,84 +18,19 @@ they are the oracles the kernel is tested against and no library route
 calls them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputFormatError, InvalidValueError
+from .errors import InputFormatError, InvalidValueError, brief
 from .io import json_int, json_list, json_real, matrix_from_payload, matrix_to_payload
 from .linalg import as_square_matrix, assert_density_matrix, assert_unitary, check_int
-from .linalg import check_qubit_budget, qubit_count
+from .linalg import check_qubit_budget, largest_side, qubit_count
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-_FIXED_KINDS = {
-    "Hadamard": 1,
-    "PauliX": 1,
-    "PauliY": 1,
-    "PauliZ": 1,
-    "PhaseShift": 1,
-    "CNOT": 2,
-    "ControlledPhase": 2,
-    "Toffoli": 3,
-}
-GATE_KINDS = frozenset(_FIXED_KINDS) | {"ControlledUnitary"}
-_THETA_KINDS = frozenset({"PhaseShift", "ControlledPhase"})
-
-
-@dataclass(frozen=True, eq=False)
-class GateOp:
-    """One gate: a kind, the wires it acts on, and optional parameters.
-
-    ``targets`` holds controls first, target last. ``theta`` is required for
-    PhaseShift and ControlledPhase; ``unitary`` is required for
-    ControlledUnitary, where targets are (control, t1, ..., tk) and the
-    payload acts on the k-qubit register (t1 most significant).
-    """
-
-    kind: str
-    targets: tuple[int, ...]
-    theta: float | None = None
-    unitary: np.ndarray | None = None
-
-    def validate(self, num_qubits: int) -> None:
-        if self.kind not in GATE_KINDS:
-            raise InvalidValueError(f"unknown gate kind {self.kind!r}")
-        t = self.targets
-        if not isinstance(t, tuple):
-            raise InvalidValueError(
-                f"{self.kind} targets must be a tuple of integer wire indices, got {t!r}"
-            )
-        for i in t:
-            check_int(i, f"{self.kind} wire index", 0, num_qubits)
-        if len(set(t)) != len(t):
-            raise InvalidValueError(f"{self.kind} wires must be distinct, got {t}")
-        if self.kind in _THETA_KINDS:
-            if self.theta is None or not np.isfinite(self.theta):
-                raise InvalidValueError(f"{self.kind} needs a finite theta")
-        elif self.theta is not None:
-            raise InvalidValueError(f"{self.kind} takes no theta")
-        if self.kind == "ControlledUnitary":
-            if self.unitary is None:
-                raise InvalidValueError("ControlledUnitary needs a unitary payload")
-            u = assert_unitary(self.unitary)
-            k = qubit_count(u.shape[0])
-            if len(t) != k + 1:
-                raise InvalidValueError(
-                    f"ControlledUnitary on a {u.shape[0]}-dim payload needs "
-                    f"{k + 1} wires, got {len(t)}"
-                )
-        else:
-            if self.unitary is not None:
-                raise InvalidValueError(f"{self.kind} takes no unitary payload")
-            if len(t) != _FIXED_KINDS[self.kind]:
-                raise InvalidValueError(
-                    f"{self.kind} acts on {_FIXED_KINDS[self.kind]} wires, got {len(t)}"
-                )
-
 
 def phase_gate(theta: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
@@ -108,30 +45,80 @@ def controlled_matrix(u: np.ndarray) -> np.ndarray:
     return out
 
 
-_TARGET_MATRIX = {
-    "Hadamard": HADAMARD,
-    "PauliX": PAULI_X,
-    "PauliY": PAULI_Y,
-    "PauliZ": PAULI_Z,
-    "CNOT": PAULI_X,
-    "Toffoli": PAULI_X,
+# kind: (wire count, the matrix applied to the last wires when every control
+# wire before them is 1, or the function building it from theta).
+# ControlledUnitary takes both from its payload.
+_KINDS = {
+    "Hadamard": (1, HADAMARD),
+    "PauliX": (1, PAULI_X),
+    "PauliY": (1, PAULI_Y),
+    "PauliZ": (1, PAULI_Z),
+    "PhaseShift": (1, phase_gate),
+    "CNOT": (2, PAULI_X),
+    "ControlledPhase": (2, phase_gate),
+    "Toffoli": (3, PAULI_X),
+    "ControlledUnitary": (None, None),
 }
+GATE_KINDS = frozenset(_KINDS)
 
 
-def _target_matrix(g: GateOp) -> np.ndarray:
-    # The 2^k x 2^k matrix a gate applies to its last k wires when every
-    # control wire (the ones before them) is 1.
-    if g.kind == "ControlledUnitary":
-        return np.asarray(g.unitary, dtype=complex)
-    if g.kind in _THETA_KINDS:
-        return phase_gate(g.theta)
-    return _TARGET_MATRIX[g.kind]
+@dataclass(frozen=True, eq=False)
+class GateOp:
+    """One gate: a kind, the wires it acts on, and optional parameters.
+
+    ``targets`` holds controls first, target last. ``theta`` is required for
+    PhaseShift and ControlledPhase; ``unitary`` is required for
+    ControlledUnitary, where targets are (control, t1, ..., tk) and the
+    payload acts on the k-qubit register (t1 most significant).
+
+    Checked once, when made, except for the register width, which a gate
+    list is held to where it is used. The payload is kept as a read-only copy;
+    ``matrix`` holds the target matrix the gate applies.
+    """
+
+    kind: str
+    targets: tuple[int, ...]
+    theta: float | None = None
+    unitary: np.ndarray | None = None
+    matrix: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not (isinstance(self.kind, str) and self.kind in _KINDS):
+            raise InvalidValueError(f"unknown gate kind {brief(self.kind)}")
+        wires, matrix = _KINDS[self.kind]
+        t = self.targets
+        if not isinstance(t, tuple):
+            raise InvalidValueError(
+                f"{self.kind} targets must be a tuple of integer wire indices, got {brief(t)}"
+            )
+        t = tuple(check_int(i, f"{self.kind} wire index", 0) for i in t)
+        if len(set(t)) != len(t):
+            raise InvalidValueError(f"{self.kind} wires must be distinct, got {brief(t)}")
+        if callable(matrix):
+            if not (_is_real(self.theta) and np.isfinite(self.theta)):
+                raise InvalidValueError(f"{self.kind} needs a finite theta")
+            matrix = matrix(self.theta)
+        elif self.theta is not None:
+            raise InvalidValueError(f"{self.kind} takes no theta")
+        if self.kind == "ControlledUnitary":
+            if self.unitary is None:
+                raise InvalidValueError("ControlledUnitary needs a unitary payload")
+            matrix = assert_unitary(self.unitary).copy()
+            matrix.flags.writeable = False
+            wires = qubit_count(matrix.shape[0]) + 1
+            object.__setattr__(self, "unitary", matrix)
+        elif self.unitary is not None:
+            raise InvalidValueError(f"{self.kind} takes no unitary payload")
+        if len(t) != wires:
+            raise InvalidValueError(f"{self.kind} acts on {wires} wires, got {len(t)}")
+        object.__setattr__(self, "targets", t)
+        object.__setattr__(self, "matrix", matrix)
 
 
 def _small_matrix(g: GateOp) -> np.ndarray:
     # The gate on its own wires, controls leading: the target matrix wrapped
     # in one controlled block per control wire.
-    m = _target_matrix(g)
+    m = g.matrix
     for _ in range(len(g.targets) - qubit_count(m.shape[0])):
         m = controlled_matrix(m)
     return m
@@ -161,36 +148,33 @@ def gate_matrix(g: GateOp, num_qubits: int) -> np.ndarray:
 
     The dense oracle for the local kernel in ``apply_sequence``.
     """
-    g.validate(num_qubits)
+    check_qubit_budget(num_qubits)
+    _check_gates([g], num_qubits)
     return _embed(_small_matrix(g), g.targets, num_qubits)
 
 
-def _gate_list(gates) -> list[GateOp]:
-    # The caller's gates as a list, refusing anything that is not a GateOp.
+def _check_gates(gates, num_qubits: int) -> list[GateOp]:
+    # The caller's gates as a list of GateOp records, each held to a
+    # num_qubits register: the one check a gate gets after construction.
     try:
         gates = list(gates)
     except TypeError:
-        raise InvalidValueError(f"expected a list of GateOp records, got {gates!r}") from None
+        raise InvalidValueError(f"expected a list of GateOp records, got {brief(gates)}") from None
     for g in gates:
         if not isinstance(g, GateOp):
-            raise InvalidValueError(f"gate lists hold GateOp records, got {g!r}")
-    return gates
-
-
-def _check_gates(gates, num_qubits: int) -> list[GateOp]:
-    # _gate_list, with every gate validated for a num_qubits register.
-    gates = _gate_list(gates)
-    for g in gates:
-        g.validate(num_qubits)
+            raise InvalidValueError(f"gate lists hold GateOp records, got {brief(g)}")
+        check_int(max(g.targets), f"{g.kind} wire index", 0, num_qubits)
     return gates
 
 
 def apply_sequence(rho: np.ndarray, gates) -> np.ndarray:
     """Apply gates in list order (index 0 acts first).
 
-    Checks the state and every gate once; the private core it then runs
-    checks nothing.
+    Refuses a register over the qubit budget from the shape alone, then
+    checks the state and every gate's wires once; the private core it then
+    runs checks nothing.
     """
+    check_qubit_budget((largest_side(rho) - 1).bit_length())
     rho = assert_density_matrix(rho)
     n = qubit_count(rho.shape[0])
     return _apply_sequence(rho, _check_gates(gates, n), n)
@@ -198,35 +182,35 @@ def apply_sequence(rho: np.ndarray, gates) -> np.ndarray:
 
 def _apply_sequence(state: np.ndarray, gates, num_qubits: int) -> np.ndarray:
     # Unchecked core: state is a density matrix or a ket on num_qubits wires
-    # and every gate has been validated for that register. Works on one copy
-    # of it, viewed as a tensor with row wires on axes 0..n-1 and, for a
-    # density matrix, column wires on n..2n-1. G rho G^dagger is
-    # (G rho) G^dagger: the target matrix u acts on the row axes, then conj(u)
-    # on the column axes, each where the controls are 1; a ket G psi takes
-    # the row pass only.
+    # and every gate fits that register. Works on one copy of it, viewed as a
+    # tensor with row wires on axes 0..n-1 and, for a density matrix, column
+    # wires on n..2n-1. G rho G^dagger is (G rho) G^dagger: the target matrix
+    # u acts on the row axes, then conj(u) on the column axes, each where the
+    # controls are 1; a ket G psi takes the row pass only.
     n = num_qubits
     out = np.array(state, dtype=complex, order="C")
     tensor = out.reshape((2,) * (out.ndim * n))
     for g in gates:
-        u = _target_matrix(g)
-        k = qubit_count(u.shape[0])
-        controls, targets = g.targets[:-k], g.targets[-k:]
+        u = g.matrix
+        split = len(g.targets) - (u.shape[0].bit_length() - 1)
+        controls, targets = g.targets[:split], g.targets[split:]
         for offset, m in ((0, u), (n, u.conj()))[: out.ndim]:
             index = [slice(None)] * tensor.ndim
             for c in controls:
                 index[offset + c] = 1
             # Integer indices drop their axes, shifting the later ones down.
             axes = [offset + t - sum(c < t for c in controls) for t in targets]
-            _contract(tensor[tuple(index)], axes, m)
+            _contract(tensor[(*index, ...)], axes, m)
     return out
 
 
 def _contract(view: np.ndarray, axes: list[int], m: np.ndarray) -> None:
     # In place: view[..., i, ...] <- sum_j m[i, j] view[..., j, ...], with the
-    # index pair on ``axes``. One-wire matrices update the two slices directly;
-    # the trailing Ellipsis keeps each slice a writable view even when the
-    # pair is the view's only axis (a ket gate whose other wires all control).
-    if len(axes) > 1:
+    # index pair on ``axes`` (none for a 1x1 payload, a phase on its control).
+    # One-wire matrices update the two slices directly; the trailing Ellipsis
+    # here and in the caller keeps each slice a writable view even when no
+    # axis is left (a ket gate whose other wires all control).
+    if len(axes) != 1:
         moved = np.moveaxis(view, axes, range(len(axes)))
         moved[...] = (m @ moved.reshape(m.shape[0], -1)).reshape(moved.shape)
         return
@@ -257,7 +241,7 @@ def compose_sequence(gates, num_qubits: int) -> np.ndarray:
     """
     num_qubits = check_int(num_qubits, "number of qubits", 0)
     check_qubit_budget(num_qubits)
-    gates = _gate_list(gates)
+    gates = _check_gates(gates, num_qubits)
     out = np.eye(1 << num_qubits, dtype=complex)
     for g in gates:
         out = gate_matrix(g, num_qubits) @ out
@@ -294,11 +278,14 @@ def depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     return _depolarize(assert_density_matrix(rho), p)
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     # Checks the strength only: rho is a valid state.
-    real = isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
-    if not (real and 0.0 <= p <= 1.0):
-        raise InvalidValueError(f"noise strength must lie in [0, 1], got {p!r}")
+    if not (_is_real(p) and 0.0 <= p <= 1.0):
+        raise InvalidValueError(f"noise strength must lie in [0, 1], got {brief(p)}")
     d = rho.shape[0]
     return (1.0 - p) * rho + p * np.eye(d, dtype=complex) / d
 

@@ -23,8 +23,8 @@ import sys
 from . import io
 from .circuits import depolarize
 from .errors import InputFormatError, InvalidValueError, QscatterError
-from .phasespace import PhasePoint, wigner_direct, wigner_via_circuit
-from .scattering import scattering_circuit
+from .phasespace import PhasePoint, _check_grid, wigner_direct, wigner_via_circuit
+from .scattering import _check_probe_budget, scattering_circuit
 from .spectrometer import (
     spectral_density,
     spectral_density_via_circuit,
@@ -54,9 +54,10 @@ def cmd_scatter(args) -> int:
 
 def cmd_wigner(args) -> int:
     rho = io.load_matrix(args.rho)
-    if args.noise_p:
-        rho = depolarize(rho, args.noise_p)
     n = rho.shape[0]
+    if args.noise_p:  # depolarize checks the state, so the route's budget goes first
+        (_check_grid if args.point is None else _check_probe_budget)(n)
+        rho = depolarize(rho, args.noise_p)
     if args.point is not None:
         q, p = _parse_point(args.point)
         alpha = PhasePoint(q=q, p=p, n=n)

@@ -1,6 +1,15 @@
 """Exception hierarchy with stable identifiers for CLI exit-code mapping."""
 
 
+def brief(value) -> str:
+    """``value``'s repr cut to 40 characters for an error message, or its type
+    if Python refuses to print it (an integer of over 4,300 digits)."""
+    try:
+        return f"{value!r:.40}"
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 class QscatterError(ValueError):
     """Base error. ``slug`` and ``exit_code`` are stable across releases."""
 

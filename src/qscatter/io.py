@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import InputFormatError, brief
 
 ASCII_RAMP = " .:-=+*#%@"
 
@@ -41,14 +41,14 @@ _JSON_NUMBERS = (int, float)
 def json_int(value, what: str) -> int:
     """A decoded JSON integer; floats, strings and booleans are rejected."""
     if type(value) is not int:
-        raise InputFormatError(f"{what} must be an integer, got {value!r:.40}")
+        raise InputFormatError(f"{what} must be an integer, got {brief(value)}")
     return value
 
 
 def json_real(value, what: str) -> float:
     """A decoded JSON number in float range; strings, lists and booleans are rejected."""
     if type(value) not in _JSON_NUMBERS:
-        raise InputFormatError(f"{what} must be a number, got {value!r:.40}")
+        raise InputFormatError(f"{what} must be a number, got {brief(value)}")
     try:
         return float(value)
     except OverflowError:  # an integer beyond float range, too long to echo
@@ -69,10 +69,11 @@ def matrix_from_payload(payload) -> np.ndarray:
         raise InputFormatError("matrix payload needs 'dim' and 'entries'")
     dim = json_int(payload["dim"], "matrix 'dim'")
     if dim < 1:
-        raise InputFormatError(f"matrix 'dim' must be positive, got {dim}")
+        raise InputFormatError(f"matrix 'dim' must be positive, got {brief(dim)}")
     entries = json_list(payload["entries"], "matrix 'entries'")
     if len(entries) != dim * dim:
-        raise InputFormatError(f"matrix of dim {dim} needs {dim * dim} entries, got {len(entries)}")
+        shown, need = brief(dim), brief(dim * dim)
+        raise InputFormatError(f"matrix of dim {shown} needs {need} entries, got {len(entries)}")
     try:
         flat = [
             complex(re, im)

@@ -11,12 +11,8 @@ Python or numpy integer, never a boolean, inside its documented range.
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidValueError,
-    PowerOfTwoError,
-    QubitBudgetError,
-)
+from .errors import DimensionMismatchError, InvalidValueError, PowerOfTwoError
+from .errors import QubitBudgetError, brief
 
 QUBIT_BUDGET = 12
 HERMITIAN_TOL = 1e-12
@@ -30,8 +26,8 @@ def check_int(value, what: str, lo: int | None = None, hi: int | None = None) ->
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         if (lo is None or value >= lo) and (hi is None or value < hi):
             return int(value)
-    span = f" in [{lo}, {hi})" if hi is not None else f" >= {lo}" if lo is not None else ""
-    raise InvalidValueError(f"{what} must be an integer{span}, got {value!r:.40}")
+    span = f" in [{lo}, {brief(hi)})" if hi is not None else f" >= {lo}" if lo is not None else ""
+    raise InvalidValueError(f"{what} must be an integer{span}, got {brief(value)}")
 
 
 def largest_side(*arrays) -> int:
@@ -48,7 +44,7 @@ def as_square_matrix(a) -> np.ndarray:
         m = np.asarray(a, dtype=complex)
     except (TypeError, ValueError, OverflowError):
         largest_side(a)  # a ragged nested list is a shape error
-        raise InvalidValueError(f"matrix entries must be numbers, got {a!r:.40}") from None
+        raise InvalidValueError(f"matrix entries must be numbers, got {brief(a)}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
@@ -62,7 +58,7 @@ def qubit_count(dim: int) -> int:
     """Number of qubits for a register of dimension ``dim`` (must be 2**k)."""
     dim = check_int(dim, "dimension", 1)
     if dim & (dim - 1):
-        raise PowerOfTwoError(f"dimension {dim} is not a power of two")
+        raise PowerOfTwoError(f"dimension {brief(dim)} is not a power of two")
     return dim.bit_length() - 1
 
 
@@ -73,7 +69,7 @@ def check_qubit_budget(num_qubits: int, layout: str = "") -> None:
     """
     if num_qubits > QUBIT_BUDGET:
         raise QubitBudgetError(
-            f"circuit needs {num_qubits} qubits{layout}; the budget is {QUBIT_BUDGET}"
+            f"circuit needs {brief(num_qubits)} qubits{layout}; the budget is {QUBIT_BUDGET}"
         )
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidValueError
+from .errors import DimensionMismatchError, InvalidValueError, brief
 from .linalg import as_square_matrix, assert_density_matrix, check_int, check_qubit_budget
 from .linalg import is_density_matrix, largest_side
 from .scattering import _check_probe_budget, scattering_circuit
@@ -111,9 +111,9 @@ class WignerGrid:
         _check_dim(self.n)
         v = np.asarray(self.values, dtype=float)
         if v.shape != (2 * self.n, 2 * self.n):
+            side = brief(2 * self.n)
             raise DimensionMismatchError(
-                f"grid for dimension {self.n} must be {2 * self.n}x{2 * self.n}, "
-                f"got {v.shape}"
+                f"grid for dimension {brief(self.n)} must be {side}x{side}, got {v.shape}"
             )
         if not np.isfinite(v).all():
             raise InvalidValueError("grid values must be finite")
@@ -206,6 +206,6 @@ def line_sum(w: WignerGrid, a: int, b: int, c: int) -> float:
     if a == 0 and b == 0:
         raise InvalidValueError("line coefficients (a, b) = (0, 0) select no line")
     m = 2 * w.n
-    q, p = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    mask = (a * p - b * q - c) % m == 0
+    k = np.arange(m)  # q on axis 0, p on axis 1; a, b, c mod 2N keep products in int64
+    mask = ((a % m) * k - (b % m) * k[:, None] - c % m) % m == 0
     return float(w.values[mask].sum())

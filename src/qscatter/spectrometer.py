@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValueError
-from .linalg import assert_unitary, check_int, check_qubit_budget, qubit_count
+from .errors import InvalidValueError, brief
+from .linalg import assert_unitary, check_int, check_qubit_budget, largest_side, qubit_count
 
 _SERIES_SELF_CHECK_TOL = 1e-9
 _BABY_STACK_BYTES = 4 << 20  # caps the self-check's stack of baby-step powers
@@ -66,6 +66,7 @@ class SpectralSeries:
     phase_multiple: int = 2
 
     def __post_init__(self):
+        object.__setattr__(self, "n1", check_int(self.n1, "n1", 0, 64))
         b = np.asarray(self.bins, dtype=float)
         if len(b) != 1 << self.n1:
             raise InvalidValueError(
@@ -99,7 +100,7 @@ def trace_powers(u: np.ndarray, t_max: int) -> TraceSeries:
     such t, rather than returning a silently wrong series.
     """
     t_max = check_int(t_max, "t_max", 0)
-    check_qubit_budget(t_max.bit_length(), f" (counter for t_max={t_max})")
+    check_qubit_budget(t_max.bit_length(), f" (counter for t_max={brief(t_max)})")
     u = assert_unitary(u)
     n = u.shape[0]
     lam = np.linalg.eigvals(u)
@@ -164,11 +165,12 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
     axis and the power map |t>|n> -> |t> U^t |n> one batched matrix product.
     The joint register (probe + counter + system) must fit the 12-qubit budget.
     """
-    u = assert_unitary(u)
     n1 = _check_n1(n1)
-    n = u.shape[0]
-    k = qubit_count(n)
+    k = (largest_side(u) - 1).bit_length()  # the budget goes before the check of u
     check_qubit_budget(1 + n1 + k, f" (1 probe + {n1} counter + {k} system)")
+    u = assert_unitary(u)
+    n = u.shape[0]
+    qubit_count(n)  # the register needs a power-of-two dimension
     d = 1 << n1
 
     upow = np.empty((d, n, n), dtype=complex)

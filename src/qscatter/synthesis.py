@@ -33,7 +33,7 @@ import numpy as np
 
 from .circuits import GateOp, _apply_sequence, _check_gates, compose_sequence
 from .circuits import gate_from_json, gate_to_json
-from .errors import InputFormatError, InvalidValueError
+from .errors import InputFormatError, InvalidValueError, brief
 from .io import json_int, json_list
 from .linalg import check_int, check_qubit_budget, qubit_count
 from .phasespace import PhasePoint, phase_point_operator
@@ -108,7 +108,7 @@ class _Emitter:
 
 def _check_n_sys(n_sys_qubits) -> int:
     m = check_int(n_sys_qubits, "system register qubits", 1)
-    check_qubit_budget(m + 2, f" (1 probe + {m} system + 1 work)")
+    check_qubit_budget(m + 2, f" (1 probe + {brief(m)} system + 1 work)")
     return m
 
 

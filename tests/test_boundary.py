@@ -3,9 +3,13 @@
 Every public function checks each matrix its caller passes exactly once;
 arrays the library builds itself (the probe-and-system joint state, evolved
 states, depolarized and basis states) are never checked again.
-``wigner_via_circuit`` hands 2N * A(alpha) to ``scattering_circuit``, which
-checks it once. Every integer argument follows one rule: a Python or numpy
-integer, never a boolean, inside its range.
+``wigner_via_circuit`` hands 2N * A(alpha) to ``scattering_circuit``, whose
+ControlledUnitary gate checks it once. A gate is checked when it is made,
+payload included; where a gate list is used only its wires are held to the
+register. Every route refuses an over-budget register from the shapes alone,
+before any check. Every integer argument follows one rule: a Python or numpy
+integer, never a boolean, inside its range, and no message prints an integer
+too long to print.
 """
 
 import numpy as np
@@ -13,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qscatter import circuits, linalg, phasespace, scattering, spectrometer, states, synthesis
+from qscatter import cli, circuits, io, linalg, phasespace, scattering, spectrometer, states
+from qscatter import synthesis
 from qscatter.circuits import GateOp
-from qscatter.errors import DimensionMismatchError, InvalidValueError
+from qscatter.errors import DimensionMismatchError, InvalidValueError, QubitBudgetError
 from qscatter.linalg import random_density_matrix, random_unitary
 from qscatter.phasespace import PhasePoint
 
@@ -163,6 +168,7 @@ INTEGER_ARGUMENTS = {
     "synth_controlled_reflection-n_sys": (synthesis.synth_controlled_reflection, 3),
     "synth_controlled_vshift-n_sys": (lambda v: synthesis.synth_controlled_vshift(v, 3), 2),
     "synth_controlled_vshift-power": (lambda v: synthesis.synth_controlled_vshift(2, v), 3),
+    "SpectralSeries-n1": (lambda v: spectrometer.SpectralSeries(v, [0.5, 0.5]).bins, 1),
 }
 
 
@@ -189,6 +195,21 @@ def test_integer_argument_takes_a_numpy_integer(name):
         assert np.array_equal(got, want)
     else:
         assert got == want
+
+
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_argument_too_long_to_print_never_leaks(name):
+    # Python refuses to print an integer of more than 4,300 digits.
+    call, _ = INTEGER_ARGUMENTS[name]
+    try:
+        call(-(10**5000))
+    except InvalidValueError as exc:
+        assert "too long to print" in str(exc)
+
+
+def test_label_too_long_to_print_is_refused():
+    with pytest.raises(InvalidValueError, match=r"label must be an integer in \[0, 4\), got <int"):
+        states.basis_state(10**5000, 4)
 
 
 def test_boolean_label_is_refused():
@@ -279,14 +300,104 @@ def test_trace_series_self_check_does_not_call_eigvals(monkeypatch):
     assert calls == [(N, N)]
 
 
-def test_controlled_unitary_payload_is_checked_on_every_validate():
-    # GateOp is frozen but its payload array is not: a change made after a
-    # first successful use must still be refused.
-    g = _cu(U.copy())
-    circuits.gate_matrix(g, 3)
-    g.unitary[0, 0] *= 1.5
-    with pytest.raises(InvalidValueError, match="not unitary"):
-        circuits.apply_sequence(RHO_2N, [g])
+def test_controlled_unitary_payload_is_a_read_only_copy():
+    # The payload is checked once, at construction: a later change to the
+    # caller's array cannot reach the gate, and the gate's own copy is frozen.
+    u = U.copy()
+    g = _cu(u)
+    want = circuits.apply_sequence(RHO_2N, [g])
+    u[0, 0] *= 1.5
+    assert np.array_equal(g.unitary, U)
+    with pytest.raises(ValueError, match="read-only"):
+        g.unitary[0, 0] = 0
+    assert np.array_equal(circuits.apply_sequence(RHO_2N, [g]), want)
+
+
+def test_a_prebuilt_gate_is_not_checked_again(monkeypatch):
+    g = _cu(U)
+    unitary_checks = []
+    is_unitary = linalg.is_unitary
+
+    def counting_is_unitary(a, *args, **kwargs):
+        unitary_checks.append(np.shape(a))
+        return is_unitary(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "is_unitary", counting_is_unitary)
+    circuits.apply_sequence(RHO_2N, [H0, g])
+    circuits.apply_sequence(RHO_2N, [g, H0])
+    assert unitary_checks == []
+
+
+def test_synthesized_gates_are_checked_only_when_made(monkeypatch):
+    # One tomography-style pass: each gate's kind and theta are checked when
+    # synthesis makes it, and the probe circuit checks only the wires.
+    made = []
+    post_init = GateOp.__post_init__
+
+    def counting_post_init(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(GateOp, "__post_init__", counting_post_init)
+    alpha = PhasePoint(q=11, p=6, n=8)
+    seq = synthesis.synth_phase_point_circuit(alpha)
+    assert {id(g) for g in made} == {id(g) for g in seq.gates}
+    assert len(made) == len({id(g) for g in seq.gates}) < len(seq.gates)
+    made.clear()
+    rho = states.maximally_mixed(8)
+    res = scattering.scattering_circuit_gates(rho, seq.gates, seq.num_qubits)
+    assert made == []
+    want = 16 * np.trace(phasespace.phase_point_operator(alpha) @ rho)
+    assert abs(res.trace_estimate - want) < 1e-12
+
+
+def _over_budget(side):
+    """A side x side matrix that occupies no memory: only its shape is read."""
+    return np.broadcast_to(np.complex128(0), (side, side))
+
+
+# Each call is over the qubit budget by its shapes or its widths alone.
+OVER_BUDGET = {
+    "apply_sequence": lambda: circuits.apply_sequence(_over_budget(1 << 13), [H0]),
+    "gate_matrix": lambda: circuits.gate_matrix(H0, 40),
+    "compose_sequence": lambda: circuits.compose_sequence([H0], 13),
+    "scattering_circuit-rho": lambda: scattering.scattering_circuit(_over_budget(1 << 12), U),
+    "scattering_circuit_gates-rho": lambda: scattering.scattering_circuit_gates(
+        _over_budget(1 << 12), [H0], 2
+    ),
+    "scattering_circuit_gates-wires": lambda: scattering.scattering_circuit_gates(RHO, [H0], 13),
+    "wigner_direct": lambda: phasespace.wigner_direct(_over_budget(1 << 12)),
+    "spectral_density_via_circuit-n1": lambda: spectrometer.spectral_density_via_circuit(
+        np.eye(4), 13
+    ),
+    "spectral_density_via_circuit-dim": lambda: spectrometer.spectral_density_via_circuit(
+        _over_budget(1 << 11), 2
+    ),
+    "trace_powers": lambda: spectrometer.trace_powers(U, 1 << 12),
+}
+
+
+@pytest.mark.parametrize("name", OVER_BUDGET)
+def test_budget_is_refused_before_any_check(name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-budget input reached a check")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(linalg, "is_unitary", refuse)
+    with pytest.raises(QubitBudgetError):
+        OVER_BUDGET[name]()
+
+
+@pytest.mark.parametrize("point", [[], ["--point", "1,2"]], ids=["grid", "point"])
+def test_cli_noise_refuses_the_budget_before_checking_the_state(point, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-budget state reached a check")
+
+    monkeypatch.setattr(io, "load_matrix", lambda path: _over_budget(1 << 12))
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(linalg, "is_unitary", refuse)
+    assert cli.main(["wigner", "--rho", "rho.json", "--noise-p", "0.1", *point]) == 6
+    assert capsys.readouterr().out == ""
 
 
 @st.composite

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qscatter.circuits import (
-    _FIXED_KINDS,
+    _KINDS,
     GATE_KINDS,
     GateOp,
     HADAMARD,
@@ -146,7 +146,7 @@ def gate_on_register(draw):
         k = draw(st.integers(1, 3))
         unitary, wires = random_unitary(1 << k, rng), k + 1
     else:
-        wires = _FIXED_KINDS[kind]
+        wires = _KINDS[kind][0]
     if kind in ("PhaseShift", "ControlledPhase"):
         theta = draw(st.floats(-2 * np.pi, 2 * np.pi))
     n = draw(st.integers(max(1, wires), 6))
@@ -206,44 +206,65 @@ class TestLocalKernel:
 
 
 class TestValidation:
+    """A gate is checked once, when it is made; only its width is checked where it is used."""
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidValueError, match="unknown gate kind"):
-            GateOp("Fredkin", (0, 1, 2)).validate(3)
+            GateOp("Fredkin", (0, 1, 2))
 
     def test_duplicate_wires(self):
         with pytest.raises(InvalidValueError, match="distinct"):
-            GateOp("CNOT", (0, 0)).validate(2)
+            GateOp("CNOT", (0, 0))
 
     def test_wire_out_of_range(self):
         with pytest.raises(InvalidValueError, match=r"wire index must be an integer in \[0, 2\)"):
-            GateOp("Hadamard", (2,)).validate(2)
+            apply_sequence(maximally_mixed(4), [GateOp("Hadamard", (2,))])
 
     def test_missing_theta(self):
         with pytest.raises(InvalidValueError, match="theta"):
-            GateOp("PhaseShift", (0,)).validate(1)
+            GateOp("PhaseShift", (0,))
+
+    @pytest.mark.parametrize("theta", ["0.5", 1j, True, np.inf, [0.5]])
+    def test_theta_must_be_a_finite_real(self, theta):
+        with pytest.raises(InvalidValueError, match="needs a finite theta"):
+            GateOp("PhaseShift", (0,), theta=theta)
 
     def test_unexpected_theta(self):
         with pytest.raises(InvalidValueError, match="takes no theta"):
-            GateOp("Hadamard", (0,), theta=0.5).validate(1)
+            GateOp("Hadamard", (0,), theta=0.5)
 
     def test_wrong_arity(self):
         with pytest.raises(InvalidValueError, match="acts on 2 wires"):
-            GateOp("CNOT", (0, 1, 2)).validate(3)
+            GateOp("CNOT", (0, 1, 2))
 
     def test_controlled_unitary_needs_payload(self):
         with pytest.raises(InvalidValueError, match="payload"):
-            GateOp("ControlledUnitary", (0, 1)).validate(2)
+            GateOp("ControlledUnitary", (0, 1))
 
     def test_controlled_unitary_wire_count(self):
         with pytest.raises(InvalidValueError, match="wires"):
-            GateOp("ControlledUnitary", (0, 1), unitary=np.eye(4)).validate(3)
+            GateOp("ControlledUnitary", (0, 1), unitary=np.eye(4))
 
     @pytest.mark.parametrize("targets", [0, [0], "0", (0.0,), ("a",), (True,), None])
     def test_targets_must_be_a_tuple_of_ints(self, targets):
         with pytest.raises(
-            InvalidValueError, match=r"tuple of integer|wire index must be an integer in \[0, 1\)"
+            InvalidValueError, match=r"tuple of integer|wire index must be an integer >= 0"
         ):
-            GateOp("Hadamard", targets).validate(1)
+            GateOp("Hadamard", targets)
+
+    def test_wires_are_stored_as_plain_ints(self):
+        g = GateOp("CNOT", (np.int64(1), np.int64(0)))
+        assert g.targets == (1, 0) and all(type(t) is int for t in g.targets)
+
+    def test_one_wire_controlled_unitary_is_a_controlled_phase(self):
+        # A 1x1 payload leaves no target wire: the gate is a phase on its control.
+        g = GateOp("ControlledUnitary", (1,), unitary=np.array([[1j]]))
+        m = gate_matrix(g, 2)
+        assert np.allclose(m, np.diag([1, 1j, 1, 1j]))
+        rho = np.full((4, 4), 0.25, dtype=complex)
+        assert np.allclose(apply_sequence(rho, [g]), m @ rho @ m.conj().T)
+        ket = np.arange(1, 5, dtype=complex)
+        assert np.allclose(_apply_sequence(ket, [g], 2), m @ ket)
 
     @pytest.mark.parametrize(
         "call",

@@ -466,3 +466,12 @@ def test_unreadable_matrix_files_are_bad_input(tmp_path, data):
     cp = run_cli("wigner", "--rho", path)
     assert cp.returncode == 3
     assert error_payload(cp)["error"] == "bad-input"
+
+
+def test_dim_too_long_to_print_is_bad_input(tmp_path):
+    # JSON reads a 4,300-digit integer, but dim * dim is too long to print.
+    path = tmp_path / "matrix.json"
+    path.write_bytes(b'{"dim": 1' + b"0" * 4299 + b', "entries": []}')
+    cp = run_cli("scatter", "--rho", path, "--u", path)
+    assert cp.returncode == 3
+    assert error_payload(cp)["error"] == "bad-input"
