@@ -23,7 +23,6 @@ from .circuits import (  # noqa: E402
     compose_sequence,
     controlled_matrix,
     depolarize,
-    gate_from_json,
     gate_matrix,
     gate_to_json,
     pauli_expectation,
@@ -74,7 +73,6 @@ from .states import basis_state, maximally_mixed, pseudo_pure  # noqa: E402
 from .synthesis import (  # noqa: E402
     GateSequence,
     point_circuit_error,
-    sequence_from_json,
     sequence_to_json,
     synth_controlled_reflection,
     synth_controlled_shift,
@@ -104,7 +102,6 @@ __all__ = [
     "controlled_matrix",
     "depolarize",
     "direct_trace",
-    "gate_from_json",
     "gate_matrix",
     "gate_to_json",
     "is_density_matrix",
@@ -123,7 +120,6 @@ __all__ = [
     "reflection",
     "scattering_circuit",
     "scattering_circuit_gates",
-    "sequence_from_json",
     "sequence_to_json",
     "shift_u",
     "shift_v",

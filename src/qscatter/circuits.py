@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputFormatError, InvalidValueError, brief
-from .io import json_int, json_list, json_real, matrix_from_payload, matrix_to_payload
+from .errors import InvalidValueError, brief
+from .io import matrix_to_payload
 from .linalg import as_square_matrix, assert_density_matrix, assert_unitary, check_int
-from .linalg import check_qubit_budget, largest_side, qubit_count
+from .linalg import check_qubit_budget, largest_side, qubit_count, wire_count
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -148,7 +148,8 @@ def gate_matrix(g: GateOp, num_qubits: int) -> np.ndarray:
 
     The dense oracle for the local kernel in ``apply_sequence``.
     """
-    check_qubit_budget(num_qubits)
+    num_qubits = check_int(num_qubits, "number of qubits", 0)
+    check_qubit_budget(system=num_qubits)
     _check_gates([g], num_qubits)
     return _embed(_small_matrix(g), g.targets, num_qubits)
 
@@ -174,7 +175,7 @@ def apply_sequence(rho: np.ndarray, gates) -> np.ndarray:
     checks the state and every gate's wires once; the private core it then
     runs checks nothing.
     """
-    check_qubit_budget((largest_side(rho) - 1).bit_length())
+    check_qubit_budget(system=wire_count(largest_side(rho)))
     rho = assert_density_matrix(rho)
     n = qubit_count(rho.shape[0])
     return _apply_sequence(rho, _check_gates(gates, n), n)
@@ -240,7 +241,7 @@ def compose_sequence(gates, num_qubits: int) -> np.ndarray:
     Refuses a register above the qubit budget before allocating.
     """
     num_qubits = check_int(num_qubits, "number of qubits", 0)
-    check_qubit_budget(num_qubits)
+    check_qubit_budget(system=num_qubits)
     gates = _check_gates(gates, num_qubits)
     out = np.eye(1 << num_qubits, dtype=complex)
     for g in gates:
@@ -254,9 +255,11 @@ _PAULI_BY_AXIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 def pauli_expectation(rho: np.ndarray, axis: str, qubit: int) -> float:
     """Expectation of a single-qubit Pauli operator on one wire.
 
-    Checks the state, axis and wire once; the private core it then runs
+    Refuses a register over the qubit budget from the shape alone, then
+    checks the state, axis and wire once; the private core it then runs
     checks nothing.
     """
+    check_qubit_budget(system=wire_count(largest_side(rho)))
     rho = assert_density_matrix(rho)
     n = qubit_count(rho.shape[0])
     if axis not in _PAULI_BY_AXIS:
@@ -275,6 +278,7 @@ def _pauli_expectation(rho: np.ndarray, axis: str, qubit: int) -> float:
 
 def depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     """Mix a state with the maximally mixed one: (1-p) rho + p I/N."""
+    check_qubit_budget(system=wire_count(largest_side(rho)))
     return _depolarize(assert_density_matrix(rho), p)
 
 
@@ -299,18 +303,3 @@ def gate_to_json(g: GateOp) -> dict:
         rec["unitary"] = matrix_to_payload(g.unitary)
     return rec
 
-
-def gate_from_json(rec) -> GateOp:
-    if not isinstance(rec, dict) or "kind" not in rec or "targets" not in rec:
-        raise InputFormatError("gate record needs 'kind' and 'targets'")
-    kind = rec["kind"]
-    if kind not in GATE_KINDS:
-        raise InputFormatError(f"unknown gate kind {kind!r}")
-    targets = tuple(
-        json_int(i, "gate target") for i in json_list(rec["targets"], "gate targets")
-    )
-    theta = rec.get("theta")
-    if theta is not None:
-        theta = json_real(theta, "gate theta")
-    unitary = matrix_from_payload(rec["unitary"]) if "unitary" in rec else None
-    return GateOp(kind, targets, theta=theta, unitary=unitary)

@@ -23,8 +23,9 @@ import sys
 from . import io
 from .circuits import depolarize
 from .errors import InputFormatError, InvalidValueError, QscatterError
-from .phasespace import PhasePoint, _check_grid, wigner_direct, wigner_via_circuit
-from .scattering import _check_probe_budget, scattering_circuit
+from .linalg import check_qubit_budget, wire_count
+from .phasespace import PhasePoint, wigner_direct, wigner_via_circuit
+from .scattering import scattering_circuit
 from .spectrometer import (
     spectral_density,
     spectral_density_via_circuit,
@@ -53,10 +54,12 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_wigner(args) -> int:
+    if args.point is not None and args.format == "ascii":
+        raise InvalidValueError("ascii rendering needs the full grid, not --point")
     rho = io.load_matrix(args.rho)
     n = rho.shape[0]
-    if args.noise_p:  # depolarize checks the state, so the route's budget goes first
-        (_check_grid if args.point is None else _check_probe_budget)(n)
+    if args.noise_p:  # grid and point share the probe budget; it goes before depolarize checks
+        check_qubit_budget(probe=1, system=wire_count(n))
         rho = depolarize(rho, args.noise_p)
     if args.point is not None:
         q, p = _parse_point(args.point)
@@ -64,10 +67,8 @@ def cmd_wigner(args) -> int:
         w = wigner_via_circuit(rho, alpha)
         if args.format == "csv":
             sys.stdout.write(io.wigner_point_csv(q, p, w))
-        elif args.format == "json":
-            sys.stdout.write(json.dumps({"q": q, "p": p, "w": io.round12(w)}) + "\n")
         else:
-            raise InvalidValueError("ascii rendering needs the full grid, not --point")
+            sys.stdout.write(json.dumps({"q": q, "p": p, "w": io.round12(w)}) + "\n")
         return 0
     grid = wigner_direct(rho)
     if args.format == "csv":
@@ -80,11 +81,11 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    u = io.load_matrix(args.u)
     if args.structure and args.via_circuit:
         raise InvalidValueError(
             "--via-circuit simulates the spectral density; drop --structure"
         )
+    u = io.load_matrix(args.u)
     if args.structure:
         series = structure_function(u, args.n1)
     elif args.via_circuit:

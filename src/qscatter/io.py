@@ -45,16 +45,6 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def json_real(value, what: str) -> float:
-    """A decoded JSON number in float range; strings, lists and booleans are rejected."""
-    if type(value) not in _JSON_NUMBERS:
-        raise InputFormatError(f"{what} must be a number, got {brief(value)}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond float range, too long to echo
-        raise InputFormatError(f"{what} is beyond float range") from None
-
-
 def json_list(value, what: str) -> list:
     if type(value) is not list:
         raise InputFormatError(f"{what} must be a list, got {type(value).__name__}")

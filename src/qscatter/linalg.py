@@ -7,6 +7,8 @@ the library builds itself; private cores take raw, already-checked arrays.
 
 Integers have one rule, ``check_int``, behind every integer argument: a
 Python or numpy integer, never a boolean, inside its documented range.
+Registers have one budget, ``check_qubit_budget``, called once per route
+with every register width by name before any work starts.
 """
 
 import numpy as np
@@ -62,14 +64,22 @@ def qubit_count(dim: int) -> int:
     return dim.bit_length() - 1
 
 
-def check_qubit_budget(num_qubits: int, layout: str = "") -> None:
-    """Refuse a register wider than QUBIT_BUDGET; call before allocating it.
+def wire_count(side) -> int:
+    """Wires that hold ``side`` basis states, ceil(log2(side)); numpy integers are fine."""
+    return (int(side) - 1).bit_length()
 
-    ``layout`` is appended to the message, e.g. " (1 probe + 3 counter + 2 system)".
+
+def check_qubit_budget(**registers: int) -> None:
+    """Refuse registers wider than QUBIT_BUDGET together; call before allocating them.
+
+    Widths are named in wire order, and the message lists them:
+    ``probe=1, counter=3, system=2`` reads "(1 probe + 3 counter + 2 system)".
     """
-    if num_qubits > QUBIT_BUDGET:
+    total = sum(registers.values())
+    if total > QUBIT_BUDGET:
+        layout = " + ".join(f"{brief(width)} {name}" for name, width in registers.items())
         raise QubitBudgetError(
-            f"circuit needs {brief(num_qubits)} qubits{layout}; the budget is {QUBIT_BUDGET}"
+            f"circuit needs {brief(total)} qubits ({layout}); the budget is {QUBIT_BUDGET}"
         )
 
 

@@ -19,8 +19,10 @@ integer phase exponent reduced mod 2N before exponentiation.
 W(q, p) = Re Tr[A(q, p) rho] is the quasi-probability distribution of rho.
 The trace reads only the anti-diagonal rho[x, (q - x) mod N], so the grid is
 one FFT per anti-diagonal, O(N^2 log N) time and O(N^2) memory with nothing
-cached; ``reconstruct`` inverts it with one FFT per grid row. The grid side
-2N is held to 2**QUBIT_BUDGET (N <= 2048) before any work starts.
+cached; ``reconstruct`` inverts it with one FFT per grid row. Every operator
+and grid here is held to the probe circuit's budget, 1 probe + log2(N)
+system wires (N <= 2048, grid side 2N <= 2**QUBIT_BUDGET), before any work
+starts.
 
 The grid is fourfold redundant: A(q+N, p) = (-1)^p A(q, p) and
 A(q, p+N) = (-1)^q A(q, p), so each N x N subgrid operator appears four
@@ -35,8 +37,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidValueError, brief
 from .linalg import as_square_matrix, assert_density_matrix, check_int, check_qubit_budget
-from .linalg import is_density_matrix, largest_side
-from .scattering import _check_probe_budget, scattering_circuit
+from .linalg import is_density_matrix, largest_side, wire_count
+from .scattering import scattering_circuit
 
 IMAG_RESIDUE_TOL = 1e-12
 _PHASE_BLOCK_BYTES = 4 << 20  # phase scratch per block of grid rows, not per whole grid
@@ -60,14 +62,10 @@ def _check_dim(n) -> int:
     return check_int(n, "register dimension", 2)
 
 
-def _check_grid(n: int) -> None:
-    """Refuse a grid side 2n over 2**QUBIT_BUDGET; call before allocating."""
-    check_qubit_budget((2 * n - 1).bit_length(), f" for a {2 * n}x{2 * n} Wigner grid")
-
-
 def shift_u(n: int) -> np.ndarray:
     """Cyclic position shift |q> -> |q+1 mod n>."""
     n = _check_dim(n)
+    check_qubit_budget(probe=1, system=wire_count(n))
     m = np.zeros((n, n), dtype=complex)
     m[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
     return m
@@ -76,12 +74,14 @@ def shift_u(n: int) -> np.ndarray:
 def shift_v(n: int) -> np.ndarray:
     """Momentum shift F U F^dagger = diag(exp(2 pi i j / n))."""
     n = _check_dim(n)
+    check_qubit_budget(probe=1, system=wire_count(n))
     return np.diag(np.exp(2j * np.pi * np.arange(n) / n))
 
 
 def reflection(n: int) -> np.ndarray:
     """Position reflection |q> -> |-q mod n>; fixes |0> and squares to I."""
     n = _check_dim(n)
+    check_qubit_budget(probe=1, system=wire_count(n))
     m = np.zeros((n, n), dtype=complex)
     m[(-np.arange(n)) % n, np.arange(n)] = 1.0
     return m
@@ -93,6 +93,7 @@ def phase_point_operator(alpha: PhasePoint) -> np.ndarray:
     Built from its index map, so every entry is one rounded exponential.
     """
     n, q, p = alpha.n, int(alpha.q), int(alpha.p)
+    check_qubit_budget(probe=1, system=wire_count(n))
     x = np.arange(n)
     a = np.zeros((n, n), dtype=complex)
     phase = np.exp(1j * np.pi * ((p * q - 2 * p * x) % (2 * n)) / n)
@@ -126,7 +127,7 @@ def wigner_direct(rho: np.ndarray) -> WignerGrid:
     Raises if the imaginary residue anywhere on the grid exceeds 1e-12,
     which cannot happen for a valid state (A is Hermitian).
     """
-    _check_grid(largest_side(rho))
+    check_qubit_budget(probe=1, system=wire_count(largest_side(rho)))
     rho = assert_density_matrix(rho)
     n = _check_dim(rho.shape[0])
     m = 2 * n
@@ -153,7 +154,7 @@ def wigner_via_circuit(rho: np.ndarray, alpha: PhasePoint) -> float:
     Only the register width and the dimensions are checked here;
     ``scattering_circuit`` checks the state.
     """
-    _check_probe_budget(max(largest_side(rho), alpha.n))
+    check_qubit_budget(probe=1, system=wire_count(max(largest_side(rho), alpha.n)))
     dim = as_square_matrix(rho).shape[0]
     if dim != alpha.n:
         raise DimensionMismatchError(f"state dim {dim} does not match grid dim {alpha.n}")
@@ -177,7 +178,7 @@ def reconstruct(w: WignerGrid) -> Reconstruction:
     above the -1e-10 floor).
     """
     n = w.n
-    _check_grid(n)
+    check_qubit_budget(probe=1, system=wire_count(n))
     m = 2 * n
     k, x = np.arange(m)[:, None], np.arange(n)
     # g[q, x] = 1/2 sum_p W[q, p] exp(i pi p (q - 2x) / n): rows q and q + n feed

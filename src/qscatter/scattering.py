@@ -19,7 +19,7 @@ import numpy as np
 from .circuits import GateOp, _apply_sequence, _check_gates, _pauli_expectation
 from .errors import DimensionMismatchError
 from .linalg import as_square_matrix, assert_density_matrix, assert_unitary, check_int
-from .linalg import check_qubit_budget, largest_side, qubit_count
+from .linalg import check_qubit_budget, largest_side, qubit_count, wire_count
 
 # The gates around the controlled block, built and checked once. The closing
 # PhaseShift makes the x readout return -Im Tr(U rho); it commutes with z.
@@ -49,14 +49,9 @@ def _check_operands(rho, u) -> tuple[np.ndarray, np.ndarray]:
     return rho, u
 
 
-def _check_probe_budget(dim: int) -> None:
-    # From the size alone, so callers run it before validating or building anything.
-    k = (int(dim) - 1).bit_length()
-    check_qubit_budget(1 + k, f" (1 probe + {k} system)")
-
-
 def direct_trace(rho: np.ndarray, u: np.ndarray) -> complex:
     """Tr(U rho) evaluated without any circuit; the oracle side of the duality."""
+    check_qubit_budget(probe=1, system=wire_count(largest_side(rho, u)))
     rho, u = _check_operands(rho, u)
     return complex(np.trace(assert_unitary(u) @ rho))
 
@@ -78,7 +73,7 @@ def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int) -> Sca
 
 def scattering_circuit(rho: np.ndarray, u: np.ndarray) -> ScatteringResult:
     """Run the probe circuit with a dense controlled-U block; building the block checks U."""
-    _check_probe_budget(largest_side(rho, u))
+    check_qubit_budget(probe=1, system=wire_count(largest_side(rho, u)))
     rho, u = _check_operands(rho, u)
     k = qubit_count(u.shape[0])
     cu = GateOp("ControlledUnitary", tuple(range(k + 1)), unitary=u)
@@ -92,11 +87,10 @@ def scattering_circuit_gates(
 
     ``gates`` act on ``num_qubits`` wires laid out as probe (wire 0), system
     (wires 1..k), then any work wires, which start in |0> and must be
-    returned clean by the sequence. Both budgets come before any check.
+    returned clean by the sequence. The budget comes before any check.
     """
-    check_qubit_budget(check_int(num_qubits, "number of wires", 0))
-    _check_probe_budget(largest_side(rho))
+    n, k = check_int(num_qubits, "number of wires", 0), wire_count(largest_side(rho))
+    check_qubit_budget(probe=1, system=k, work=max(0, n - 1 - k))
     rho = assert_density_matrix(rho)
-    k = qubit_count(rho.shape[0])
-    num_qubits = check_int(num_qubits, "number of wires", k + 1)
-    return _probe_readout(rho, _check_gates(gates, num_qubits), num_qubits)
+    n = check_int(n, "number of wires", qubit_count(rho.shape[0]) + 1)
+    return _probe_readout(rho, _check_gates(gates, n), n)

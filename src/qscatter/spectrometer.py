@@ -33,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValueError, brief
+from .errors import InvalidValueError
 from .linalg import assert_unitary, check_int, check_qubit_budget, largest_side, qubit_count
+from .linalg import wire_count
 
 _SERIES_SELF_CHECK_TOL = 1e-9
 _BABY_STACK_BYTES = 4 << 20  # caps the self-check's stack of baby-step powers
@@ -100,7 +101,7 @@ def trace_powers(u: np.ndarray, t_max: int) -> TraceSeries:
     such t, rather than returning a silently wrong series.
     """
     t_max = check_int(t_max, "t_max", 0)
-    check_qubit_budget(t_max.bit_length(), f" (counter for t_max={brief(t_max)})")
+    check_qubit_budget(counter=t_max.bit_length())
     u = assert_unitary(u)
     n = u.shape[0]
     lam = np.linalg.eigvals(u)
@@ -131,7 +132,7 @@ def trace_powers(u: np.ndarray, t_max: int) -> TraceSeries:
 
 def _check_n1(n1) -> int:
     n1 = check_int(n1, "counter register n1", 2)
-    check_qubit_budget(n1, " (counter)")
+    check_qubit_budget(counter=n1)
     return n1
 
 
@@ -165,9 +166,8 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
     axis and the power map |t>|n> -> |t> U^t |n> one batched matrix product.
     The joint register (probe + counter + system) must fit the 12-qubit budget.
     """
-    n1 = _check_n1(n1)
-    k = (largest_side(u) - 1).bit_length()  # the budget goes before the check of u
-    check_qubit_budget(1 + n1 + k, f" (1 probe + {n1} counter + {k} system)")
+    n1 = check_int(n1, "counter register n1", 2)
+    check_qubit_budget(probe=1, counter=n1, system=wire_count(largest_side(u)))
     u = assert_unitary(u)
     n = u.shape[0]
     qubit_count(n)  # the register needs a power-of-two dimension

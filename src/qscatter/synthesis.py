@@ -31,10 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import GateOp, _apply_sequence, _check_gates, compose_sequence
-from .circuits import gate_from_json, gate_to_json
-from .errors import InputFormatError, InvalidValueError, brief
-from .io import json_int, json_list
+from .circuits import GateOp, _apply_sequence, _check_gates, compose_sequence, gate_to_json
+from .errors import InvalidValueError
 from .linalg import check_int, check_qubit_budget, qubit_count
 from .phasespace import PhasePoint, phase_point_operator
 
@@ -50,6 +48,7 @@ class GateSequence:
     gates: tuple[GateOp, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "num_qubits", check_int(self.num_qubits, "number of qubits", 1))
         gates = tuple(_check_gates(self.gates, self.num_qubits))
         for g in gates:
             if g.kind not in SEQUENCE_KINDS:
@@ -108,7 +107,7 @@ class _Emitter:
 
 def _check_n_sys(n_sys_qubits) -> int:
     m = check_int(n_sys_qubits, "system register qubits", 1)
-    check_qubit_budget(m + 2, f" (1 probe + {brief(m)} system + 1 work)")
+    check_qubit_budget(probe=1, system=m, work=1)
     return m
 
 
@@ -188,7 +187,8 @@ def point_circuit_error(seq: GateSequence, alpha: PhasePoint) -> float:
             and seq.num_qubits > qubit_count(alpha.n)):
         raise InvalidValueError("expected a PhasePoint and a GateSequence on its probe + system")
     n, d = seq.num_qubits, alpha.n
-    check_qubit_budget(n)
+    m = qubit_count(d)
+    check_qubit_budget(probe=1, system=m, work=n - 1 - m)
     u = 2 * d * phase_point_operator(alpha)
     err = 0.0
     for v in (np.ones(1 << n, dtype=complex), np.arange(1, (1 << n) + 1, dtype=complex)):
@@ -205,9 +205,3 @@ def sequence_to_json(seq: GateSequence) -> dict:
         "gates": [gate_to_json(g) for g in seq.gates],
     }
 
-
-def sequence_from_json(payload) -> GateSequence:
-    if not isinstance(payload, dict) or "num_qubits" not in payload or "gates" not in payload:
-        raise InputFormatError("sequence payload needs 'num_qubits' and 'gates'")
-    gates = tuple(gate_from_json(rec) for rec in json_list(payload["gates"], "gates"))
-    return GateSequence(num_qubits=json_int(payload["num_qubits"], "num_qubits"), gates=gates)

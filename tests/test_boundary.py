@@ -6,10 +6,11 @@ states, depolarized and basis states) are never checked again.
 ``wigner_via_circuit`` hands 2N * A(alpha) to ``scattering_circuit``, whose
 ControlledUnitary gate checks it once. A gate is checked when it is made,
 payload included; where a gate list is used only its wires are held to the
-register. Every route refuses an over-budget register from the shapes alone,
-before any check. Every integer argument follows one rule: a Python or numpy
-integer, never a boolean, inside its range, and no message prints an integer
-too long to print.
+register. Every route, the dimension factories included, refuses an
+over-budget register from the shapes or widths alone, before any check or
+allocation, through one ``check_qubit_budget`` call that names its registers.
+Every integer argument follows one rule: a Python or numpy integer, never a
+boolean, inside its range, and no message prints an integer too long to print.
 """
 
 import numpy as np
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 from qscatter import cli, circuits, io, linalg, phasespace, scattering, spectrometer, states
 from qscatter import synthesis
 from qscatter.circuits import GateOp
-from qscatter.errors import DimensionMismatchError, InvalidValueError, QubitBudgetError
+from qscatter.errors import DimensionMismatchError, InvalidValueError, QscatterError
+from qscatter.errors import QubitBudgetError
 from qscatter.linalg import random_density_matrix, random_unitary
 from qscatter.phasespace import PhasePoint
 
@@ -139,6 +141,7 @@ INTEGER_ARGUMENTS = {
     "qubit_count-dim": (linalg.qubit_count, 4),
     "GateOp-wire": (lambda v: circuits.apply_sequence(RHO, [GateOp("PauliX", (v,))]), 1),
     "compose_sequence-num_qubits": (lambda v: circuits.compose_sequence([H0], v), 2),
+    "gate_matrix-num_qubits": (lambda v: circuits.gate_matrix(H0, v), 2),
     "pauli_expectation-qubit": (lambda v: circuits.pauli_expectation(RHO, "x", v), 1),
     "scattering_circuit_gates-num_qubits": (
         lambda v: scattering.scattering_circuit_gates(RHO, [_cu(U)], v), 4,
@@ -169,6 +172,7 @@ INTEGER_ARGUMENTS = {
     "synth_controlled_vshift-n_sys": (lambda v: synthesis.synth_controlled_vshift(v, 3), 2),
     "synth_controlled_vshift-power": (lambda v: synthesis.synth_controlled_vshift(2, v), 3),
     "SpectralSeries-n1": (lambda v: spectrometer.SpectralSeries(v, [0.5, 0.5]).bins, 1),
+    "GateSequence-num_qubits": (lambda v: synthesis.GateSequence(v, ()), 2),
 }
 
 
@@ -374,6 +378,16 @@ OVER_BUDGET = {
         _over_budget(1 << 11), 2
     ),
     "trace_powers": lambda: spectrometer.trace_powers(U, 1 << 12),
+    "pauli_expectation": lambda: circuits.pauli_expectation(_over_budget(1 << 13), "z", 0),
+    "depolarize": lambda: circuits.depolarize(_over_budget(1 << 13), 0.1),
+    "direct_trace": lambda: scattering.direct_trace(_over_budget(1 << 12), U),
+    "basis_state": lambda: states.basis_state(0, 1 << 40),
+    "maximally_mixed": lambda: states.maximally_mixed(1 << 40),
+    "pseudo_pure": lambda: states.pseudo_pure(0, 1 << 40, 0.1),
+    "shift_u": lambda: phasespace.shift_u(1 << 12),
+    "shift_v": lambda: phasespace.shift_v(1 << 12),
+    "reflection": lambda: phasespace.reflection(1 << 12),
+    "phase_point_operator": lambda: phasespace.phase_point_operator(PhasePoint(0, 0, 1 << 12)),
 }
 
 
@@ -386,6 +400,31 @@ def test_budget_is_refused_before_any_check(name, monkeypatch):
     monkeypatch.setattr(linalg, "is_unitary", refuse)
     with pytest.raises(QubitBudgetError):
         OVER_BUDGET[name]()
+
+
+def test_factory_rules_stop_at_the_largest_register():
+    # The system rule takes N = 4096, the probe rule N = 2048; one more is refused.
+    assert states.basis_state(0, 1 << 12).shape == (1 << 12, 1 << 12)
+    assert phasespace.reflection(1 << 11).shape == (1 << 11, 1 << 11)
+    with pytest.raises(QubitBudgetError, match=r"\(13 system\)"):
+        states.basis_state(0, (1 << 12) + 1)
+    with pytest.raises(QubitBudgetError, match=r"\(1 probe \+ 12 system\)"):
+        phasespace.reflection((1 << 11) + 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: states.basis_state(0, 10**5000),
+        lambda: phasespace.shift_u(10**5000),
+        lambda: phasespace.phase_point_operator(PhasePoint(0, 0, 10**5000)),
+    ],
+    ids=["basis_state", "shift_u", "phase_point_operator"],
+)
+def test_absurd_dimension_is_a_library_error(call):
+    # numpy would refuse the allocation with a bare ValueError.
+    with pytest.raises(QscatterError, match="budget is 12"):
+        call()
 
 
 @pytest.mark.parametrize("point", [[], ["--point", "1,2"]], ids=["grid", "point"])

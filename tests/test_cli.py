@@ -25,7 +25,6 @@ from qscatter.phasespace import wigner_direct
 from qscatter.scattering import direct_trace
 from qscatter.spectrometer import spectral_density
 from qscatter.states import maximally_mixed
-from qscatter.synthesis import sequence_from_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -175,7 +174,12 @@ class TestSynth:
     def test_emits_loadable_sequence(self, inputs):
         cp = run_cli("synth", "--n", 4, "--q", 1, "--p", 3)
         assert cp.returncode == 0, cp.stderr
-        seq = sequence_from_json(json.loads(cp.stdout))
+        payload = json.loads(cp.stdout)
+        gates = tuple(
+            circuits.GateOp(rec["kind"], tuple(rec["targets"]), theta=rec.get("theta"))
+            for rec in payload["gates"]
+        )
+        seq = synthesis.GateSequence(num_qubits=payload["num_qubits"], gates=gates)
         assert seq.num_qubits == 3
         assert len(seq.gates) > 0
 
@@ -315,6 +319,24 @@ class TestErrorExits:
     def test_structure_with_via_circuit_rejected(self, inputs):
         cp = run_cli("spectrum", "--u", inputs["sz"], "--n1", 3, "--structure", "--via-circuit")
         assert cp.returncode == 7
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wigner", "--rho", "rho.json", "--point", "1,2", "--format", "ascii"],
+            ["spectrum", "--u", "u.json", "--n1", "3", "--structure", "--via-circuit"],
+        ],
+        ids=["wigner-point-ascii", "spectrum-structure-via-circuit"],
+    )
+    def test_conflicting_options_are_refused_before_loading(self, argv, monkeypatch, capsys):
+        def refuse(path):
+            raise AssertionError("a conflicting invocation loaded its matrix file")
+
+        monkeypatch.setattr(io, "load_matrix", refuse)
+        assert cli.main(argv) == 7
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err)["error"] == "invalid-value"
 
     def test_usage_error_is_argparse_code(self):
         cp = run_cli("wigner")

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from qscatter import io
-from qscatter.circuits import gate_from_json
 from qscatter.errors import InputFormatError
 from qscatter.linalg import random_density_matrix, random_unitary
 from qscatter.phasespace import wigner_direct
 from qscatter.scattering import scattering_circuit
 from qscatter.spectrometer import spectral_density
 from qscatter.states import basis_state, maximally_mixed
-from qscatter.synthesis import sequence_from_json
 
 
 class TestNumberFormat:
@@ -140,17 +138,3 @@ def test_scatter_json_fields():
     assert payload["sigma_x"] == pytest.approx(-1.0)
     assert payload["re_trace"] == pytest.approx(0.0, abs=1e-12)
     assert payload["im_trace"] == pytest.approx(1.0)
-
-
-def test_json_real_beyond_float_range_is_a_format_error():
-    rec = {"kind": "PhaseShift", "targets": [0], "theta": 10**400}
-    calls = [
-        lambda: io.json_real(-(10**400), "theta"),
-        lambda: gate_from_json(rec),
-        lambda: sequence_from_json({"num_qubits": 1, "gates": [rec]}),
-    ]
-    for call in calls:
-        with pytest.raises(InputFormatError, match="beyond float range") as info:
-            call()
-        assert info.value.exit_code == 3
-    assert io.json_real(10**300, "theta") == 1e300

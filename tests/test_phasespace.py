@@ -399,10 +399,10 @@ class TestValidation:
     def test_grid_over_budget_refused_before_validation(self):
         # zero-cost views: the trace-0 "state" would fail validation, so only
         # a budget check that runs first can raise QubitBudgetError
-        with pytest.raises(QubitBudgetError, match="4098x4098 Wigner grid"):
+        with pytest.raises(QubitBudgetError, match=r"1 probe \+ 12 system"):
             wigner_direct(np.broadcast_to(np.complex128(0), (2049, 2049)))
         grid = WignerGrid(n=2049, values=np.broadcast_to(0.0, (4098, 4098)))
-        with pytest.raises(QubitBudgetError, match="4098x4098 Wigner grid"):
+        with pytest.raises(QubitBudgetError, match=r"1 probe \+ 12 system"):
             reconstruct(grid)
 
     def test_largest_grid_passes_the_budget(self, monkeypatch):
