@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidValueError, brief
-from .linalg import as_square_matrix, assert_density_matrix, check_int, check_qubit_budget
+from .linalg import assert_density_matrix, check_int, check_qubit_budget
 from .linalg import is_density_matrix, largest_side, wire_count
 from .scattering import scattering_circuit
 
@@ -60,6 +60,13 @@ class PhasePoint:
 
 def _check_dim(n) -> int:
     return check_int(n, "register dimension", 2)
+
+
+def _expect(kind: type, *values) -> None:
+    # The one type rule for point and grid arguments: anything else is refused.
+    for v in values:
+        if not isinstance(v, kind):
+            raise InvalidValueError(f"expected a {kind.__name__}, got {type(v).__name__}")
 
 
 def shift_u(n: int) -> np.ndarray:
@@ -92,6 +99,7 @@ def phase_point_operator(alpha: PhasePoint) -> np.ndarray:
 
     Built from its index map, so every entry is one rounded exponential.
     """
+    _expect(PhasePoint, alpha)
     n, q, p = alpha.n, int(alpha.q), int(alpha.p)
     check_qubit_budget(probe=1, system=wire_count(n))
     x = np.arange(n)
@@ -151,13 +159,11 @@ def wigner_direct(rho: np.ndarray) -> WignerGrid:
 def wigner_via_circuit(rho: np.ndarray, alpha: PhasePoint) -> float:
     """One grid value measured by scattering off the unitary 2N * A(alpha).
 
-    Only the register width and the dimensions are checked here;
-    ``scattering_circuit`` checks the state.
+    Only the point's type and the register width are checked here;
+    ``scattering_circuit`` checks the state and refuses a size mismatch.
     """
+    _expect(PhasePoint, alpha)
     check_qubit_budget(probe=1, system=wire_count(max(largest_side(rho), alpha.n)))
-    dim = as_square_matrix(rho).shape[0]
-    if dim != alpha.n:
-        raise DimensionMismatchError(f"state dim {dim} does not match grid dim {alpha.n}")
     u = 2 * alpha.n * phase_point_operator(alpha)
     return scattering_circuit(rho, u).sigma_z / (2 * alpha.n)
 
@@ -177,6 +183,7 @@ def reconstruct(w: WignerGrid) -> Reconstruction:
     satisfies the density-matrix checks (Hermitian, unit trace, eigenvalues
     above the -1e-10 floor).
     """
+    _expect(WignerGrid, w)
     n = w.n
     check_qubit_budget(probe=1, system=wire_count(n))
     m = 2 * n
@@ -191,6 +198,7 @@ def reconstruct(w: WignerGrid) -> Reconstruction:
 
 def overlap_from_grids(w1: WignerGrid, w2: WignerGrid) -> float:
     """Hilbert-Schmidt pairing Tr(rho1 rho2) = N * sum W1 W2 over the full grid."""
+    _expect(WignerGrid, w1, w2)
     if w1.n != w2.n:
         raise DimensionMismatchError(f"grid dims differ: {w1.n} versus {w2.n}")
     return float(w1.n * np.sum(w1.values * w2.values))
@@ -203,6 +211,7 @@ def line_sum(w: WignerGrid, a: int, b: int, c: int) -> float:
     fixes p = c, (a, b) = (0, -1) fixes q = c; even-index lines carry
     position or momentum populations and odd-index lines vanish.
     """
+    _expect(WignerGrid, w)
     a, b, c = (check_int(v, f"line coefficient {name}") for name, v in zip("abc", (a, b, c)))
     if a == 0 and b == 0:
         raise InvalidValueError("line coefficients (a, b) = (0, 0) select no line")

@@ -2,11 +2,14 @@
 
 Wire layout for a system of m = log2(N) qubits: wire 0 is the probe (the
 control of every emitted gate), wires 1..m hold the system with wire 1 the
-most significant bit, and work wire m+1 is appended when a multiply
-controlled X needs expanding. Expansions restore the work wire for every
-input value, so the composed matrix equals controlled-op (x) I on the work
-wire exactly, not merely on the |0> work subspace. A register of 1 probe +
-m system + 1 work wire over the qubit budget is refused before any gate.
+most significant bit, and work wire m+1 is present exactly when one of the
+sequence's gates uses it, to expand a multiply controlled X. Expansions
+restore the work wire for every input value, so the composed matrix equals
+controlled-op (x) I on the work wire exactly, not merely on the |0> work
+subspace. A register of 1 probe + m system + 1 work wire over the qubit
+budget is refused before any gate. Each construction is a private function
+returning a gate list, and each public call builds one ``GateSequence``, so
+every gate of a point circuit is checked once.
 
 Constructions, each verified against the dense operator in the tests:
 
@@ -34,7 +37,7 @@ import numpy as np
 from .circuits import GateOp, _apply_sequence, _check_gates, compose_sequence, gate_to_json
 from .errors import InvalidValueError
 from .linalg import check_int, check_qubit_budget, qubit_count
-from .phasespace import PhasePoint, phase_point_operator
+from .phasespace import PhasePoint, _expect, phase_point_operator
 
 # Each kind is a permutation times a phase, which point_circuit_error relies on.
 SEQUENCE_KINDS = frozenset({"CNOT", "Toffoli", "PhaseShift", "ControlledPhase", "PauliX"})
@@ -80,29 +83,43 @@ def _mcx(controls: list[int], target: int, borrow: int) -> list[GateOp]:
     return outer + inner + outer + inner
 
 
-class _Emitter:
-    """Collects gates and remembers whether the work wire was touched."""
+def _increment(top_bits: int, work: int) -> list[GateOp]:
+    # +1 on system wires 1..top_bits, probe-controlled. Most significant
+    # target first so every carry condition reads unmodified lower bits.
+    return [g for j in range(1, top_bits + 1)
+            for g in _mcx([0, *range(j + 1, top_bits + 1)], j, work)]
 
-    def __init__(self, n_sys: int):
-        self.n_sys = n_sys
-        self.work = n_sys + 1
-        self.gates: list[GateOp] = []
-        self.used_work = False
 
-    def mcx(self, controls: list[int], target: int) -> None:
-        if len(controls) > 2:
-            self.used_work = True
-        self.gates.extend(_mcx(controls, target, self.work))
+def _shift(m: int, power: int) -> list[GateOp]:
+    power %= 1 << m
+    return [g for s in range(m - 1, -1, -1) if (power >> s) & 1
+            for g in _increment(m - s, m + 1)]
 
-    def increment(self, top_bits: int) -> None:
-        # +1 on system wires 1..top_bits, probe-controlled. Most significant
-        # target first so every carry condition reads unmodified lower bits.
-        for j in range(1, top_bits + 1):
-            self.mcx([0] + list(range(j + 1, top_bits + 1)), j)
 
-    def finish(self) -> GateSequence:
-        n = 1 + self.n_sys + (1 if self.used_work else 0)
-        return GateSequence(num_qubits=n, gates=tuple(self.gates))
+def _reflection(m: int) -> list[GateOp]:
+    if m == 1:
+        return []  # reflection on two labels is the identity
+    if m == 2:
+        return _mcx([0, 2], 1, m + 1)
+    return [GateOp("CNOT", (0, j)) for j in range(1, m + 1)] + _increment(m, m + 1)
+
+
+def _vshift(m: int, power: int) -> list[GateOp]:
+    n = 1 << m
+    power %= n
+    gates = []
+    for k in range(1, m + 1):
+        weight = 1 << (m - k)
+        theta = (-2 * np.pi * power * weight / n) % (2 * np.pi)
+        if theta != 0.0:
+            gates.append(GateOp("ControlledPhase", (0, k), theta=theta))
+    return gates
+
+
+def _sequence(m: int, gates: list[GateOp]) -> GateSequence:
+    # Probe and m system wires, plus work wire m + 1 exactly when a gate uses it.
+    work = any(m + 1 in g.targets for g in gates)
+    return GateSequence(num_qubits=1 + m + work, gates=tuple(gates))
 
 
 def _check_n_sys(n_sys_qubits) -> int:
@@ -114,41 +131,19 @@ def _check_n_sys(n_sys_qubits) -> int:
 def synth_controlled_shift(n_sys_qubits: int, power: int) -> GateSequence:
     """Probe-controlled |q> -> |q + power mod N> on m system qubits."""
     m = _check_n_sys(n_sys_qubits)
-    power = check_int(power, "shift power") % (1 << m)
-    em = _Emitter(m)
-    for s in range(m - 1, -1, -1):
-        if (power >> s) & 1:
-            em.increment(m - s)
-    return em.finish()
+    return _sequence(m, _shift(m, check_int(power, "shift power")))
 
 
 def synth_controlled_reflection(n_sys_qubits: int) -> GateSequence:
     """Probe-controlled |q> -> |-q mod N> on m system qubits."""
     m = _check_n_sys(n_sys_qubits)
-    em = _Emitter(m)
-    if m == 1:
-        return em.finish()  # reflection on two labels is the identity
-    if m == 2:
-        em.mcx([0, 2], 1)
-        return em.finish()
-    for j in range(1, m + 1):
-        em.mcx([0], j)
-    em.increment(m)
-    return em.finish()
+    return _sequence(m, _reflection(m))
 
 
 def synth_controlled_vshift(n_sys_qubits: int, power: int) -> GateSequence:
     """Probe-controlled V^(-power); a controlled phase per system bit."""
     m = _check_n_sys(n_sys_qubits)
-    n = 1 << m
-    power = check_int(power, "shift power") % n
-    em = _Emitter(m)
-    for k in range(1, m + 1):
-        weight = 1 << (m - k)
-        theta = (-2 * np.pi * power * weight / n) % (2 * np.pi)
-        if theta != 0.0:
-            em.gates.append(GateOp("ControlledPhase", (0, k), theta=theta))
-    return em.finish()
+    return _sequence(m, _vshift(m, check_int(power, "shift power")))
 
 
 def synth_phase_point_circuit(alpha: PhasePoint) -> GateSequence:
@@ -156,24 +151,15 @@ def synth_phase_point_circuit(alpha: PhasePoint) -> GateSequence:
 
     Emitted in application order: the probe-local scalar phase, the momentum
     shift V^(-p), the reflection, then the position shift U^q. Identity
-    factors (zero angles, zero shift powers) are omitted.
+    factors (zero angles, zero shift powers) are omitted. The register is
+    budgeted once and every gate's wires are checked once, in one sequence.
     """
-    if not isinstance(alpha, PhasePoint):
-        raise InvalidValueError("expected a PhasePoint")
+    _expect(PhasePoint, alpha)
     n = alpha.n
     m = _check_n_sys(qubit_count(n))
     theta = (np.pi * ((alpha.p * alpha.q) % (2 * n)) / n) % (2 * np.pi)
-    gates: list[GateOp] = []
-    if theta != 0.0:
-        gates.append(GateOp("PhaseShift", (0,), theta=theta))
-    parts = [
-        synth_controlled_vshift(m, alpha.p),
-        synth_controlled_reflection(m),
-        synth_controlled_shift(m, alpha.q),
-    ]
-    for part in parts:  # each part holds at least the probe and system wires
-        gates.extend(part.gates)
-    return GateSequence(num_qubits=max(part.num_qubits for part in parts), gates=tuple(gates))
+    phase = [GateOp("PhaseShift", (0,), theta=theta)] if theta != 0.0 else []
+    return _sequence(m, phase + _vshift(m, alpha.p) + _reflection(m) + _shift(m, alpha.q))
 
 
 def point_circuit_error(seq: GateSequence, alpha: PhasePoint) -> float:

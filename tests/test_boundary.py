@@ -243,6 +243,25 @@ def test_noise_strength_takes_numpy_numbers():
         assert np.array_equal(circuits.depolarize(RHO, p), circuits.depolarize(RHO, p.item()))
 
 
+_GRID = phasespace.wigner_direct(RHO)
+_BARE = np.zeros((2 * N, 2 * N))
+# name: a call passing a tuple or a bare array where a PhasePoint or WignerGrid belongs
+NOT_A_POINT_OR_GRID = {
+    "phase_point_operator": lambda: phasespace.phase_point_operator((0, 0, N)),
+    "wigner_via_circuit": lambda: phasespace.wigner_via_circuit(RHO, (0, 0, N)),
+    "reconstruct": lambda: phasespace.reconstruct(_BARE),
+    "line_sum": lambda: phasespace.line_sum(_BARE, 1, 0, 0),
+    "overlap_from_grids": lambda: phasespace.overlap_from_grids(_GRID, _BARE),
+    "synth_phase_point_circuit": lambda: synthesis.synth_phase_point_circuit((0, 0, N)),
+}
+
+
+@pytest.mark.parametrize("name", NOT_A_POINT_OR_GRID)
+def test_phase_space_refuses_other_types(name):
+    with pytest.raises(InvalidValueError, match=r"^expected a (PhasePoint|WignerGrid), got "):
+        NOT_A_POINT_OR_GRID[name]()
+
+
 # name: (call, shapes passed to eigvalsh, number of unitarity checks)
 CALL_COUNTS = {
     "scattering_circuit": (lambda: scattering.scattering_circuit(RHO, U), [(N, N)], 1),

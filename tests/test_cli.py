@@ -5,6 +5,7 @@ user would drive the tool; outputs are checked for format stability
 (byte-identical reruns, golden files) and against the library's own numbers.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -365,10 +366,50 @@ class TestSpectrumGoldens:
         assert len(list(SPECTRUM_FIXTURES.glob("*_n1-*"))) == 24
 
 
+SYNTH_FIXTURES = FIXTURES / "synth"
+SYNTH_SHA256 = json.loads((SYNTH_FIXTURES / "sha256.json").read_text())
+
+
+def _synth_point(stem):
+    return tuple(int(part[1:]) for part in stem.split("_"))
+
+
+def _synth_argv(stem):
+    n, q, p = _synth_point(stem)
+    return ["synth", "--n", str(n), "--q", str(q), "--p", str(p)]
+
+
+class TestSynthGoldens:
+    """Frozen ``synth`` stdout: n<N>_q<q>_p<p>.json, and larger circuits as sha256.json."""
+
+    @pytest.mark.parametrize(
+        "golden", sorted(SYNTH_FIXTURES.glob("n*.json")), ids=lambda path: path.stem
+    )
+    def test_stdout_bytes(self, golden, capsys):
+        assert cli.main(_synth_argv(golden.stem)) == 0
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+    @pytest.mark.parametrize("stem", SYNTH_SHA256)
+    def test_stdout_sha256(self, stem, capsys):
+        assert cli.main(_synth_argv(stem)) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == SYNTH_SHA256[stem]
+
+    def test_goldens_cover_both_register_layouts(self):
+        # N = 2, 4 need no work wire; from N = 8 on the reflection expands around it.
+        work_wires = {
+            json.loads(path.read_text())["num_qubits"] - _synth_point(path.stem)[0].bit_length()
+            for path in SYNTH_FIXTURES.glob("n*.json")
+        }
+        assert work_wires == {0, 1}
+        assert {_synth_point(stem)[0] for stem in SYNTH_SHA256} == {256, 1024}
+
+
 class TestDeterminism:
     def test_thread_cap_does_not_change_bytes(self, inputs):
         plain = run_cli("wigner", "--rho", inputs["rho4"])
-        capped = run_cli("wigner", "--rho", inputs["rho4"], env={"QSCATTER_THREADS": "1"})
+        one_thread = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        capped = run_cli("wigner", "--rho", inputs["rho4"], env=one_thread)
         assert capped.returncode == 0
         assert plain.stdout == capped.stdout
 

@@ -428,7 +428,6 @@ class TestValidation:
         code = textwrap.dedent(
             """
             import resource
-            import qscatter  # caps the BLAS threads before numpy loads
             import numpy as np
             from qscatter.phasespace import wigner_direct
             rho = np.zeros((1024, 1024), dtype=complex)
@@ -439,7 +438,7 @@ class TestValidation:
             print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
             """
         )
-        env = dict(os.environ, QSCATTER_THREADS="1")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         cp = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True, env=env, timeout=120)
         assert cp.returncode == 0, cp.stderr

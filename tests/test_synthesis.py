@@ -169,6 +169,26 @@ class TestPhasePointCircuits:
             synth_phase_point_circuit((1, 2, 4))
 
 
+@pytest.mark.parametrize("n", [1 << k for k in range(1, 11)])
+def test_point_circuit_is_budgeted_and_checked_once(n, monkeypatch):
+    # One register budget and one pass over the gate wires, for the whole circuit.
+    calls = []
+
+    def counting(name):
+        real = getattr(synthesis, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(synthesis, name, wrapper)
+
+    counting("check_qubit_budget")
+    counting("_check_gates")
+    synth_phase_point_circuit(PhasePoint(q=n - 1, p=2 * n - 1, n=n))
+    assert calls == ["check_qubit_budget", "_check_gates"]
+
+
 class TestSequenceType:
     def test_alphabet_enforced(self):
         # Every kind a sequence may hold is a permutation times a phase.
