@@ -18,13 +18,7 @@ from .errors import (
     QscatterError,
     QubitBudgetError,
 )
-from .linalg import (
-    is_density_matrix,
-    is_unitary,
-    qubit_count,
-    random_density_matrix,
-    random_unitary,
-)
+from .linalg import is_density_matrix, is_unitary, qubit_count
 from .phasespace import (
     PhasePoint,
     WignerGrid,
@@ -32,9 +26,6 @@ from .phasespace import (
     overlap_from_grids,
     phase_point_operator,
     reconstruct,
-    reflection,
-    shift_u,
-    shift_v,
     wigner_direct,
     wigner_via_circuit,
 )
@@ -97,15 +88,10 @@ __all__ = [
     "point_circuit_error",
     "pseudo_pure",
     "qubit_count",
-    "random_density_matrix",
-    "random_unitary",
     "reconstruct",
-    "reflection",
     "scattering_circuit",
     "scattering_circuit_gates",
     "sequence_to_json",
-    "shift_u",
-    "shift_v",
     "spectral_density",
     "spectral_density_via_circuit",
     "structure_function",

@@ -144,10 +144,7 @@ def _embed(u_small: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np
 
 
 def gate_matrix(g: GateOp, num_qubits: int) -> np.ndarray:
-    """Full 2**n x 2**n unitary for one gate on an n-qubit register.
-
-    The dense oracle for the local kernel in ``apply_sequence``.
-    """
+    """Full 2**n x 2**n unitary for one gate on n qubits: the dense oracle for the kernel."""
     num_qubits = check_int(num_qubits, "number of qubits", 0)
     check_qubit_budget(system=num_qubits)
     _check_gates([g], num_qubits)
@@ -235,17 +232,16 @@ def _contract(view: np.ndarray, axes: list[int], m: np.ndarray) -> None:
 
 
 def compose_sequence(gates, num_qubits: int) -> np.ndarray:
-    """Dense product of a gate list; gates[0] is applied first.
+    """Dense product of a gate list, gates[0] applied first: the tests' reference.
 
-    The reference the tests hold the local kernel and the synthesis check to.
-    Refuses a register above the qubit budget before allocating.
+    Budgets the register and checks the gates once, then embeds each gate.
     """
     num_qubits = check_int(num_qubits, "number of qubits", 0)
     check_qubit_budget(system=num_qubits)
     gates = _check_gates(gates, num_qubits)
     out = np.eye(1 << num_qubits, dtype=complex)
     for g in gates:
-        out = gate_matrix(g, num_qubits) @ out
+        out = _embed(_small_matrix(g), g.targets, num_qubits) @ out
     return out
 
 
@@ -262,8 +258,8 @@ def pauli_expectation(rho: np.ndarray, axis: str, qubit: int) -> float:
     check_qubit_budget(system=wire_count(largest_side(rho)))
     rho = assert_density_matrix(rho)
     n = qubit_count(rho.shape[0])
-    if axis not in _PAULI_BY_AXIS:
-        raise InvalidValueError(f"axis must be one of x, y, z; got {axis!r}")
+    if not (isinstance(axis, str) and axis in _PAULI_BY_AXIS):
+        raise InvalidValueError(f"axis must be one of x, y, z; got {brief(axis)}")
     return _pauli_expectation(rho, axis, check_int(qubit, "qubit", 0, n))
 
 

@@ -4,6 +4,8 @@ Matrices are plain numpy arrays of dtype complex128. Every public function
 checks each matrix its caller passes exactly once, through
 ``assert_density_matrix`` / ``assert_unitary``, and never re-checks arrays
 the library builds itself; private cores take raw, already-checked arrays.
+Real grids and series coerce through ``as_real_array``, which refuses a
+nonzero imaginary part rather than drop it.
 
 Integers have one rule, ``check_int``, behind every integer argument: a
 Python or numpy integer, never a boolean, inside its documented range.
@@ -40,13 +42,29 @@ def largest_side(*arrays) -> int:
         raise DimensionMismatchError("expected a square matrix, got a ragged nested list") from None
 
 
+def _as_numbers(a, what: str) -> np.ndarray:
+    # ``a`` as a complex array: a ragged nested list is a shape error, anything else a value error.
+    try:
+        return np.asarray(a, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        largest_side(a)
+        raise InvalidValueError(f"{what} must be numbers, got {brief(a)}") from None
+
+
+def as_real_array(a, what: str) -> np.ndarray:
+    """Coerce to a finite float array; a nonzero imaginary part is refused, never dropped."""
+    m = a if isinstance(a, np.ndarray) and a.dtype.kind in "biuf" else _as_numbers(a, what)
+    if m.dtype.kind == "c" and m.imag.any():
+        raise InvalidValueError(f"{what} must be real, got a nonzero imaginary part")
+    m = np.asarray(m.real, dtype=float)
+    if not np.isfinite(m).all():
+        raise InvalidValueError(f"{what} must be finite")
+    return m
+
+
 def as_square_matrix(a) -> np.ndarray:
     """Coerce to a finite square complex matrix."""
-    try:
-        m = np.asarray(a, dtype=complex)
-    except (TypeError, ValueError, OverflowError):
-        largest_side(a)  # a ragged nested list is a shape error
-        raise InvalidValueError(f"matrix entries must be numbers, got {brief(a)}") from None
+    m = _as_numbers(a, "matrix entries")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
@@ -122,20 +140,3 @@ def assert_density_matrix(a) -> np.ndarray:
     if defect is not None:
         raise InvalidValueError(defect)
     return m
-
-
-def random_unitary(dim: int, rng=None) -> np.ndarray:
-    """Haar-like random unitary from the QR factorization of a complex Gaussian."""
-    rng = np.random.default_rng(rng)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
-def random_density_matrix(dim: int, rng=None) -> np.ndarray:
-    """Random full-rank state G G^dagger / Tr(G G^dagger)."""
-    rng = np.random.default_rng(rng)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    return m / np.trace(m).real

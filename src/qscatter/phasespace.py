@@ -13,8 +13,10 @@ permutation times a diagonal (Leonhardt, PRA 53, 2998, 1996),
 
     A(q, p)|x> = exp(i pi ((p q - 2 p x) mod 2N) / N) / 2N * |q - x mod N>,
 
-and every operator here is built exactly from that index map, with the
-integer phase exponent reduced mod 2N before exponentiation.
+and ``phase_point_operator`` builds it exactly from that index map, written
+once in ``_point_operator``, with the integer phase exponent reduced mod 2N
+before exponentiation. U, V and R are not built here: the tests hold A(q, p)
+to their dense product.
 
 W(q, p) = Re Tr[A(q, p) rho] is the quasi-probability distribution of rho.
 The trace reads only the anti-diagonal rho[x, (q - x) mod N], so the grid is
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidValueError, brief
-from .linalg import assert_density_matrix, check_int, check_qubit_budget
+from .linalg import as_real_array, assert_density_matrix, check_int, check_qubit_budget
 from .linalg import is_density_matrix, largest_side, wire_count
 from .scattering import scattering_circuit
 
@@ -69,44 +71,21 @@ def _expect(kind: type, *values) -> None:
             raise InvalidValueError(f"expected a {kind.__name__}, got {type(v).__name__}")
 
 
-def shift_u(n: int) -> np.ndarray:
-    """Cyclic position shift |q> -> |q+1 mod n>."""
-    n = _check_dim(n)
-    check_qubit_budget(probe=1, system=wire_count(n))
-    m = np.zeros((n, n), dtype=complex)
-    m[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
-    return m
-
-
-def shift_v(n: int) -> np.ndarray:
-    """Momentum shift F U F^dagger = diag(exp(2 pi i j / n))."""
-    n = _check_dim(n)
-    check_qubit_budget(probe=1, system=wire_count(n))
-    return np.diag(np.exp(2j * np.pi * np.arange(n) / n))
-
-
-def reflection(n: int) -> np.ndarray:
-    """Position reflection |q> -> |-q mod n>; fixes |0> and squares to I."""
-    n = _check_dim(n)
-    check_qubit_budget(probe=1, system=wire_count(n))
-    m = np.zeros((n, n), dtype=complex)
-    m[(-np.arange(n)) % n, np.arange(n)] = 1.0
-    return m
+def _point_operator(alpha: PhasePoint) -> np.ndarray:
+    # Unchecked core: alpha is a PhasePoint whose register is already budgeted.
+    # The one place the index map of A(alpha) is written.
+    n, q, p = alpha.n, int(alpha.q), int(alpha.p)
+    x = np.arange(n)
+    a = np.zeros((n, n), dtype=complex)
+    a[(q - x) % n, x] = np.exp(1j * np.pi * ((p * q - 2 * p * x) % (2 * n)) / n) / (2 * n)
+    return a
 
 
 def phase_point_operator(alpha: PhasePoint) -> np.ndarray:
-    """Hermitian point operator A(alpha); 2N times it is unitary.
-
-    Built from its index map, so every entry is one rounded exponential.
-    """
+    """Hermitian point operator A(alpha) from its index map; 2N times it is unitary."""
     _expect(PhasePoint, alpha)
-    n, q, p = alpha.n, int(alpha.q), int(alpha.p)
-    check_qubit_budget(probe=1, system=wire_count(n))
-    x = np.arange(n)
-    a = np.zeros((n, n), dtype=complex)
-    phase = np.exp(1j * np.pi * ((p * q - 2 * p * x) % (2 * n)) / n)
-    a[(q - x) % n, x] = phase / (2 * n)
-    return a
+    check_qubit_budget(probe=1, system=wire_count(alpha.n))
+    return _point_operator(alpha)
 
 
 @dataclass(frozen=True)
@@ -118,14 +97,12 @@ class WignerGrid:
 
     def __post_init__(self):
         _check_dim(self.n)
-        v = np.asarray(self.values, dtype=float)
+        v = as_real_array(self.values, "grid values")
         if v.shape != (2 * self.n, 2 * self.n):
             side = brief(2 * self.n)
             raise DimensionMismatchError(
                 f"grid for dimension {brief(self.n)} must be {side}x{side}, got {v.shape}"
             )
-        if not np.isfinite(v).all():
-            raise InvalidValueError("grid values must be finite")
         object.__setattr__(self, "values", v)
 
 
@@ -164,7 +141,7 @@ def wigner_via_circuit(rho: np.ndarray, alpha: PhasePoint) -> float:
     """
     _expect(PhasePoint, alpha)
     check_qubit_budget(probe=1, system=wire_count(max(largest_side(rho), alpha.n)))
-    u = 2 * alpha.n * phase_point_operator(alpha)
+    u = 2 * alpha.n * _point_operator(alpha)
     return scattering_circuit(rho, u).sigma_z / (2 * alpha.n)
 
 

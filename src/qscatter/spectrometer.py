@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValueError
-from .linalg import assert_unitary, check_int, check_qubit_budget, largest_side, qubit_count
-from .linalg import wire_count
+from .linalg import as_real_array, assert_unitary, check_int, check_qubit_budget, largest_side
+from .linalg import qubit_count, wire_count
 
 _SERIES_SELF_CHECK_TOL = 1e-9
 _BABY_STACK_BYTES = 4 << 20  # caps the self-check's stack of baby-step powers
@@ -68,13 +68,12 @@ class SpectralSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "n1", check_int(self.n1, "n1", 0, 64))
-        b = np.asarray(self.bins, dtype=float)
-        if len(b) != 1 << self.n1:
+        check_int(self.phase_multiple, "phase multiple", 1, 3)
+        b = as_real_array(self.bins, "spectral bins")
+        if b.shape != (1 << self.n1,):
             raise InvalidValueError(
-                f"series for n1={self.n1} needs {1 << self.n1} bins, got {len(b)}"
+                f"series for n1={self.n1} needs {1 << self.n1} bins, got shape {b.shape}"
             )
-        if not np.isfinite(b).all():
-            raise InvalidValueError("spectral bins must be finite")
         object.__setattr__(self, "bins", b)
 
     @property

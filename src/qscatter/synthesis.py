@@ -37,7 +37,7 @@ import numpy as np
 from .circuits import GateOp, _apply_sequence, _check_gates, compose_sequence, gate_to_json
 from .errors import InvalidValueError
 from .linalg import check_int, check_qubit_budget, qubit_count
-from .phasespace import PhasePoint, _expect, phase_point_operator
+from .phasespace import PhasePoint, _expect, _point_operator
 
 # Each kind is a permutation times a phase, which point_circuit_error relies on.
 SEQUENCE_KINDS = frozenset({"CNOT", "Toffoli", "PhaseShift", "ControlledPhase", "PauliX"})
@@ -169,13 +169,14 @@ def point_circuit_error(seq: GateSequence, alpha: PhasePoint) -> float:
     operators that agree on both are equal: with a shared permutation the result
     is the largest entry of |G - T|, and otherwise it is at least 2^-n.
     """
-    if not (isinstance(alpha, PhasePoint) and isinstance(seq, GateSequence)
-            and seq.num_qubits > qubit_count(alpha.n)):
-        raise InvalidValueError("expected a PhasePoint and a GateSequence on its probe + system")
+    _expect(PhasePoint, alpha)
+    _expect(GateSequence, seq)
     n, d = seq.num_qubits, alpha.n
     m = qubit_count(d)
+    if n <= m:
+        raise InvalidValueError(f"expected a GateSequence on more than {m} wires, got {n}")
     check_qubit_budget(probe=1, system=m, work=n - 1 - m)
-    u = 2 * d * phase_point_operator(alpha)
+    u = 2 * d * _point_operator(alpha)
     err = 0.0
     for v in (np.ones(1 << n, dtype=complex), np.arange(1, (1 << n) + 1, dtype=complex)):
         t = v.reshape(2, d, -1).copy()  # probe, system, work

@@ -1,5 +1,6 @@
 """Dense reference operators the tests hold the library's fast routes to,
-and the reading of the gate records the library writes."""
+seeded random states and unitaries, the reading of the gate records the
+library writes, and a call recorder for the tests that count checks."""
 
 import numpy as np
 
@@ -22,9 +23,54 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * p * q / n) / np.sqrt(n)
 
 
+def shift_u(n: int) -> np.ndarray:
+    """Cyclic position shift |q> -> |q+1 mod n>."""
+    return np.roll(np.eye(n, dtype=complex), 1, axis=0)
+
+
+def shift_v(n: int) -> np.ndarray:
+    """Momentum shift F U F^dagger = diag(exp(2 pi i j / n))."""
+    return np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+
+
+def reflection(n: int) -> np.ndarray:
+    """Position reflection |q> -> |-q mod n>; fixes |0> and squares to I."""
+    return np.eye(n, dtype=complex)[(-np.arange(n)) % n]
+
+
+def random_unitary(dim: int, rng=None) -> np.ndarray:
+    """Haar-like random unitary from the QR factorization of a complex Gaussian."""
+    rng = np.random.default_rng(rng)
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def random_density_matrix(dim: int, rng=None) -> np.ndarray:
+    """Random full-rank state G G^dagger / Tr(G G^dagger)."""
+    rng = np.random.default_rng(rng)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
 def gate_from_record(rec: dict) -> GateOp:
     """The gate a ``gate_to_json`` record describes, made through ``GateOp``."""
     unitary = rec.get("unitary")
     if unitary is not None:
         unitary = matrix_from_payload(unitary)
     return GateOp(rec["kind"], tuple(rec["targets"]), theta=rec.get("theta"), unitary=unitary)
+
+
+def record_calls(monkeypatch, owner, name: str, log=None, entry=None) -> list:
+    """Wrap ``owner.name`` so each call first appends ``entry(*args, **kwargs)``,
+    or the name, to ``log`` (a new list by default), which is returned."""
+    log = [] if log is None else log
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        log.append(name if entry is None else entry(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return log

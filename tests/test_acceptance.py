@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from qscatter.circuits import controlled_matrix
-from qscatter.linalg import random_density_matrix, random_unitary
 from qscatter.phasespace import (
     PhasePoint,
     line_sum,
@@ -27,7 +26,7 @@ from qscatter.spectrometer import (
 )
 from qscatter.states import maximally_mixed, pseudo_pure
 from qscatter.synthesis import synth_phase_point_circuit
-from qscatter.phasespace import shift_u
+from reference import random_density_matrix, random_unitary, shift_u
 
 
 def report(num, ok, detail):

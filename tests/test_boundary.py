@@ -23,8 +23,8 @@ from qscatter import synthesis
 from qscatter.circuits import GateOp
 from qscatter.errors import DimensionMismatchError, InvalidValueError, QscatterError
 from qscatter.errors import QubitBudgetError
-from qscatter.linalg import random_density_matrix, random_unitary
 from qscatter.phasespace import PhasePoint
+from reference import random_density_matrix, random_unitary, record_calls
 
 N = 4
 _RNG = np.random.default_rng(5)
@@ -153,9 +153,6 @@ INTEGER_ARGUMENTS = {
     "PhasePoint-q": (lambda v: phasespace.phase_point_operator(PhasePoint(v, 1, N)), 5),
     "PhasePoint-p": (lambda v: phasespace.phase_point_operator(PhasePoint(3, v, N)), 7),
     "PhasePoint-n": (lambda v: phasespace.phase_point_operator(PhasePoint(3, 1, v)), N),
-    "shift_u-n": (phasespace.shift_u, N),
-    "shift_v-n": (phasespace.shift_v, N),
-    "reflection-n": (phasespace.reflection, N),
     "WignerGrid-n": (lambda v: phasespace.WignerGrid(v, W.values).values, N),
     "line_sum-a": (lambda v: phasespace.line_sum(W, v, 0, 2), 1),
     "line_sum-b": (lambda v: phasespace.line_sum(W, 0, v, 4), -1),
@@ -243,6 +240,43 @@ def test_noise_strength_takes_numpy_numbers():
         assert np.array_equal(circuits.depolarize(RHO, p), circuits.depolarize(RHO, p.item()))
 
 
+@pytest.mark.parametrize("axis", [["x"], None, 0, "q"], ids=["list", "None", "int", "unknown"])
+def test_pauli_axis_is_one_of_three_strings(axis):
+    with pytest.raises(InvalidValueError, match="axis must be one of x, y, z"):
+        circuits.pauli_expectation(RHO, axis, 0)
+
+
+# name: (a real grid or series, values it refuses, the error)
+MALFORMED_REAL_VALUES = {
+    "grid-strings": (phasespace.WignerGrid, "abc", InvalidValueError),
+    "grid-ragged": (phasespace.WignerGrid, [[0] * 4] * 3 + [[0]], DimensionMismatchError),
+    "grid-complex": (phasespace.WignerGrid, 1j * np.ones((4, 4)), InvalidValueError),
+    "series-strings": (spectrometer.SpectralSeries, "abcd", InvalidValueError),
+    "series-ragged": (spectrometer.SpectralSeries, [[1], [2, 3], 4, 5], DimensionMismatchError),
+    "series-complex": (spectrometer.SpectralSeries, np.ones(4) + 1e-3j, InvalidValueError),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_REAL_VALUES)
+def test_real_values_are_numbers_without_an_imaginary_part(name):
+    container, values, error = MALFORMED_REAL_VALUES[name]
+    with pytest.raises(error):
+        container(2, values)
+
+
+@pytest.mark.parametrize("multiple", ["x", 3, True])
+def test_phase_multiple_is_one_or_two(multiple):
+    with pytest.raises(InvalidValueError, match="phase multiple must be an integer"):
+        spectrometer.SpectralSeries(2, np.ones(4), phase_multiple=multiple)
+
+
+def test_real_values_take_complex_numbers_with_zero_imaginary_part():
+    w = phasespace.WignerGrid(2, np.full((4, 4), 1 / 16, dtype=complex))
+    assert w.values.dtype == float and np.array_equal(w.values, np.full((4, 4), 1 / 16))
+    s = spectrometer.SpectralSeries(2, [0.25 + 0j] * 4, phase_multiple=np.int64(1))
+    assert s.bins.dtype == float and np.array_equal(s.phases, np.pi * np.arange(4) / 2)
+
+
 _GRID = phasespace.wigner_direct(RHO)
 _BARE = np.zeros((2 * N, 2 * N))
 # name: a call passing a tuple or a bare array where a PhasePoint or WignerGrid belongs
@@ -288,22 +322,15 @@ CALL_COUNTS = {
 }
 
 
+def _shape(a, *args, **kwargs):
+    return np.shape(a)
+
+
 @pytest.mark.parametrize("name", CALL_COUNTS)
 def test_each_input_is_checked_exactly_once(name, monkeypatch):
     call, want_eig, want_unitary = CALL_COUNTS[name]
-    eig_shapes, unitary_checks = [], []
-    eigvalsh, is_unitary = np.linalg.eigvalsh, linalg.is_unitary
-
-    def counting_eigvalsh(a, *args, **kwargs):
-        eig_shapes.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    def counting_is_unitary(a, *args, **kwargs):
-        unitary_checks.append(np.shape(a))
-        return is_unitary(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    monkeypatch.setattr(linalg, "is_unitary", counting_is_unitary)
+    eig_shapes = record_calls(monkeypatch, np.linalg, "eigvalsh", entry=_shape)
+    unitary_checks = record_calls(monkeypatch, linalg, "is_unitary")
     call()
     assert eig_shapes == want_eig
     assert len(unitary_checks) == want_unitary
@@ -311,14 +338,7 @@ def test_each_input_is_checked_exactly_once(name, monkeypatch):
 
 def test_trace_series_self_check_does_not_call_eigvals(monkeypatch):
     # The products that check the series never read the eigenvalues they check.
-    calls = []
-    eigvals = np.linalg.eigvals
-
-    def counting_eigvals(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigvals(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    calls = record_calls(monkeypatch, np.linalg, "eigvals", entry=_shape)
     spectrometer.trace_powers(U, 255)
     assert calls == [(N, N)]
 
@@ -338,14 +358,7 @@ def test_controlled_unitary_payload_is_a_read_only_copy():
 
 def test_a_prebuilt_gate_is_not_checked_again(monkeypatch):
     g = _cu(U)
-    unitary_checks = []
-    is_unitary = linalg.is_unitary
-
-    def counting_is_unitary(a, *args, **kwargs):
-        unitary_checks.append(np.shape(a))
-        return is_unitary(a, *args, **kwargs)
-
-    monkeypatch.setattr(linalg, "is_unitary", counting_is_unitary)
+    unitary_checks = record_calls(monkeypatch, linalg, "is_unitary")
     circuits.apply_sequence(RHO_2N, [H0, g])
     circuits.apply_sequence(RHO_2N, [g, H0])
     assert unitary_checks == []
@@ -354,14 +367,7 @@ def test_a_prebuilt_gate_is_not_checked_again(monkeypatch):
 def test_synthesized_gates_are_checked_only_when_made(monkeypatch):
     # One tomography-style pass: each gate's kind and theta are checked when
     # synthesis makes it, and the probe circuit checks only the wires.
-    made = []
-    post_init = GateOp.__post_init__
-
-    def counting_post_init(self):
-        made.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(GateOp, "__post_init__", counting_post_init)
+    made = record_calls(monkeypatch, GateOp, "__post_init__", entry=lambda gate: gate)
     alpha = PhasePoint(q=11, p=6, n=8)
     seq = synthesis.synth_phase_point_circuit(alpha)
     assert {id(g) for g in made} == {id(g) for g in seq.gates}
@@ -403,9 +409,6 @@ OVER_BUDGET = {
     "basis_state": lambda: states.basis_state(0, 1 << 40),
     "maximally_mixed": lambda: states.maximally_mixed(1 << 40),
     "pseudo_pure": lambda: states.pseudo_pure(0, 1 << 40, 0.1),
-    "shift_u": lambda: phasespace.shift_u(1 << 12),
-    "shift_v": lambda: phasespace.shift_v(1 << 12),
-    "reflection": lambda: phasespace.reflection(1 << 12),
     "phase_point_operator": lambda: phasespace.phase_point_operator(PhasePoint(0, 0, 1 << 12)),
 }
 
@@ -424,21 +427,20 @@ def test_budget_is_refused_before_any_check(name, monkeypatch):
 def test_factory_rules_stop_at_the_largest_register():
     # The system rule takes N = 4096, the probe rule N = 2048; one more is refused.
     assert states.basis_state(0, 1 << 12).shape == (1 << 12, 1 << 12)
-    assert phasespace.reflection(1 << 11).shape == (1 << 11, 1 << 11)
+    assert phasespace.phase_point_operator(PhasePoint(0, 0, 1 << 11)).shape == (2048, 2048)
     with pytest.raises(QubitBudgetError, match=r"\(13 system\)"):
         states.basis_state(0, (1 << 12) + 1)
     with pytest.raises(QubitBudgetError, match=r"\(1 probe \+ 12 system\)"):
-        phasespace.reflection((1 << 11) + 1)
+        phasespace.phase_point_operator(PhasePoint(0, 0, (1 << 11) + 1))
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda: states.basis_state(0, 10**5000),
-        lambda: phasespace.shift_u(10**5000),
         lambda: phasespace.phase_point_operator(PhasePoint(0, 0, 10**5000)),
     ],
-    ids=["basis_state", "shift_u", "phase_point_operator"],
+    ids=["basis_state", "phase_point_operator"],
 )
 def test_absurd_dimension_is_a_library_error(call):
     # numpy would refuse the allocation with a bare ValueError.

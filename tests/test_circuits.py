@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qscatter import circuits
 from qscatter.circuits import (
     _KINDS,
     GATE_KINDS,
@@ -27,12 +28,12 @@ from qscatter.circuits import (
     phase_gate,
 )
 from qscatter.errors import InvalidValueError, QubitBudgetError
-from qscatter.linalg import QUBIT_BUDGET, random_density_matrix, random_unitary
+from qscatter.linalg import QUBIT_BUDGET
 from qscatter.phasespace import PhasePoint
 from qscatter.scattering import scattering_circuit_gates
 from qscatter.states import basis_state, maximally_mixed, pseudo_pure
 from qscatter.synthesis import GateSequence, synth_phase_point_circuit
-from reference import gate_from_record
+from reference import gate_from_record, random_density_matrix, random_unitary, record_calls
 
 
 def bit(index, wire, n):
@@ -308,6 +309,15 @@ class TestQubitBudget:
     def test_compose_refuses_a_non_integer_register(self, num_qubits):
         with pytest.raises(InvalidValueError, match="number of qubits"):
             compose_sequence([], num_qubits)
+
+    @pytest.mark.parametrize("count", [0, 1, 5, None], ids=["0", "1", "5", "matrix"])
+    def test_dense_product_budgets_and_checks_the_gates_once(self, count, monkeypatch):
+        # "matrix" composes the whole 21-gate point circuit through GateSequence.matrix.
+        seq = synth_phase_point_circuit(PhasePoint(q=3, p=5, n=8))
+        calls = record_calls(monkeypatch, circuits, "check_qubit_budget")
+        record_calls(monkeypatch, circuits, "_check_gates", calls)
+        seq.matrix() if count is None else compose_sequence(seq.gates[:count], seq.num_qubits)
+        assert len(seq.gates) == 21 and calls == ["check_qubit_budget", "_check_gates"]
 
 
 class TestPauliExpectation:

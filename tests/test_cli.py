@@ -21,11 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qscatter import circuits, cli, errors, io, synthesis
-from qscatter.linalg import random_density_matrix, random_unitary
 from qscatter.phasespace import wigner_direct
 from qscatter.scattering import direct_trace
 from qscatter.spectrometer import spectral_density
 from qscatter.states import maximally_mixed
+from reference import random_density_matrix, random_unitary
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

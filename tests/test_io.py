@@ -7,11 +7,11 @@ import pytest
 
 from qscatter import io
 from qscatter.errors import InputFormatError
-from qscatter.linalg import random_density_matrix, random_unitary
 from qscatter.phasespace import wigner_direct
 from qscatter.scattering import scattering_circuit
 from qscatter.spectrometer import spectral_density
 from qscatter.states import basis_state, maximally_mixed
+from reference import random_density_matrix, random_unitary
 
 
 class TestNumberFormat:

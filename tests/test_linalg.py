@@ -16,10 +16,8 @@ from qscatter.linalg import (
     is_hermitian,
     is_unitary,
     qubit_count,
-    random_density_matrix,
-    random_unitary,
 )
-from reference import dft_matrix
+from reference import dft_matrix, random_density_matrix, random_unitary
 
 
 class TestBasics:

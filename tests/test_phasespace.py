@@ -18,9 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qscatter import phasespace
+from qscatter import phasespace, scattering
 from qscatter.errors import DimensionMismatchError, InvalidValueError, QubitBudgetError
-from qscatter.linalg import random_density_matrix
 from qscatter.phasespace import (
     PhasePoint,
     WignerGrid,
@@ -28,14 +27,12 @@ from qscatter.phasespace import (
     overlap_from_grids,
     phase_point_operator,
     reconstruct,
-    reflection,
-    shift_u,
-    shift_v,
     wigner_direct,
     wigner_via_circuit,
 )
 from qscatter.states import basis_state, maximally_mixed, pseudo_pure
-from reference import dft_matrix
+from reference import dft_matrix, random_density_matrix, record_calls, reflection, shift_u
+from reference import shift_v
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -273,6 +270,15 @@ class TestCircuitRoute:
         with pytest.raises(DimensionMismatchError):
             wigner_via_circuit(maximally_mixed(2), PhasePoint(q=0, p=0, n=4))
 
+    def test_one_type_check_and_two_budgets_per_value(self, monkeypatch):
+        # Its own budget reads the point and the state's shape before either is
+        # checked; scattering_circuit, which checks the state, budgets again.
+        calls = record_calls(monkeypatch, phasespace, "_expect")
+        record_calls(monkeypatch, phasespace, "check_qubit_budget", calls)
+        record_calls(monkeypatch, scattering, "check_qubit_budget", calls)
+        wigner_via_circuit(maximally_mixed(4), PhasePoint(q=1, p=2, n=4))
+        assert calls == ["_expect", "check_qubit_budget", "check_qubit_budget"]
+
     @pytest.mark.parametrize("dim,n", [(4096, 4096), (4096, 4), (4, 4096)])
     def test_register_over_budget_refused_before_the_operator_is_built(
         self, dim, n, monkeypatch
@@ -280,7 +286,7 @@ class TestCircuitRoute:
         def built(*args, **kwargs):
             raise AssertionError("2N A(alpha) was built")
 
-        monkeypatch.setattr(phasespace, "phase_point_operator", built)
+        monkeypatch.setattr(phasespace, "_point_operator", built)
         view = np.broadcast_to(np.complex128(0), (dim, dim))  # zero-cost
         with pytest.raises(QubitBudgetError, match=r"1 probe \+ 12 system"):
             wigner_via_circuit(view, PhasePoint(q=0, p=0, n=n))
@@ -292,7 +298,7 @@ class TestCircuitRoute:
         def reached(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr(phasespace, "phase_point_operator", reached)
+        monkeypatch.setattr(phasespace, "_point_operator", reached)
         view = np.broadcast_to(np.complex128(0), (2048, 2048))
         with pytest.raises(Reached):
             wigner_via_circuit(view, PhasePoint(q=0, p=0, n=2048))

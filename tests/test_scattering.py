@@ -11,7 +11,6 @@ import pytest
 from qscatter import scattering
 from qscatter.circuits import GateOp, HADAMARD, PAULI_Y
 from qscatter.errors import DimensionMismatchError, InvalidValueError, QubitBudgetError
-from qscatter.linalg import random_density_matrix, random_unitary
 from qscatter.scattering import (
     ScatteringResult,
     direct_trace,
@@ -19,6 +18,7 @@ from qscatter.scattering import (
     scattering_circuit_gates,
 )
 from qscatter.states import basis_state, maximally_mixed
+from reference import random_density_matrix, random_unitary
 
 
 class TestKnownTraces:

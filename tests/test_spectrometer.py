@@ -11,8 +11,7 @@ import pytest
 
 from qscatter.circuits import PAULI_Z
 from qscatter.errors import InvalidValueError, QubitBudgetError
-from qscatter.linalg import QUBIT_BUDGET, random_unitary
-from qscatter.phasespace import shift_u
+from qscatter.linalg import QUBIT_BUDGET
 from qscatter.spectrometer import (
     SpectralSeries,
     TraceSeries,
@@ -21,7 +20,7 @@ from qscatter.spectrometer import (
     structure_function,
     trace_powers,
 )
-from reference import dft_matrix
+from reference import dft_matrix, random_unitary, shift_u
 
 
 class TestTracePowers:

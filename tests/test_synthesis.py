@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qscatter import synthesis
+from qscatter import phasespace, synthesis
 from qscatter.circuits import GateOp, controlled_matrix
 from qscatter.errors import InvalidValueError, QubitBudgetError
-from qscatter.linalg import QUBIT_BUDGET, random_unitary
-from qscatter.phasespace import PhasePoint, phase_point_operator, reflection, shift_u, shift_v
+from qscatter.linalg import QUBIT_BUDGET
+from qscatter.phasespace import PhasePoint, phase_point_operator
 from qscatter.synthesis import (
     GateSequence,
     point_circuit_error,
@@ -27,7 +27,8 @@ from qscatter.synthesis import (
     synth_controlled_vshift,
     synth_phase_point_circuit,
 )
-from reference import gate_from_record
+from reference import gate_from_record, random_unitary, record_calls, reflection, shift_u
+from reference import shift_v
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -172,19 +173,8 @@ class TestPhasePointCircuits:
 @pytest.mark.parametrize("n", [1 << k for k in range(1, 11)])
 def test_point_circuit_is_budgeted_and_checked_once(n, monkeypatch):
     # One register budget and one pass over the gate wires, for the whole circuit.
-    calls = []
-
-    def counting(name):
-        real = getattr(synthesis, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(synthesis, name, wrapper)
-
-    counting("check_qubit_budget")
-    counting("_check_gates")
+    calls = record_calls(monkeypatch, synthesis, "check_qubit_budget")
+    record_calls(monkeypatch, synthesis, "_check_gates", calls)
     synth_phase_point_circuit(PhasePoint(q=n - 1, p=2 * n - 1, n=n))
     assert calls == ["check_qubit_budget", "_check_gates"]
 
@@ -331,6 +321,16 @@ class TestPointCircuitError:
         seq = GateSequence(num_qubits=QUBIT_BUDGET + 1, gates=())
         with pytest.raises(QubitBudgetError):
             point_circuit_error(seq, PhasePoint(q=0, p=0, n=4))
+
+    def test_budgets_the_register_once(self, monkeypatch):
+        # The target operator comes from the point-operator core, not the budgeted builder.
+        calls = record_calls(monkeypatch, synthesis, "check_qubit_budget", entry=dict)
+        record_calls(monkeypatch, phasespace, "check_qubit_budget", calls, entry=dict)
+        alpha = PhasePoint(q=5, p=7, n=8)
+        seq = synth_phase_point_circuit(alpha)
+        calls.clear()
+        assert point_circuit_error(seq, alpha) < 1e-12
+        assert calls == [{"probe": 1, "system": 3, "work": 1}]
 
 
 class TestBudgetBeforeEmission:
