@@ -4,10 +4,8 @@ from .circuits import (
     GateOp,
     apply_sequence,
     compose_sequence,
-    controlled_matrix,
     depolarize,
     gate_matrix,
-    gate_to_json,
     pauli_expectation,
 )
 from .errors import (
@@ -73,11 +71,9 @@ __all__ = [
     "apply_sequence",
     "basis_state",
     "compose_sequence",
-    "controlled_matrix",
     "depolarize",
     "direct_trace",
     "gate_matrix",
-    "gate_to_json",
     "is_density_matrix",
     "is_unitary",
     "line_sum",

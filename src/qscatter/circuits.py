@@ -13,9 +13,8 @@ its own row axes and, conjugated, on its column axes, only where every
 control wire is 1 (the density-matrix kernels of QuEST, Jones et al.,
 Sci. Rep. 9, 10736, 2019). A gate costs O(4^n 2^k) for k target wires; a
 ket, viewed as a (2,)*n tensor, takes the row pass alone at O(2^n 2^k).
-``gate_matrix`` and ``compose_sequence`` build dense 2^n x 2^n operators;
-they are the oracles the kernel is tested against and no library route
-calls them.
+Dense 2^n x 2^n operators come from the same kernel: ``compose_sequence``
+runs the gates on the identity, viewed as a ket on 2n wires.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidValueError, brief
-from .io import matrix_to_payload
-from .linalg import as_square_matrix, assert_density_matrix, assert_unitary, check_int
+from .linalg import assert_density_matrix, assert_unitary, check_int
 from .linalg import check_qubit_budget, largest_side, qubit_count, wire_count
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -34,15 +32,6 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 def phase_gate(theta: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
-
-
-def controlled_matrix(u: np.ndarray) -> np.ndarray:
-    """Block form |0><0| (x) I + |1><1| (x) u, control as the leading qubit."""
-    u = as_square_matrix(u)
-    d = u.shape[0]
-    out = np.eye(2 * d, dtype=complex)
-    out[d:, d:] = u
-    return out
 
 
 # kind: (wire count, the matrix applied to the last wires when every control
@@ -113,42 +102,6 @@ class GateOp:
             raise InvalidValueError(f"{self.kind} acts on {wires} wires, got {len(t)}")
         object.__setattr__(self, "targets", t)
         object.__setattr__(self, "matrix", matrix)
-
-
-def _small_matrix(g: GateOp) -> np.ndarray:
-    # The gate on its own wires, controls leading: the target matrix wrapped
-    # in one controlled block per control wire.
-    m = g.matrix
-    for _ in range(len(g.targets) - qubit_count(m.shape[0])):
-        m = controlled_matrix(m)
-    return m
-
-
-def _embed(u_small: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:
-    # Relabel basis states so the addressed wires become the least significant
-    # block; there the operator is I (x) u_small, and indexing back with the
-    # relabeling permutation lands every entry in its proper place.
-    n, k = num_qubits, len(targets)
-    dim = 1 << n
-    idx = np.arange(dim)
-    sub = np.zeros(dim, dtype=np.int64)
-    for t in targets:
-        sub = (sub << 1) | ((idx >> (n - 1 - t)) & 1)
-    restk = np.zeros(dim, dtype=np.int64)
-    for t in range(n):
-        if t not in targets:
-            restk = (restk << 1) | ((idx >> (n - 1 - t)) & 1)
-    key = (restk << k) | sub
-    big = np.kron(np.eye(1 << (n - k), dtype=complex), u_small)
-    return big[np.ix_(key, key)]
-
-
-def gate_matrix(g: GateOp, num_qubits: int) -> np.ndarray:
-    """Full 2**n x 2**n unitary for one gate on n qubits: the dense oracle for the kernel."""
-    num_qubits = check_int(num_qubits, "number of qubits", 0)
-    check_qubit_budget(system=num_qubits)
-    _check_gates([g], num_qubits)
-    return _embed(_small_matrix(g), g.targets, num_qubits)
 
 
 def _check_gates(gates, num_qubits: int) -> list[GateOp]:
@@ -232,17 +185,23 @@ def _contract(view: np.ndarray, axes: list[int], m: np.ndarray) -> None:
 
 
 def compose_sequence(gates, num_qubits: int) -> np.ndarray:
-    """Dense product of a gate list, gates[0] applied first: the tests' reference.
+    """Dense product of a gate list, gates[0] applied first.
 
-    Budgets the register and checks the gates once, then embeds each gate.
+    Budgets the register and checks the gates once, then runs them on the
+    identity as a ket on 2n wires: the row wires come first, so the gates
+    act on the rows alone.
     """
     num_qubits = check_int(num_qubits, "number of qubits", 0)
     check_qubit_budget(system=num_qubits)
     gates = _check_gates(gates, num_qubits)
-    out = np.eye(1 << num_qubits, dtype=complex)
-    for g in gates:
-        out = _embed(_small_matrix(g), g.targets, num_qubits) @ out
-    return out
+    dim = 1 << num_qubits
+    identity = np.eye(dim, dtype=complex).ravel()
+    return _apply_sequence(identity, gates, 2 * num_qubits).reshape(dim, dim)
+
+
+def gate_matrix(g: GateOp, num_qubits: int) -> np.ndarray:
+    """Full 2**n x 2**n unitary for one gate on n qubits."""
+    return compose_sequence([g], num_qubits)
 
 
 _PAULI_BY_AXIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
@@ -288,14 +247,3 @@ def _depolarize(rho: np.ndarray, p: float) -> np.ndarray:
         raise InvalidValueError(f"noise strength must lie in [0, 1], got {brief(p)}")
     d = rho.shape[0]
     return (1.0 - p) * rho + p * np.eye(d, dtype=complex) / d
-
-
-def gate_to_json(g: GateOp) -> dict:
-    """JSON-ready record for one gate."""
-    rec: dict = {"kind": g.kind, "targets": list(g.targets)}
-    if g.theta is not None:
-        rec["theta"] = float(g.theta)
-    if g.unitary is not None:
-        rec["unitary"] = matrix_to_payload(g.unitary)
-    return rec
-

@@ -29,4 +29,4 @@ def pseudo_pure(label: int, dim: int, noise_p: float = 0.0) -> np.ndarray:
     standard idealization of an ensemble preparation.
     """
     rho = basis_state(label, dim)
-    return _depolarize(rho, noise_p) if noise_p else rho
+    return _depolarize(rho, noise_p)

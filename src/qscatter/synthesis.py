@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import GateOp, _apply_sequence, _check_gates, compose_sequence, gate_to_json
+from .circuits import GateOp, _apply_sequence, _check_gates, compose_sequence
 from .errors import InvalidValueError
 from .linalg import check_int, check_qubit_budget, qubit_count
 from .phasespace import PhasePoint, _expect, _point_operator
@@ -66,14 +66,14 @@ class GateSequence:
 def _mcx(controls: list[int], target: int, borrow: int) -> list[GateOp]:
     """X on ``target`` conditioned on every control wire being 1.
 
-    Beyond two controls the gate splits around the borrow wire: with
-    w possibly dirty, the pair Toffoli(c, w; t) sandwiching MCX(rest; w)
-    toggles the target by (rest AND c) while restoring w, and deeper levels
-    borrow the outer target wire. Gate count grows, but every emitted gate
-    is a CNOT or Toffoli and the identity holds for arbitrary borrow values.
+    Needs at least one control: every caller passes the probe wire, and
+    the recursion keeps at least two. Beyond two controls the gate splits
+    around the borrow wire: with w possibly dirty, the pair Toffoli(c, w; t)
+    sandwiching MCX(rest; w) toggles the target by (rest AND c) while
+    restoring w, and deeper levels borrow the outer target wire. Gate count
+    grows, but every emitted gate is a CNOT or Toffoli and the identity
+    holds for arbitrary borrow values.
     """
-    if not controls:
-        return [GateOp("PauliX", (target,))]
     if len(controls) == 1:
         return [GateOp("CNOT", (controls[0], target))]
     if len(controls) == 2:
@@ -187,8 +187,13 @@ def point_circuit_error(seq: GateSequence, alpha: PhasePoint) -> float:
 
 
 def sequence_to_json(seq: GateSequence) -> dict:
-    return {
-        "num_qubits": seq.num_qubits,
-        "gates": [gate_to_json(g) for g in seq.gates],
-    }
+    """JSON-ready record of a sequence: its width and one record per gate."""
+    _expect(GateSequence, seq)
+    gates = []
+    for g in seq.gates:
+        rec: dict = {"kind": g.kind, "targets": list(g.targets)}
+        if g.theta is not None:
+            rec["theta"] = float(g.theta)
+        gates.append(rec)
+    return {"num_qubits": seq.num_qubits, "gates": gates}
 

@@ -1,12 +1,14 @@
 """Dense reference operators the tests hold the library's fast routes to,
-seeded random states and unitaries, the reading of the gate records the
-library writes, and a call recorder for the tests that count checks."""
+the dense gate oracle the gate kernel is held to, seeded random states and
+unitaries, the reading of the gate records the library writes, and a call
+recorder for the tests that count checks."""
+
+from functools import reduce
 
 import numpy as np
 
 from qscatter.circuits import GateOp
 from qscatter.errors import InvalidValueError
-from qscatter.io import matrix_from_payload
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -54,12 +56,41 @@ def random_density_matrix(dim: int, rng=None) -> np.ndarray:
     return m / np.trace(m).real
 
 
+def controlled(u: np.ndarray) -> np.ndarray:
+    """Block form |0><0| (x) I + |1><1| (x) u, control as the leading qubit."""
+    d = u.shape[0]
+    out = np.eye(2 * d, dtype=complex)
+    out[d:, d:] = u
+    return out
+
+
+def dense_gate(g: GateOp, n: int) -> np.ndarray:
+    """The 2^n x 2^n matrix of one gate, built without the gate kernel.
+
+    The target matrix is wrapped in one controlled block per control wire.
+    Relabeling the basis so the gate's wires become the least significant
+    block makes the operator I (x) that block; indexing back with the
+    relabeling lands every entry in its place.
+    """
+    small = g.matrix
+    for _ in range(len(g.targets) - (small.shape[0].bit_length() - 1)):
+        small = controlled(small)
+    idx = np.arange(1 << n)
+    key = np.zeros_like(idx)
+    for t in [t for t in range(n) if t not in g.targets] + list(g.targets):
+        key = (key << 1) | ((idx >> (n - 1 - t)) & 1)
+    big = np.kron(np.eye((1 << n) // small.shape[0], dtype=complex), small)
+    return big[np.ix_(key, key)]
+
+
+def dense_product(gates, n: int) -> np.ndarray:
+    """Product of ``dense_gate`` over a gate list, gates[0] applied first."""
+    return reduce(lambda m, g: dense_gate(g, n) @ m, gates, np.eye(1 << n, dtype=complex))
+
+
 def gate_from_record(rec: dict) -> GateOp:
-    """The gate a ``gate_to_json`` record describes, made through ``GateOp``."""
-    unitary = rec.get("unitary")
-    if unitary is not None:
-        unitary = matrix_from_payload(unitary)
-    return GateOp(rec["kind"], tuple(rec["targets"]), theta=rec.get("theta"), unitary=unitary)
+    """The gate a ``sequence_to_json`` gate record describes, made through ``GateOp``."""
+    return GateOp(rec["kind"], tuple(rec["targets"]), theta=rec.get("theta"))
 
 
 def record_calls(monkeypatch, owner, name: str, log=None, entry=None) -> list:

@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 
-from qscatter.circuits import controlled_matrix
 from qscatter.phasespace import (
     PhasePoint,
     line_sum,
@@ -26,7 +25,7 @@ from qscatter.spectrometer import (
 )
 from qscatter.states import maximally_mixed, pseudo_pure
 from qscatter.synthesis import synth_phase_point_circuit
-from reference import random_density_matrix, random_unitary, shift_u
+from reference import controlled, dense_product, random_density_matrix, random_unitary, shift_u
 
 
 def report(num, ok, detail):
@@ -209,10 +208,11 @@ class TestAcceptance:
             for p in range(2 * n):
                 alpha = PhasePoint(q, p, n)
                 seq = synth_phase_point_circuit(alpha)
-                target = controlled_matrix(2 * n * phase_point_operator(alpha))
+                target = controlled(2 * n * phase_point_operator(alpha))
                 pad = (1 << seq.num_qubits) // target.shape[0]
                 dense = np.kron(target, np.eye(pad))
-                worst_gate = max(worst_gate, np.abs(seq.matrix() - dense).max())
+                got = dense_product(seq.gates, seq.num_qubits)
+                worst_gate = max(worst_gate, np.abs(got - dense).max())
 
         rng = np.random.default_rng(66)
         worst_tomo = 0.0

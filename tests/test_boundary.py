@@ -109,6 +109,7 @@ BAD_MATRICES = {
     "ragged": ([[1, 2], [3]], DimensionMismatchError),
     "strings": ([["a", "b"], ["c", "d"]], InvalidValueError),
     "dict": ({}, InvalidValueError),
+    "empty": (np.zeros((0, 0)), DimensionMismatchError),
 }
 
 MATRIX_CASES = [
@@ -132,6 +133,13 @@ def test_matrix_coercion_refuses_a_malformed_matrix(bad, error):
     for call in (linalg.as_square_matrix, linalg.assert_unitary, linalg.assert_density_matrix):
         with pytest.raises(error):
             call(bad)
+
+
+def test_an_empty_matrix_is_refused_by_its_size():
+    empty = np.zeros((0, 0))
+    for call in (linalg.as_square_matrix, lambda m: scattering.direct_trace(m, m)):
+        with pytest.raises(DimensionMismatchError, match="matrix must be at least 1x1"):
+            call(empty)
 
 
 # name: (call with the integer argument, a valid value). Each call returns a
@@ -229,10 +237,11 @@ def test_integer_rule_returns_a_plain_int():
             linalg.check_int(value, "x", lo, hi)
 
 
-@pytest.mark.parametrize("p", [True, False, np.bool_(True), "0.5", None, -0.1, 1.5, np.nan])
+@pytest.mark.parametrize("p", [True, False, np.bool_(True), "0.5", None, "", -0.1, 1.5, np.nan])
 def test_noise_strength_refuses_booleans_and_values_outside_the_unit_interval(p):
-    with pytest.raises(InvalidValueError, match="noise strength"):
-        circuits.depolarize(RHO, p)
+    for call in (lambda: circuits.depolarize(RHO, p), lambda: states.pseudo_pure(0, N, p)):
+        with pytest.raises(InvalidValueError, match="noise strength"):
+            call()
 
 
 def test_noise_strength_takes_numpy_numbers():

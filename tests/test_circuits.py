@@ -20,10 +20,8 @@ from qscatter.circuits import (
     _apply_sequence,
     apply_sequence,
     compose_sequence,
-    controlled_matrix,
     depolarize,
     gate_matrix,
-    gate_to_json,
     pauli_expectation,
     phase_gate,
 )
@@ -32,8 +30,9 @@ from qscatter.linalg import QUBIT_BUDGET
 from qscatter.phasespace import PhasePoint
 from qscatter.scattering import scattering_circuit_gates
 from qscatter.states import basis_state, maximally_mixed, pseudo_pure
-from qscatter.synthesis import GateSequence, synth_phase_point_circuit
-from reference import gate_from_record, random_density_matrix, random_unitary, record_calls
+from qscatter.synthesis import GateSequence, sequence_to_json, synth_phase_point_circuit
+from reference import controlled, dense_gate, dense_product, gate_from_record
+from reference import random_density_matrix, random_unitary, record_calls
 
 
 def bit(index, wire, n):
@@ -53,7 +52,7 @@ class TestEmbedding:
 
     def test_cnot_adjacent(self):
         g = GateOp("CNOT", (0, 1))
-        expected = controlled_matrix(PAULI_X)
+        expected = controlled(PAULI_X)
         assert np.allclose(gate_matrix(g, 2), expected)
 
     @pytest.mark.parametrize("control,target,n", [(0, 1, 2), (1, 0, 2), (2, 0, 3), (0, 2, 3)])
@@ -89,7 +88,7 @@ class TestEmbedding:
     def test_controlled_unitary_payload(self):
         u = random_unitary(4, np.random.default_rng(5))
         g = GateOp("ControlledUnitary", (0, 1, 2), unitary=u)
-        assert np.allclose(gate_matrix(g, 3), controlled_matrix(u))
+        assert np.allclose(gate_matrix(g, 3), controlled(u))
 
     def test_controlled_unitary_scrambled_wires(self):
         # control on the least significant wire, payload on (2, 0)
@@ -123,7 +122,7 @@ class TestSequences:
         rho = np.diag([0.5, 0.25, 0.25, 0]).astype(complex)
         u = random_unitary(2, rng)
         g = GateOp("ControlledUnitary", (0, 1), unitary=u)
-        m = gate_matrix(g, 2)
+        m = dense_gate(g, 2)
         assert np.allclose(apply_sequence(rho, [g]), m @ rho @ m.conj().T)
 
     def test_apply_sequence_matches_compose(self):
@@ -134,8 +133,21 @@ class TestSequences:
             GateOp("PhaseShift", (1,), theta=0.3),
         ]
         rho = np.kron(basis_state(0, 2), maximally_mixed(2))
-        m = compose_sequence(gates, 2)
+        m = dense_product(gates, 2)
         assert np.allclose(apply_sequence(rho, gates), m @ rho @ m.conj().T)
+
+
+def _gate(draw, rng, kind, n):
+    # One gate of ``kind`` on distinct random wires of an n-qubit register.
+    theta = unitary = None
+    wires = _KINDS[kind][0]
+    if kind == "ControlledUnitary":
+        k = draw(st.integers(0, min(3, n - 1)))
+        unitary, wires = random_unitary(1 << k, rng), k + 1
+    if kind in ("PhaseShift", "ControlledPhase"):
+        theta = draw(st.floats(-2 * np.pi, 2 * np.pi))
+    order = draw(st.permutations(range(n)))
+    return GateOp(kind, tuple(order[:wires]), theta=theta, unitary=unitary)
 
 
 @st.composite
@@ -143,36 +155,52 @@ def gate_on_register(draw):
     """A state and a ket on 1..6 qubits, and one gate of any kind on random wires."""
     kind = draw(st.sampled_from(sorted(GATE_KINDS)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    theta = unitary = None
-    if kind == "ControlledUnitary":
-        k = draw(st.integers(1, 3))
-        unitary, wires = random_unitary(1 << k, rng), k + 1
-    else:
-        wires = _KINDS[kind][0]
-    if kind in ("PhaseShift", "ControlledPhase"):
-        theta = draw(st.floats(-2 * np.pi, 2 * np.pi))
-    n = draw(st.integers(max(1, wires), 6))
-    order = draw(st.permutations(range(n)))
-    gate = GateOp(kind, tuple(order[:wires]), theta=theta, unitary=unitary)
+    n = draw(st.integers(_KINDS[kind][0] or 1, 6))
+    gate = _gate(draw, rng, kind, n)
     rho = random_density_matrix(1 << n, rng)
     ket = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return rho, ket, gate, n
 
 
+@st.composite
+def gate_list(draw):
+    """A register of 1..5 qubits and up to six gates of any kind that fits it."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(sorted(GATE_KINDS)), max_size=6))
+    return [_gate(draw, rng, kind, n) for kind in kinds if (_KINDS[kind][0] or 1) <= n], n
+
+
+def index_map_point_operator(q, p, n):
+    """A(q, p) built from its index map, not from matrix powers."""
+    j = np.arange(n)
+    a = np.zeros((n, n), dtype=complex)
+    a[(q - j) % n, j] = (
+        np.exp(-2j * np.pi * p * j / n) * np.exp(1j * np.pi * ((p * q) % (2 * n)) / n)
+    ) / (2 * n)
+    return a
+
+
 class TestLocalKernel:
-    """The kernel must agree with the dense gate_matrix on states and kets."""
+    """The kernel must agree with the reference dense gate on states and kets."""
 
     @settings(max_examples=300, deadline=None)
     @given(gate_on_register())
     def test_one_gate_equals_dense_conjugation(self, case):
         rho, ket, g, n = case
         before, ket_before = rho.copy(), ket.copy()
-        m = gate_matrix(g, n)
+        m = dense_gate(g, n)
         out = apply_sequence(rho, [g])
         assert np.abs(out - m @ rho @ m.conj().T).max() < 1e-12
         assert np.array_equal(rho, before)
         assert np.abs(_apply_sequence(ket, [g], n) - m @ ket).max() < 1e-12
         assert np.array_equal(ket, ket_before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(gate_list())
+    def test_compose_sequence_equals_the_dense_product(self, case):
+        gates, n = case
+        assert np.abs(compose_sequence(gates, n) - dense_product(gates, n)).max() < 1e-12
 
     @pytest.mark.parametrize(
         "gate,n",
@@ -187,24 +215,30 @@ class TestLocalKernel:
         # The target slice is then a 0-d view; it must still be written.
         ket = np.arange(1, (1 << n) + 1, dtype=complex)
         got = _apply_sequence(ket, [gate], n)
-        assert np.abs(got - gate_matrix(gate, n) @ ket).max() < 1e-12
+        assert np.abs(got - dense_gate(gate, n) @ ket).max() < 1e-12
 
     def test_synthesized_point_circuit_at_n256(self):
-        # 794 gates on 10 wires (probe, 8 system bits, one work wire); the
-        # reference builds A(q, p) from its index maps, not from matrix powers.
+        # 794 gates on 10 wires (probe, 8 system bits, one work wire).
         n, q, p = 256, 201, 77
         seq = synth_phase_point_circuit(PhasePoint(q=q, p=p, n=n))
         assert (len(seq.gates), seq.num_qubits) == (794, 10)
         rho = random_density_matrix(n, np.random.default_rng(256))
-        j = np.arange(n)
-        a = np.zeros((n, n), dtype=complex)
-        a[(q - j) % n, j] = (
-            np.exp(-2j * np.pi * p * j / n) * np.exp(1j * np.pi * ((p * q) % (2 * n)) / n)
-        ) / (2 * n)
+        a = index_map_point_operator(q, p, n)
         start = time.perf_counter()
         res = scattering_circuit_gates(rho, seq.gates, seq.num_qubits)
         assert time.perf_counter() - start < 10.0
         assert abs(res.trace_estimate - np.trace(2 * n * a @ rho)) < 1e-10
+
+    def test_synthesized_point_circuit_matrix_at_n256(self):
+        # The dense 1024 x 1024 matrix of the 794-gate circuit is
+        # controlled-(2N A) on probe and system, times I on the work wire.
+        n, q, p = 256, 201, 77
+        seq = synth_phase_point_circuit(PhasePoint(q=q, p=p, n=n))
+        want = np.kron(controlled(2 * n * index_map_point_operator(q, p, n)), np.eye(2))
+        start = time.perf_counter()
+        got = seq.matrix()
+        assert time.perf_counter() - start < 10.0
+        assert np.abs(got - want).max() < 1e-12
 
 
 class TestValidation:
@@ -407,7 +441,7 @@ class TestGateJson:
     @pytest.mark.parametrize(
         "gate",
         [
-            GateOp("Hadamard", (0,)),
+            GateOp("PauliX", (0,)),
             GateOp("Toffoli", (0, 2, 1)),
             GateOp("PhaseShift", (1,), theta=0.25),
             GateOp("ControlledPhase", (0, 1), theta=-1.5),
@@ -415,20 +449,19 @@ class TestGateJson:
     )
     def test_round_trip(self, gate):
         # The record survives JSON text and describes the same gate.
-        rec = gate_to_json(gate)
-        assert json.loads(json.dumps(rec)) == rec
-        assert set(rec) == {"kind", "targets"} | ({"theta"} if gate.theta is not None else set())
-        back = gate_from_record(rec)
+        rec = json.loads(json.dumps(sequence_to_json(GateSequence(3, (gate,)))))
+        assert rec["num_qubits"] == 3
+        (g,) = rec["gates"]
+        assert set(g) == {"kind", "targets"} | ({"theta"} if gate.theta is not None else set())
+        back = gate_from_record(g)
         assert back.kind == gate.kind
         assert back.targets == gate.targets
         assert back.theta == gate.theta
 
-    def test_round_trip_controlled_unitary(self):
-        u = random_unitary(2, np.random.default_rng(14))
-        g = GateOp("ControlledUnitary", (0, 1), unitary=u)
-        rec = gate_to_json(g)
-        assert rec["unitary"]["dim"] == 2
-        assert np.array_equal(gate_from_record(json.loads(json.dumps(rec))).unitary, u)
+    @pytest.mark.parametrize("seq", [object(), None, (GateOp("PauliX", (0,)),)])
+    def test_only_a_sequence_is_written(self, seq):
+        with pytest.raises(InvalidValueError, match="expected a GateSequence"):
+            sequence_to_json(seq)
 
 
 def test_phase_gate_matrix():

