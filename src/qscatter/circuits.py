@@ -13,11 +13,19 @@ its own row axes and, conjugated, on its column axes, only where every
 control wire is 1 (the density-matrix kernels of QuEST, Jones et al.,
 Sci. Rep. 9, 10736, 2019). A gate costs O(4^n 2^k) for k target wires; a
 ket, viewed as a (2,)*n tensor, takes the row pass alone at O(2^n 2^k).
+Every fixed kind but Hadamard is a permutation times a phase, as the kinds
+table records. On a density matrix, each run of two or more such gates is
+composed into one map over the 2^n basis labels, G|i> = phase[i] |label[i]>,
+at O(2^n) per gate, and applied in one O(4^n) pass:
+rho'[label[i], label[j]] = phase[i] conj(phase[j]) rho[i, j]. Hadamard,
+ControlledUnitary payloads, a lone gate and every ket gate keep the slice
+kernel, so their rounding does not change.
 Dense 2^n x 2^n operators come from the same kernel: ``compose_sequence``
 runs the gates on the identity, viewed as a ket on 2n wires.
 """
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -35,18 +43,19 @@ def phase_gate(theta: float) -> np.ndarray:
 
 
 # kind: (wire count, the matrix applied to the last wires when every control
-# wire before them is 1, or the function building it from theta).
-# ControlledUnitary takes both from its payload.
+# wire before them is 1 or the function building it from theta, and whether
+# that matrix is a permutation times a phase). ControlledUnitary takes its
+# wire count and matrix from its payload.
 _KINDS = {
-    "Hadamard": (1, HADAMARD),
-    "PauliX": (1, PAULI_X),
-    "PauliY": (1, PAULI_Y),
-    "PauliZ": (1, PAULI_Z),
-    "PhaseShift": (1, phase_gate),
-    "CNOT": (2, PAULI_X),
-    "ControlledPhase": (2, phase_gate),
-    "Toffoli": (3, PAULI_X),
-    "ControlledUnitary": (None, None),
+    "Hadamard": (1, HADAMARD, False),
+    "PauliX": (1, PAULI_X, True),
+    "PauliY": (1, PAULI_Y, True),
+    "PauliZ": (1, PAULI_Z, True),
+    "PhaseShift": (1, phase_gate, True),
+    "CNOT": (2, PAULI_X, True),
+    "ControlledPhase": (2, phase_gate, True),
+    "Toffoli": (3, PAULI_X, True),
+    "ControlledUnitary": (None, None, False),
 }
 GATE_KINDS = frozenset(_KINDS)
 
@@ -74,7 +83,7 @@ class GateOp:
     def __post_init__(self):
         if not (isinstance(self.kind, str) and self.kind in _KINDS):
             raise InvalidValueError(f"unknown gate kind {brief(self.kind)}")
-        wires, matrix = _KINDS[self.kind]
+        wires, matrix, _ = _KINDS[self.kind]
         t = self.targets
         if not isinstance(t, tuple):
             raise InvalidValueError(
@@ -137,22 +146,66 @@ def _apply_sequence(state: np.ndarray, gates, num_qubits: int) -> np.ndarray:
     # tensor with row wires on axes 0..n-1 and, for a density matrix, column
     # wires on n..2n-1. G rho G^dagger is (G rho) G^dagger: the target matrix
     # u acts on the row axes, then conj(u) on the column axes, each where the
-    # controls are 1; a ket G psi takes the row pass only.
+    # controls are 1; a ket G psi takes the row pass only. On a density
+    # matrix, a run of two or more permutation-times-phase gates acts instead
+    # as the one index map it composes to.
     n = num_qubits
     out = np.array(state, dtype=complex, order="C")
     tensor = out.reshape((2,) * (out.ndim * n))
-    for g in gates:
-        u = g.matrix
-        split = len(g.targets) - (u.shape[0].bit_length() - 1)
-        controls, targets = g.targets[:split], g.targets[split:]
-        for offset, m in ((0, u), (n, u.conj()))[: out.ndim]:
-            index = [slice(None)] * tensor.ndim
-            for c in controls:
-                index[offset + c] = 1
-            # Integer indices drop their axes, shifting the later ones down.
-            axes = [offset + t - sum(c < t for c in controls) for t in targets]
-            _contract(tensor[(*index, ...)], axes, m)
+    for mapped, run in groupby(gates, key=lambda g: out.ndim == 2 and _KINDS[g.kind][2]):
+        run = list(run)
+        if mapped and len(run) > 1:
+            _apply_map(out, *_compose_map(run, n))
+            continue
+        for g in run:
+            u = g.matrix
+            split = len(g.targets) - (u.shape[0].bit_length() - 1)
+            controls, targets = g.targets[:split], g.targets[split:]
+            for offset, m in ((0, u), (n, u.conj()))[: out.ndim]:
+                index = [slice(None)] * tensor.ndim
+                for c in controls:
+                    index[offset + c] = 1
+                # Integer indices drop their axes, shifting the later ones down.
+                axes = [offset + t - sum(c < t for c in controls) for t in targets]
+                _contract(tensor[(*index, ...)], axes, m)
     return out
+
+
+def _compose_map(gates, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # The run as G|i> = phase[i] |label[i]>, composed on bit planes: row w
+    # of ``bits`` holds wire w of every image label. Each gate's one-wire
+    # target matrix u is diagonal or anti-diagonal, so where its controls
+    # are all 1 it sends target bit b to b ^ flip with the factor u[b ^ flip, b].
+    place = 1 << np.arange(n - 1, -1, -1)
+    bits = np.arange(1 << n) & place[:, None] != 0
+    phase = np.ones(1 << n, dtype=complex)
+    for g in gates:
+        *controls, t = g.targets
+        u, on = g.matrix, True
+        for c in controls:
+            on = on & bits[c]
+        flip = int(u[0, 0] == 0)
+        for b in (0, 1):
+            if u[b ^ flip, b] != 1:
+                np.multiply(phase, u[b ^ flip, b], out=phase, where=(bits[t] == b) & on)
+        if flip:
+            bits[t] ^= on
+    return place @ bits, phase
+
+
+def _apply_map(rho: np.ndarray, label: np.ndarray, phase: np.ndarray) -> None:
+    # In place: rho[label[i], label[j]] <- phase[i] conj(phase[j]) rho[i, j].
+    # Scales rho, then gathers its rows into one spare array and the columns
+    # back, so one state-sized temporary is held.
+    if (phase != 1).any():
+        rho *= phase[:, None]
+        rho *= phase.conj()
+    rows = np.arange(label.size)
+    if (label != rows).any():
+        source = np.empty_like(label)
+        source[label] = rows
+        spare = np.take(rho, source, axis=0, mode="clip")
+        np.take(spare, source, axis=1, out=rho, mode="clip")
 
 
 def _contract(view: np.ndarray, axes: list[int], m: np.ndarray) -> None:

@@ -194,5 +194,5 @@ def line_sum(w: WignerGrid, a: int, b: int, c: int) -> float:
         raise InvalidValueError("line coefficients (a, b) = (0, 0) select no line")
     m = 2 * w.n
     k = np.arange(m)  # q on axis 0, p on axis 1; a, b, c mod 2N keep products in int64
-    mask = ((a % m) * k - (b % m) * k[:, None] - c % m) % m == 0
+    mask = ((a % m) * k % m)[None, :] == (((b % m) * k + c % m) % m)[:, None]
     return float(w.values[mask].sum())

@@ -1,5 +1,6 @@
 """Tests for the density-matrix gate engine and state constructors."""
 
+import itertools
 import json
 import time
 
@@ -239,6 +240,115 @@ class TestLocalKernel:
         got = seq.matrix()
         assert time.perf_counter() - start < 10.0
         assert np.abs(got - want).max() < 1e-12
+
+
+MAPPED_KINDS = sorted(kind for kind, (_, _, mapped) in _KINDS.items() if mapped)
+# Every mapped kind, the phase kinds also at the angles where their matrix is
+# the identity (0) and real (pi).
+MAPPED_CASES = [
+    (kind, theta)
+    for kind in MAPPED_KINDS
+    for theta in ((0.0, np.pi, 0.7) if callable(_KINDS[kind][1]) else (None,))
+]
+
+
+@st.composite
+def density_gate_list(draw):
+    """A state on 1..5 qubits and up to ten gates, mostly permutation-times-phase kinds."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(MAPPED_KINDS * 3 + sorted(GATE_KINDS)), max_size=10))
+    gates = [_gate(draw, rng, kind, n) for kind in kinds if (_KINDS[kind][0] or 1) <= n]
+    return random_density_matrix(1 << n, rng), gates, n
+
+
+class TestIndexMap:
+    """On a density matrix a run of two or more permutation-times-phase gates
+    acts as one index map; the dense product is the judge."""
+
+    def test_the_table_marks_every_fixed_kind_but_hadamard(self):
+        assert set(MAPPED_KINDS) == GATE_KINDS - {"Hadamard", "ControlledUnitary"}
+        for kind in MAPPED_KINDS:
+            wires, matrix, _ = _KINDS[kind]
+            m = matrix(0.7) if callable(matrix) else matrix
+            assert (np.count_nonzero(m, axis=0) == 1).all()
+            assert (np.count_nonzero(m, axis=1) == 1).all()
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kind,theta", MAPPED_CASES)
+    def test_every_kind_on_every_wire_order(self, kind, theta, n, monkeypatch):
+        # Controls above and below the target: every ordered choice of wires,
+        # run after a PauliX on the last wire, so the run has two gates.
+        contracts = record_calls(monkeypatch, circuits, "_contract")
+        rho = random_density_matrix(1 << n, np.random.default_rng(n))
+        wires = _KINDS[kind][0]
+        for order in itertools.permutations(range(n), wires):
+            gates = [GateOp("PauliX", (n - 1,)), GateOp(kind, order, theta=theta)]
+            m = dense_product(gates, n)
+            assert np.abs(apply_sequence(rho, gates) - m @ rho @ m.conj().T).max() < 1e-13
+        assert contracts == []
+
+    @pytest.mark.parametrize("theta", [0.0, np.pi])
+    def test_a_run_of_identities_leaves_the_state(self, theta, monkeypatch):
+        contracts = record_calls(monkeypatch, circuits, "_contract")
+        rho = random_density_matrix(8, np.random.default_rng(3))
+        gates = [GateOp("PhaseShift", (0,), theta=0.0),
+                 GateOp("ControlledPhase", (2, 1), theta=0.0),
+                 GateOp("PauliZ", (1,)), GateOp("PauliZ", (1,)),
+                 GateOp("PhaseShift", (2,), theta=theta), GateOp("PhaseShift", (2,), theta=-theta)]
+        assert np.abs(apply_sequence(rho, gates) - rho).max() < 1e-15
+        assert contracts == []
+
+    def test_runs_broken_by_hadamard_and_controlled_unitary(self, monkeypatch):
+        contracts = record_calls(monkeypatch, circuits, "_contract")
+        rng = np.random.default_rng(12)
+        n = 4
+        gates = [
+            GateOp("CNOT", (3, 0)), GateOp("PauliY", (2,)),
+            GateOp("Hadamard", (1,)),
+            GateOp("Toffoli", (0, 3, 2)), GateOp("PhaseShift", (3,), theta=np.pi),
+            GateOp("ControlledPhase", (1, 2), theta=0.4),
+            GateOp("ControlledUnitary", (2, 0, 3), unitary=random_unitary(4, rng)),
+            GateOp("PauliX", (1,)),
+            GateOp("ControlledUnitary", (1,), unitary=np.array([[1j]])),
+            GateOp("PauliZ", (0,)), GateOp("PauliY", (3,)), GateOp("CNOT", (0, 2)),
+            GateOp("Hadamard", (3,)),
+        ]
+        rho = random_density_matrix(1 << n, rng)
+        m = dense_product(gates, n)
+        assert np.abs(apply_sequence(rho, gates) - m @ rho @ m.conj().T).max() < 1e-13
+        # Two Hadamards, two payloads and the lone PauliX keep the slice
+        # kernel, a row and a column pass each; the three runs are maps.
+        assert len(contracts) == 2 * 5
+
+    def test_a_ket_keeps_the_slice_kernel(self, monkeypatch):
+        contracts = record_calls(monkeypatch, circuits, "_contract")
+        gates = [GateOp("CNOT", (0, 1)), GateOp("PauliY", (1,)), GateOp("Toffoli", (1, 2, 0))]
+        ket = np.arange(1, 9, dtype=complex)
+        assert np.abs(_apply_sequence(ket, gates, 3) - dense_product(gates, 3) @ ket).max() < 1e-13
+        assert len(contracts) == len(gates)
+
+    @settings(max_examples=300, deadline=None)
+    @given(density_gate_list())
+    def test_gate_lists_equal_dense_conjugation(self, case):
+        rho, gates, n = case
+        before = rho.copy()
+        m = dense_product(gates, n)
+        assert np.abs(apply_sequence(rho, gates) - m @ rho @ m.conj().T).max() < 1e-12
+        assert np.array_equal(rho, before)
+
+    def test_synthesized_point_circuit_at_n512(self):
+        # 2,212 gates on 11 wires (probe, 9 system bits, one work wire): one
+        # index map between the probe's Hadamards.
+        n, q, p = 512, 511, 1023
+        seq = synth_phase_point_circuit(PhasePoint(q=q, p=p, n=n))
+        assert (len(seq.gates), seq.num_qubits) == (2212, 11)
+        rho = random_density_matrix(n, np.random.default_rng(512))
+        a = index_map_point_operator(q, p, n)
+        start = time.perf_counter()
+        res = scattering_circuit_gates(rho, seq.gates, seq.num_qubits)
+        assert time.perf_counter() - start < 5.0
+        assert abs(res.trace_estimate - np.trace(2 * n * a @ rho)) < 1e-10
 
 
 class TestValidation:

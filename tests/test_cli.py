@@ -368,6 +368,7 @@ class TestSpectrumGoldens:
 
 SYNTH_FIXTURES = FIXTURES / "synth"
 SYNTH_SHA256 = json.loads((SYNTH_FIXTURES / "sha256.json").read_text())
+SYNTH_VERIFY = json.loads((FIXTURES / "synth_verify.json").read_text())
 
 
 def _synth_point(stem):
@@ -380,7 +381,8 @@ def _synth_argv(stem):
 
 
 class TestSynthGoldens:
-    """Frozen ``synth`` stdout: n<N>_q<q>_p<p>.json, and larger circuits as sha256.json."""
+    """Frozen ``synth`` stdout: n<N>_q<q>_p<p>.json, larger circuits as sha256.json,
+    and ``--verify`` runs as synth_verify.json."""
 
     @pytest.mark.parametrize(
         "golden", sorted(SYNTH_FIXTURES.glob("n*.json")), ids=lambda path: path.stem
@@ -394,6 +396,14 @@ class TestSynthGoldens:
         assert cli.main(_synth_argv(stem)) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == SYNTH_SHA256[stem]
+
+    @pytest.mark.parametrize("stem", SYNTH_VERIFY)
+    def test_verify_stdout_sha256(self, stem, capsys):
+        # max_error, printed to 12 digits, shows any change to the ket path's rounding.
+        assert cli.main([*_synth_argv(stem), "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["verify"] == SYNTH_VERIFY[stem]["verify"]
+        assert hashlib.sha256(out.encode()).hexdigest() == SYNTH_VERIFY[stem]["sha256"]
 
     def test_goldens_cover_both_register_layouts(self):
         # N = 2, 4 need no work wire; from N = 8 on the reflection expands around it.

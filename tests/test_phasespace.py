@@ -381,6 +381,21 @@ class TestLineSums:
             assert abs(line_sum(w, 0, -1, 2 * k + 1)) < 1e-10
             assert abs(line_sum(w, 1, 0, 2 * k + 1)) < 1e-10
 
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize(
+        "a,b,c",
+        [(1, 0, 3), (0, -1, -2), (3, -5, 7), (-7, 2, -1), (17, 18, 40), (2, 4, 6),
+         (-1, -1, 10**12 + 3), (10**15 + 3, -(10**13) - 1, -(10**14) - 1)],
+    )
+    def test_equals_the_explicit_sum_over_the_grid(self, n, a, b, c):
+        # The cells with a*p - b*q = c (mod 2N), enumerated with Python integers
+        # in row-major order (q, then p) and summed the way numpy sums a mask.
+        w = wigner_direct(random_density_matrix(n, np.random.default_rng(70 + n)))
+        m = 2 * n
+        cells = [w.values[q, p] for q in range(m) for p in range(m) if (a * p - b * q - c) % m == 0]
+        assert cells
+        assert line_sum(w, a, b, c) == float(np.array(cells).sum())
+
     def test_rejects_degenerate_line(self):
         w = wigner_direct(maximally_mixed(2))
         with pytest.raises(InvalidValueError):
