@@ -2,24 +2,24 @@
 
 Wire convention: qubit 0 is the most significant bit of the computational
 basis index, so a basis label reads left to right as |q0 q1 ... >. Gates
-list control wires first and the target wire(s) last, and a density matrix
+list control wires first and the target wire last, and a density matrix
 evolves by conjugation, rho -> G rho G^dagger. A ``GateOp`` is checked once,
-when it is made, against one table of kinds, and stores its target matrix;
-a gate list is held only to the register width where it is used.
+when it is made, against one table of fixed kinds, and stores its 2x2
+target matrix; a gate list is held only to the register width where it is
+used.
 
 States evolve through one local kernel: rho is viewed as a (2,)*2n tensor
-(row wires, then column wires), and each gate's small target matrix acts on
-its own row axes and, conjugated, on its column axes, only where every
-control wire is 1 (the density-matrix kernels of QuEST, Jones et al.,
-Sci. Rep. 9, 10736, 2019). A gate costs O(4^n 2^k) for k target wires; a
-ket, viewed as a (2,)*n tensor, takes the row pass alone at O(2^n 2^k).
-Every fixed kind but Hadamard is a permutation times a phase, as the kinds
-table records. On a density matrix, each run of two or more such gates is
-composed into one map over the 2^n basis labels, G|i> = phase[i] |label[i]>,
-at O(2^n) per gate, and applied in one O(4^n) pass:
-rho'[label[i], label[j]] = phase[i] conj(phase[j]) rho[i, j]. Hadamard,
-ControlledUnitary payloads, a lone gate and every ket gate keep the slice
-kernel, so their rounding does not change.
+(row wires, then column wires), and each gate's 2x2 target matrix acts on
+its target's row axis and, conjugated, on its column axis, only where every
+control wire is 1 (the one-target density-matrix kernels of QuEST, Jones et
+al., Sci. Rep. 9, 10736, 2019). A gate costs O(4^n); a ket, viewed as a
+(2,)*n tensor, takes the row pass alone at O(2^n). Every kind but Hadamard
+is a permutation times a phase, as the kinds table records. On a density
+matrix, each run of two or more such gates is composed into one map over the
+2^n basis labels, G|i> = phase[i] |label[i]>, at O(2^n) per gate, and
+applied in one O(4^n) pass:
+rho'[label[i], label[j]] = phase[i] conj(phase[j]) rho[i, j]. Hadamard, a
+lone gate and every ket gate keep the slice kernel.
 Dense 2^n x 2^n operators come from the same kernel: ``compose_sequence``
 runs the gates on the identity, viewed as a ket on 2n wires.
 """
@@ -30,8 +30,8 @@ from itertools import groupby
 import numpy as np
 
 from .errors import InvalidValueError, brief
-from .linalg import assert_density_matrix, assert_unitary, check_int
-from .linalg import check_qubit_budget, largest_side, qubit_count, wire_count
+from .linalg import assert_density_matrix, check_int, check_qubit_budget
+from .linalg import largest_side, qubit_count, wire_count
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -42,10 +42,9 @@ def phase_gate(theta: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
 
 
-# kind: (wire count, the matrix applied to the last wires when every control
-# wire before them is 1 or the function building it from theta, and whether
-# that matrix is a permutation times a phase). ControlledUnitary takes its
-# wire count and matrix from its payload.
+# kind: (wire count, the matrix applied to the last wire when every control
+# wire before it is 1 or the function building it from theta, and whether
+# that matrix is a permutation times a phase).
 _KINDS = {
     "Hadamard": (1, HADAMARD, False),
     "PauliX": (1, PAULI_X, True),
@@ -55,7 +54,6 @@ _KINDS = {
     "CNOT": (2, PAULI_X, True),
     "ControlledPhase": (2, phase_gate, True),
     "Toffoli": (3, PAULI_X, True),
-    "ControlledUnitary": (None, None, False),
 }
 GATE_KINDS = frozenset(_KINDS)
 
@@ -65,19 +63,16 @@ class GateOp:
     """One gate: a kind, the wires it acts on, and optional parameters.
 
     ``targets`` holds controls first, target last. ``theta`` is required for
-    PhaseShift and ControlledPhase; ``unitary`` is required for
-    ControlledUnitary, where targets are (control, t1, ..., tk) and the
-    payload acts on the k-qubit register (t1 most significant).
+    PhaseShift and ControlledPhase.
 
     Checked once, when made, except for the register width, which a gate
-    list is held to where it is used. The payload is kept as a read-only copy;
-    ``matrix`` holds the target matrix the gate applies.
+    list is held to where it is used. ``matrix`` holds the 2x2 target matrix
+    the gate applies.
     """
 
     kind: str
     targets: tuple[int, ...]
     theta: float | None = None
-    unitary: np.ndarray | None = None
     matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -98,15 +93,6 @@ class GateOp:
             matrix = matrix(self.theta)
         elif self.theta is not None:
             raise InvalidValueError(f"{self.kind} takes no theta")
-        if self.kind == "ControlledUnitary":
-            if self.unitary is None:
-                raise InvalidValueError("ControlledUnitary needs a unitary payload")
-            matrix = assert_unitary(self.unitary).copy()
-            matrix.flags.writeable = False
-            wires = qubit_count(matrix.shape[0]) + 1
-            object.__setattr__(self, "unitary", matrix)
-        elif self.unitary is not None:
-            raise InvalidValueError(f"{self.kind} takes no unitary payload")
         if len(t) != wires:
             raise InvalidValueError(f"{self.kind} acts on {wires} wires, got {len(t)}")
         object.__setattr__(self, "targets", t)
@@ -132,43 +118,39 @@ def apply_sequence(rho: np.ndarray, gates) -> np.ndarray:
 
     Refuses a register over the qubit budget from the shape alone, then
     checks the state and every gate's wires once; the private core it then
-    runs checks nothing.
+    runs, on a copy, checks nothing.
     """
     check_qubit_budget(system=wire_count(largest_side(rho)))
     rho = assert_density_matrix(rho)
     n = qubit_count(rho.shape[0])
-    return _apply_sequence(rho, _check_gates(gates, n), n)
+    return _apply_sequence(np.array(rho, order="C"), _check_gates(gates, n), n)
 
 
 def _apply_sequence(state: np.ndarray, gates, num_qubits: int) -> np.ndarray:
-    # Unchecked core: state is a density matrix or a ket on num_qubits wires
-    # and every gate fits that register. Works on one copy of it, viewed as a
-    # tensor with row wires on axes 0..n-1 and, for a density matrix, column
-    # wires on n..2n-1. G rho G^dagger is (G rho) G^dagger: the target matrix
-    # u acts on the row axes, then conj(u) on the column axes, each where the
-    # controls are 1; a ket G psi takes the row pass only. On a density
-    # matrix, a run of two or more permutation-times-phase gates acts instead
-    # as the one index map it composes to.
+    # Unchecked core: state is a C-ordered complex density matrix or ket on
+    # num_qubits wires that the caller owns, and every gate fits that register.
+    # Evolves it in place, viewed as a tensor with row wires on axes 0..n-1
+    # and, for a density matrix, column wires on n..2n-1, and returns it.
+    # G rho G^dagger is (G rho) G^dagger: the target matrix u acts on the
+    # target's row axis, then conj(u) on its column axis, where the controls
+    # are 1; a ket takes the row pass only. On a density matrix, a run of two
+    # or more permutation-times-phase gates acts as the one map it composes to.
     n = num_qubits
-    out = np.array(state, dtype=complex, order="C")
-    tensor = out.reshape((2,) * (out.ndim * n))
-    for mapped, run in groupby(gates, key=lambda g: out.ndim == 2 and _KINDS[g.kind][2]):
+    tensor = state.reshape((2,) * (state.ndim * n))
+    for mapped, run in groupby(gates, key=lambda g: state.ndim == 2 and _KINDS[g.kind][2]):
         run = list(run)
         if mapped and len(run) > 1:
-            _apply_map(out, *_compose_map(run, n))
+            _apply_map(state, *_compose_map(run, n))
             continue
         for g in run:
-            u = g.matrix
-            split = len(g.targets) - (u.shape[0].bit_length() - 1)
-            controls, targets = g.targets[:split], g.targets[split:]
-            for offset, m in ((0, u), (n, u.conj()))[: out.ndim]:
+            *controls, t = g.targets
+            for offset, m in ((0, g.matrix), (n, g.matrix.conj()))[: state.ndim]:
                 index = [slice(None)] * tensor.ndim
                 for c in controls:
                     index[offset + c] = 1
                 # Integer indices drop their axes, shifting the later ones down.
-                axes = [offset + t - sum(c < t for c in controls) for t in targets]
-                _contract(tensor[(*index, ...)], axes, m)
-    return out
+                _contract(tensor[(*index, ...)], offset + t - sum(c < t for c in controls), m)
+    return state
 
 
 def _compose_map(gates, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,17 +190,12 @@ def _apply_map(rho: np.ndarray, label: np.ndarray, phase: np.ndarray) -> None:
         np.take(spare, source, axis=1, out=rho, mode="clip")
 
 
-def _contract(view: np.ndarray, axes: list[int], m: np.ndarray) -> None:
-    # In place: view[..., i, ...] <- sum_j m[i, j] view[..., j, ...], with the
-    # index pair on ``axes`` (none for a 1x1 payload, a phase on its control).
-    # One-wire matrices update the two slices directly; the trailing Ellipsis
-    # here and in the caller keeps each slice a writable view even when no
-    # axis is left (a ket gate whose other wires all control).
-    if len(axes) != 1:
-        moved = np.moveaxis(view, axes, range(len(axes)))
-        moved[...] = (m @ moved.reshape(m.shape[0], -1)).reshape(moved.shape)
-        return
-    lead = (slice(None),) * axes[0]
+def _contract(view: np.ndarray, axis: int, m: np.ndarray) -> None:
+    # In place: view[..., i, ...] <- sum_j m[i, j] view[..., j, ...], with i
+    # and j on ``axis``, by updating its two slices directly. The trailing
+    # Ellipsis here and in the caller keeps each slice a writable view even
+    # when no axis is left (a ket gate whose other wires all control).
+    lead = (slice(None),) * axis
     s0, s1 = view[lead + (0, ...)], view[lead + (1, ...)]
     if m[0, 1] == 0 and m[1, 0] == 0:
         if m[0, 0] != 1:

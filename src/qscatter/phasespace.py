@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidValueError, brief
 from .linalg import as_real_array, assert_density_matrix, check_int, check_qubit_budget
-from .linalg import is_density_matrix, largest_side, wire_count
-from .scattering import scattering_circuit
+from .linalg import is_density_matrix, largest_side, qubit_count, wire_count
+from .scattering import _check_size, _probe_readout
 
 IMAG_RESIDUE_TOL = 1e-12
 _PHASE_BLOCK_BYTES = 4 << 20  # phase scratch per block of grid rows, not per whole grid
@@ -136,13 +136,18 @@ def wigner_direct(rho: np.ndarray) -> WignerGrid:
 def wigner_via_circuit(rho: np.ndarray, alpha: PhasePoint) -> float:
     """One grid value measured by scattering off the unitary 2N * A(alpha).
 
-    Only the point's type and the register width are checked here;
-    ``scattering_circuit`` checks the state and refuses a size mismatch.
+    Checks, in order, the point's type, the register width, the state, its
+    size against the point's register and that register's power of two. The
+    probe readout then runs on 2N * A(alpha), which is built unitary from its
+    index map and is not checked again.
     """
     _expect(PhasePoint, alpha)
-    check_qubit_budget(probe=1, system=wire_count(max(largest_side(rho), alpha.n)))
-    u = 2 * alpha.n * _point_operator(alpha)
-    return scattering_circuit(rho, u).sigma_z / (2 * alpha.n)
+    n = alpha.n
+    check_qubit_budget(probe=1, system=wire_count(max(largest_side(rho), n)))
+    rho = assert_density_matrix(rho)
+    _check_size(rho, n)
+    wires = qubit_count(n) + 1
+    return _probe_readout(rho, [], wires, 2 * n * _point_operator(alpha)).sigma_z / (2 * n)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,17 @@ frame the x component holds minus the imaginary part, so
 
 exactly. Expectation values are computed from the evolved density matrix, so
 no sampling noise enters.
+
+The controlled block is a gate list (``scattering_circuit_gates``) or a dense
+U that the readout applies itself, in place like the gates: U on the probe-1
+rows of the joint state, then U^dagger on its probe-1 columns.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import GateOp, _apply_sequence, _check_gates, _pauli_expectation
+from .circuits import GateOp, _apply_sequence, _check_gates, _contract, _pauli_expectation
 from .errors import DimensionMismatchError
 from .linalg import as_square_matrix, assert_density_matrix, assert_unitary, check_int
 from .linalg import check_qubit_budget, largest_side, qubit_count, wire_count
@@ -39,13 +43,15 @@ class ScatteringResult:
         return complex(self.sigma_z, -self.sigma_x)
 
 
+def _check_size(rho: np.ndarray, dim: int) -> None:
+    if rho.shape[0] != dim:
+        raise DimensionMismatchError(f"state dim {rho.shape[0]} does not match operator dim {dim}")
+
+
 def _check_operands(rho, u) -> tuple[np.ndarray, np.ndarray]:
     # rho checked and u coerced to the same size; the caller checks that u is unitary.
     rho, u = assert_density_matrix(rho), as_square_matrix(u)
-    if rho.shape != u.shape:
-        raise DimensionMismatchError(
-            f"state dim {rho.shape[0]} does not match operator dim {u.shape[0]}"
-        )
+    _check_size(rho, u.shape[0])
     return rho, u
 
 
@@ -56,28 +62,35 @@ def direct_trace(rho: np.ndarray, u: np.ndarray) -> complex:
     return complex(np.trace(assert_unitary(u) @ rho))
 
 
-def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int) -> ScatteringResult:
+def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int,
+                   u: np.ndarray | None = None) -> ScatteringResult:
     # Unchecked core: rho is a valid state, every gate fits the wires probe,
-    # system, work. Probe and work wires start in |0>, so rho fills every
-    # w-th row and column of the joint state.
+    # system, work, and u, if given, is a unitary on the system with no work
+    # wires. Probe and work wires start in |0>, so rho fills every w-th row
+    # and column of the joint state; the circuit evolves it in place.
     d = rho.shape[0]
     w = (1 << num_qubits) // (2 * d)
     joint = np.zeros((2 * d * w, 2 * d * w), dtype=complex)
     joint[: d * w : w, : d * w : w] = rho
-    seq = [_PROBE_HADAMARD, *gates, _PROBE_HADAMARD, _PROBE_FRAME]
-    final = _apply_sequence(joint, seq, num_qubits)
-    z = _pauli_expectation(final, "z", 0)
-    x = _pauli_expectation(final, "x", 0)
+    _apply_sequence(joint, [_PROBE_HADAMARD, *gates], num_qubits)
+    if u is not None:  # controlled-U: U on the probe-1 rows, U^dagger on those columns
+        if d == 2:  # one system wire: the kernel's one-wire update, which rounds unlike a gemm
+            _contract(joint[d:], 0, u)
+            _contract(joint[:, d:], 1, u.conj())
+        else:
+            joint[d:] = u @ joint[d:]
+            joint[:, d:] = joint[:, d:] @ u.conj().T
+    _apply_sequence(joint, [_PROBE_HADAMARD, _PROBE_FRAME], num_qubits)
+    z = _pauli_expectation(joint, "z", 0)
+    x = _pauli_expectation(joint, "x", 0)
     return ScatteringResult(sigma_z=z, sigma_x=x)
 
 
 def scattering_circuit(rho: np.ndarray, u: np.ndarray) -> ScatteringResult:
-    """Run the probe circuit with a dense controlled-U block; building the block checks U."""
+    """Run the probe circuit with a dense controlled-U block; U is checked once, here."""
     check_qubit_budget(probe=1, system=wire_count(largest_side(rho, u)))
     rho, u = _check_operands(rho, u)
-    k = qubit_count(u.shape[0])
-    cu = GateOp("ControlledUnitary", tuple(range(k + 1)), unitary=u)
-    return _probe_readout(rho, [cu], k + 1)
+    return _probe_readout(rho, [], qubit_count(u.shape[0]) + 1, assert_unitary(u))
 
 
 def scattering_circuit_gates(

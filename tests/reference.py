@@ -67,13 +67,13 @@ def controlled(u: np.ndarray) -> np.ndarray:
 def dense_gate(g: GateOp, n: int) -> np.ndarray:
     """The 2^n x 2^n matrix of one gate, built without the gate kernel.
 
-    The target matrix is wrapped in one controlled block per control wire.
-    Relabeling the basis so the gate's wires become the least significant
-    block makes the operator I (x) that block; indexing back with the
-    relabeling lands every entry in its place.
+    The 2x2 target matrix is wrapped in one controlled block per control
+    wire. Relabeling the basis so the gate's wires become the least
+    significant block makes the operator I (x) that block; indexing back with
+    the relabeling lands every entry in its place.
     """
     small = g.matrix
-    for _ in range(len(g.targets) - (small.shape[0].bit_length() - 1)):
+    for _ in g.targets[1:]:
         small = controlled(small)
     idx = np.arange(1 << n)
     key = np.zeros_like(idx)

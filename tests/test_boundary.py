@@ -2,13 +2,14 @@
 
 Every public function checks each matrix its caller passes exactly once;
 arrays the library builds itself (the probe-and-system joint state, evolved
-states, depolarized and basis states) are never checked again.
-``wigner_via_circuit`` hands 2N * A(alpha) to ``scattering_circuit``, whose
-ControlledUnitary gate checks it once. A gate is checked when it is made,
-payload included; where a gate list is used only its wires are held to the
-register. Every route, the dimension factories included, refuses an
-over-budget register from the shapes or widths alone, before any check or
-allocation, through one ``check_qubit_budget`` call that names its registers.
+states, depolarized and basis states, and the 2N * A(alpha) that
+``wigner_via_circuit`` hands to the probe readout) are never checked again.
+``scattering_circuit`` checks its U once, and the gate kernel, which works in
+place, never reaches a caller's array. A gate is checked when it is made;
+where a gate list is used only its wires are held to the register. Every
+route, the dimension factories included, refuses an over-budget register
+from the shapes or widths alone, before any check or allocation, through one
+``check_qubit_budget`` call that names its registers.
 Every integer argument follows one rule: a Python or numpy integer, never a
 boolean, inside its range, and no message prints an integer too long to print.
 """
@@ -33,20 +34,13 @@ RHO_2N = random_density_matrix(2 * N, _RNG)
 U = random_unitary(N, _RNG)
 ALPHA = PhasePoint(q=3, p=1, n=N)
 H0 = GateOp("Hadamard", (0,))
-
-
-def _cu(u):
-    """Probe-controlled N x N payload on wires 0, 1, 2."""
-    return GateOp("ControlledUnitary", (0, 1, 2), unitary=u)
+CX = GateOp("CNOT", (0, 2))  # probe-controlled X on the low system wire
 
 
 # name: (call with a state, call with an operator); None where the function
 # takes no such argument. The other argument is always valid.
 BOUNDARY = {
-    "apply_sequence": (
-        lambda rho: circuits.apply_sequence(rho, [H0]),
-        lambda u: circuits.apply_sequence(RHO_2N, [H0, _cu(u)]),
-    ),
+    "apply_sequence": (lambda rho: circuits.apply_sequence(rho, [H0]), None),
     "pauli_expectation": (lambda rho: circuits.pauli_expectation(rho, "z", 0), None),
     "depolarize": (lambda rho: circuits.depolarize(rho, 0.1), None),
     "direct_trace": (
@@ -58,8 +52,7 @@ BOUNDARY = {
         lambda u: scattering.scattering_circuit(RHO, u),
     ),
     "scattering_circuit_gates": (
-        lambda rho: scattering.scattering_circuit_gates(rho, [_cu(U)], 3),
-        lambda u: scattering.scattering_circuit_gates(RHO, [_cu(u)], 3),
+        lambda rho: scattering.scattering_circuit_gates(rho, [CX], 3), None,
     ),
     "wigner_direct": (phasespace.wigner_direct, None),
     "wigner_via_circuit": (lambda rho: phasespace.wigner_via_circuit(rho, ALPHA), None),
@@ -152,7 +145,7 @@ INTEGER_ARGUMENTS = {
     "gate_matrix-num_qubits": (lambda v: circuits.gate_matrix(H0, v), 2),
     "pauli_expectation-qubit": (lambda v: circuits.pauli_expectation(RHO, "x", v), 1),
     "scattering_circuit_gates-num_qubits": (
-        lambda v: scattering.scattering_circuit_gates(RHO, [_cu(U)], v), 4,
+        lambda v: scattering.scattering_circuit_gates(RHO, [CX], v), 4,
     ),
     "basis_state-label": (lambda v: states.basis_state(v, N), 2),
     "basis_state-dim": (lambda v: states.basis_state(0, v), N),
@@ -309,19 +302,19 @@ def test_phase_space_refuses_other_types(name):
 CALL_COUNTS = {
     "scattering_circuit": (lambda: scattering.scattering_circuit(RHO, U), [(N, N)], 1),
     "scattering_circuit_gates": (
-        lambda: scattering.scattering_circuit_gates(RHO, [_cu(U)], 3), [(N, N)], 1,
+        lambda: scattering.scattering_circuit_gates(RHO, [CX], 3), [(N, N)], 0,
     ),
     "direct_trace": (lambda: scattering.direct_trace(RHO, U), [(N, N)], 1),
-    "wigner_via_circuit": (lambda: phasespace.wigner_via_circuit(RHO, ALPHA), [(N, N)], 1),
+    "wigner_via_circuit": (lambda: phasespace.wigner_via_circuit(RHO, ALPHA), [(N, N)], 0),
     "wigner_direct": (lambda: phasespace.wigner_direct(RHO), [(N, N)], 0),
     "apply_sequence": (
-        lambda: circuits.apply_sequence(RHO_2N, [H0, _cu(U), H0]), [(2 * N, 2 * N)], 1,
+        lambda: circuits.apply_sequence(RHO_2N, [H0, CX, H0]), [(2 * N, 2 * N)], 0,
     ),
     "pauli_expectation": (lambda: circuits.pauli_expectation(RHO, "x", 1), [(N, N)], 0),
     "depolarize": (lambda: circuits.depolarize(RHO, 0.2), [(N, N)], 0),
     "pseudo_pure": (lambda: states.pseudo_pure(1, N, 0.2), [], 0),
-    "gate_matrix": (lambda: circuits.gate_matrix(_cu(U), 3), [], 1),
-    "compose_sequence": (lambda: circuits.compose_sequence([H0, _cu(U)], 3), [], 1),
+    "gate_matrix": (lambda: circuits.gate_matrix(CX, 3), [], 0),
+    "compose_sequence": (lambda: circuits.compose_sequence([H0, CX], 3), [], 0),
     "trace_powers": (lambda: spectrometer.trace_powers(U, 7), [], 1),
     "spectral_density": (lambda: spectrometer.spectral_density(U, 3), [], 1),
     "structure_function": (lambda: spectrometer.structure_function(U, 3), [], 1),
@@ -352,25 +345,20 @@ def test_trace_series_self_check_does_not_call_eigvals(monkeypatch):
     assert calls == [(N, N)]
 
 
-def test_controlled_unitary_payload_is_a_read_only_copy():
-    # The payload is checked once, at construction: a later change to the
-    # caller's array cannot reach the gate, and the gate's own copy is frozen.
-    u = U.copy()
-    g = _cu(u)
-    want = circuits.apply_sequence(RHO_2N, [g])
-    u[0, 0] *= 1.5
-    assert np.array_equal(g.unitary, U)
-    with pytest.raises(ValueError, match="read-only"):
-        g.unitary[0, 0] = 0
-    assert np.array_equal(circuits.apply_sequence(RHO_2N, [g]), want)
+def test_apply_sequence_leaves_the_callers_state():
+    # A C-ordered complex128 state passes the check as the caller's own
+    # object, so only the public function's copy keeps the kernel off it.
+    rho = RHO_2N.copy()
+    assert linalg.assert_density_matrix(rho) is rho
+    out = circuits.apply_sequence(rho, [H0, CX, GateOp("PauliY", (1,)), H0])
+    assert np.array_equal(rho, RHO_2N)
+    assert not np.shares_memory(out, rho)
 
 
-def test_a_prebuilt_gate_is_not_checked_again(monkeypatch):
-    g = _cu(U)
-    unitary_checks = record_calls(monkeypatch, linalg, "is_unitary")
-    circuits.apply_sequence(RHO_2N, [H0, g])
-    circuits.apply_sequence(RHO_2N, [g, H0])
-    assert unitary_checks == []
+def test_scattering_circuit_leaves_the_callers_operands():
+    rho, u = RHO.copy(), U.copy()
+    scattering.scattering_circuit(rho, u)
+    assert np.array_equal(rho, RHO) and np.array_equal(u, U)
 
 
 def test_synthesized_gates_are_checked_only_when_made(monkeypatch):
@@ -470,23 +458,26 @@ def test_cli_noise_refuses_the_budget_before_checking_the_state(point, monkeypat
 
 
 @st.composite
-def state_and_unitary(draw):
+def state_unitary_and_point(draw):
     dim = draw(st.sampled_from([2, 4, 8]))
     rank = draw(st.integers(1, dim))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T
-    return rho / np.trace(rho).real, random_unitary(dim, rng)
+    q, p = draw(st.integers(0, 2 * dim - 1)), draw(st.integers(0, 2 * dim - 1))
+    return rho / np.trace(rho).real, random_unitary(dim, rng), PhasePoint(q=q, p=p, n=dim)
 
 
 @settings(max_examples=60, deadline=None)
-@given(state_and_unitary())
-def test_probe_readout_equals_direct_trace(pair):
-    rho, u = pair
+@given(state_unitary_and_point())
+def test_probe_readout_equals_direct_trace(case):
+    rho, u, alpha = case
     want = scattering.direct_trace(rho, u)
     assert abs(scattering.scattering_circuit(rho, u).trace_estimate - want) < 1e-10
-    # The same probe path with the block as a gate list and one work wire.
-    k = linalg.qubit_count(rho.shape[0])
-    cu = GateOp("ControlledUnitary", tuple(range(k + 1)), unitary=u)
-    res = scattering.scattering_circuit_gates(rho, [cu], k + 2)
-    assert abs(res.trace_estimate - want) < 1e-10
+    # The dense block 2N A(alpha) against the same block as a synthesized gate
+    # list, on its own wires and with one more, idle, work wire.
+    dense = scattering.scattering_circuit(rho, 2 * alpha.n * phasespace.phase_point_operator(alpha))
+    seq = synthesis.synth_phase_point_circuit(alpha)
+    for wires in (seq.num_qubits, seq.num_qubits + 1):
+        res = scattering.scattering_circuit_gates(rho, seq.gates, wires)
+        assert abs(res.trace_estimate - dense.trace_estimate) < 1e-10

@@ -415,6 +415,54 @@ class TestSynthGoldens:
         assert {_synth_point(stem)[0] for stem in SYNTH_SHA256} == {256, 1024}
 
 
+PROBE_STDOUT = json.loads((FIXTURES / "probe_stdout.json").read_text())
+
+
+def probe_inputs(n, seed):
+    """A full-rank state and a dense, non-Hermitian unitary on n levels, built
+    entrywise from one frozen random stream: 3/4 |psi><psi| + I/4n, and a
+    diagonal of phases times the Householder reflection I - 2 v v^dagger / |v|^2."""
+    rs = np.random.RandomState(seed)
+    psi, v = (rs.standard_normal(n) + 1j * rs.standard_normal(n) for _ in range(2))
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2))
+    rho = 0.75 * np.outer(psi, psi.conj()) + 0.25 * np.eye(n) / n
+    reflection = np.eye(n) - 2 * np.outer(v, v.conj()) / np.sum(np.abs(v) ** 2)
+    return rho, np.exp(2j * np.pi * rs.uniform(size=n))[:, None] * reflection
+
+
+def probe_argv(stem, root):
+    """The ``scatter`` or ``wigner --point`` call a probe golden's name describes:
+    scatter_n<N>[_s<seed>], or wigner_n<N>_q<q>_p<p>_<format>. The seed is N
+    unless named; the named ones at N=2 round differently under a gemm."""
+    command, n, *rest = stem.split("_")
+    n = int(n[1:])
+    rho, u = probe_inputs(n, int(rest[0][1:]) if command == "scatter" and rest else n)
+    io.save_matrix(root / "rho.json", rho)
+    if command == "scatter":
+        io.save_matrix(root / "u.json", u)
+        return ["scatter", "--rho", str(root / "rho.json"), "--u", str(root / "u.json")]
+    q, p, fmt = rest
+    return ["wigner", "--rho", str(root / "rho.json"), "--point", f"{q[1:]},{p[1:]}",
+            "--format", fmt]
+
+
+class TestProbeGoldens:
+    """Frozen stdout of the dense probe routes, ``scatter`` and ``wigner --point``,
+    as sha256 in probe_stdout.json."""
+
+    @pytest.mark.parametrize("stem", PROBE_STDOUT)
+    def test_stdout_sha256(self, stem, tmp_path, capsys):
+        assert cli.main(probe_argv(stem, tmp_path)) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == PROBE_STDOUT[stem]
+
+    def test_goldens_cover_every_size_and_format(self):
+        stems = [stem.split("_") for stem in PROBE_STDOUT]
+        assert {s[1] for s in stems if s[0] == "scatter"} == {"n2", "n4", "n16", "n64", "n256"}
+        for fmt in ("json", "csv"):
+            assert {s[1] for s in stems if s[-1] == fmt} == {"n2", "n4", "n16", "n64"}
+
+
 class TestDeterminism:
     def test_thread_cap_does_not_change_bytes(self, inputs):
         plain = run_cli("wigner", "--rho", inputs["rho4"])

@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qscatter import phasespace, scattering
-from qscatter.errors import DimensionMismatchError, InvalidValueError, QubitBudgetError
+from qscatter.errors import DimensionMismatchError, InvalidValueError, PowerOfTwoError
+from qscatter.errors import QubitBudgetError
+from qscatter.linalg import is_unitary
 from qscatter.phasespace import (
     PhasePoint,
     WignerGrid,
@@ -256,11 +258,14 @@ class TestCircuitRoute:
             assert abs(via - w[q, p]) < 1e-10
 
     def test_large_register_points_are_unitary(self):
-        # points where a dense, rounded product of shift powers fails the
-        # 1e-12 unitarity check that scattering_circuit applies
+        # Points where a dense, rounded product of shift powers fails the
+        # 1e-12 unitarity check; the route runs 2N A(alpha) unchecked, so the
+        # index map it is built from must pass that check.
         n = 128
         rho = random_density_matrix(n, np.random.default_rng(128))
         points = [(3, 77), (128, 64), (64, 200)]
+        for q, p in points:
+            assert is_unitary(2 * n * phase_point_operator(PhasePoint(q=q, p=p, n=n)))
         via = [wigner_via_circuit(rho, PhasePoint(q=q, p=p, n=n)) for q, p in points]
         w = wigner_direct(rho).values
         for (q, p), value in zip(points, via):
@@ -270,14 +275,29 @@ class TestCircuitRoute:
         with pytest.raises(DimensionMismatchError):
             wigner_via_circuit(maximally_mixed(2), PhasePoint(q=0, p=0, n=4))
 
-    def test_one_type_check_and_two_budgets_per_value(self, monkeypatch):
-        # Its own budget reads the point and the state's shape before either is
-        # checked; scattering_circuit, which checks the state, budgets again.
+    def test_one_type_check_and_one_budget_per_value(self, monkeypatch):
+        # The budget reads the point and the state's shape before either is
+        # checked; the probe readout it then runs budgets nothing.
         calls = record_calls(monkeypatch, phasespace, "_expect")
         record_calls(monkeypatch, phasespace, "check_qubit_budget", calls)
         record_calls(monkeypatch, scattering, "check_qubit_budget", calls)
         wigner_via_circuit(maximally_mixed(4), PhasePoint(q=1, p=2, n=4))
-        assert calls == ["_expect", "check_qubit_budget", "check_qubit_budget"]
+        assert calls == ["_expect", "check_qubit_budget"]
+
+    @pytest.mark.parametrize(
+        "rho,n,error",
+        [
+            (np.eye(2), 3, InvalidValueError),
+            (maximally_mixed(2), 3, DimensionMismatchError),
+            (maximally_mixed(3), 3, PowerOfTwoError),
+        ],
+        ids=["state", "mismatch", "power-of-two"],
+    )
+    def test_checks_come_in_order(self, rho, n, error):
+        # Budget, state, size against the point's register, power of two: each
+        # input fails every check after the one it is refused by.
+        with pytest.raises(error):
+            wigner_via_circuit(rho, PhasePoint(q=0, p=0, n=n))
 
     @pytest.mark.parametrize("dim,n", [(4096, 4096), (4096, 4), (4, 4096)])
     def test_register_over_budget_refused_before_the_operator_is_built(
@@ -299,6 +319,7 @@ class TestCircuitRoute:
             raise Reached
 
         monkeypatch.setattr(phasespace, "_point_operator", reached)
+        monkeypatch.setattr(phasespace, "assert_density_matrix", lambda rho: rho)
         view = np.broadcast_to(np.complex128(0), (2048, 2048))
         with pytest.raises(Reached):
             wigner_via_circuit(view, PhasePoint(q=0, p=0, n=2048))

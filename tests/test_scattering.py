@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from qscatter import scattering
-from qscatter.circuits import GateOp, HADAMARD, PAULI_Y
+from qscatter.circuits import HADAMARD, PAULI_Y
 from qscatter.errors import DimensionMismatchError, InvalidValueError, QubitBudgetError
+from qscatter.phasespace import PhasePoint, phase_point_operator
 from qscatter.scattering import (
     ScatteringResult,
     direct_trace,
@@ -18,6 +19,7 @@ from qscatter.scattering import (
     scattering_circuit_gates,
 )
 from qscatter.states import basis_state, maximally_mixed
+from qscatter.synthesis import synth_phase_point_circuit
 from reference import random_density_matrix, random_unitary
 
 
@@ -75,22 +77,22 @@ class TestDuality:
 
 class TestGateListRoute:
     def test_explicit_controlled_gate_matches_dense(self):
-        rng = np.random.default_rng(21)
-        rho = random_density_matrix(4, rng)
-        u = random_unitary(4, rng)
-        gates = [GateOp("ControlledUnitary", (0, 1, 2), unitary=u)]
-        a = scattering_circuit_gates(rho, gates, 3)
-        b = scattering_circuit(rho, u)
+        # The synthesized controlled-(2N A) gate list against the dense block.
+        rho = random_density_matrix(4, np.random.default_rng(21))
+        alpha = PhasePoint(q=5, p=2, n=4)
+        seq = synth_phase_point_circuit(alpha)
+        a = scattering_circuit_gates(rho, seq.gates, seq.num_qubits)
+        b = scattering_circuit(rho, 8 * phase_point_operator(alpha))
         assert a.sigma_z == pytest.approx(b.sigma_z, abs=1e-12)
         assert a.sigma_x == pytest.approx(b.sigma_x, abs=1e-12)
 
     def test_idle_work_wire_changes_nothing(self):
-        rng = np.random.default_rng(22)
-        rho = random_density_matrix(2, rng)
-        u = random_unitary(2, rng)
-        gates = [GateOp("ControlledUnitary", (0, 1), unitary=u)]
-        a = scattering_circuit_gates(rho, gates, 3)  # one untouched work wire
-        b = scattering_circuit(rho, u)
+        rho = random_density_matrix(2, np.random.default_rng(22))
+        alpha = PhasePoint(q=3, p=1, n=2)
+        seq = synth_phase_point_circuit(alpha)
+        assert seq.num_qubits == 2
+        a = scattering_circuit_gates(rho, seq.gates, 3)  # one untouched work wire
+        b = scattering_circuit(rho, 4 * phase_point_operator(alpha))
         assert a.sigma_z == pytest.approx(b.sigma_z, abs=1e-12)
         assert a.sigma_x == pytest.approx(b.sigma_x, abs=1e-12)
 
