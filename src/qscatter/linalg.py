@@ -101,10 +101,6 @@ def check_qubit_budget(**registers: int) -> None:
         )
 
 
-def is_hermitian(a: np.ndarray) -> bool:
-    return bool(np.abs(a - a.conj().T).max() <= HERMITIAN_TOL)
-
-
 def is_unitary(a: np.ndarray) -> bool:
     d = a.shape[0]
     return bool(np.abs(a @ a.conj().T - np.eye(d)).max() <= UNITARY_TOL)
@@ -112,14 +108,29 @@ def is_unitary(a: np.ndarray) -> bool:
 
 def _state_defect(a: np.ndarray, trace_tol: float) -> str | None:
     # Why ``a`` is not a density matrix (see is_density_matrix), or None.
-    if not is_hermitian(a):
+    # A Cholesky factorization of (a + a^H)/2 - EIGENVALUE_FLOOR * I succeeds
+    # exactly when no eigenvalue is below the floor, up to a backward error of
+    # about n * eps * |a|; eigvalsh runs only when it fails, to judge and word
+    # the refusal. At most two N x N arrays of this function are alive at once.
+    h = a.conj().T.astype(complex, copy=False)  # integer and real states too
+    gap = a - h
+    if np.abs(gap, out=gap).real.max() > HERMITIAN_TOL:  # in place: no third array
         return "state is not Hermitian within tolerance 1e-12"
+    del gap
     if abs(np.trace(a) - 1.0) > trace_tol:
         return f"state trace is {np.trace(a):.6g}, expected 1"
-    ev = np.linalg.eigvalsh((a + a.conj().T) / 2)
-    if ev.min() < EIGENVALUE_FLOOR:
-        return f"state has negative eigenvalue {ev.min():.3e}"
-    return None
+    h += a
+    h *= 0.5
+    diagonal = np.einsum("ii->i", h)  # a writable view
+    unshifted = diagonal.copy()
+    diagonal -= EIGENVALUE_FLOOR
+    try:
+        np.linalg.cholesky(h)
+        return None
+    except np.linalg.LinAlgError:
+        diagonal[:] = unshifted
+    lowest = np.linalg.eigvalsh(h).min()
+    return f"state has negative eigenvalue {lowest:.3e}" if lowest < EIGENVALUE_FLOOR else None
 
 
 def is_density_matrix(a: np.ndarray, trace_tol: float = TRACE_TOL) -> bool:

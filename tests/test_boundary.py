@@ -298,7 +298,8 @@ def test_phase_space_refuses_other_types(name):
         NOT_A_POINT_OR_GRID[name]()
 
 
-# name: (call, shapes passed to eigvalsh, number of unitarity checks)
+# name: (call, shapes passed to the Cholesky factorization, number of unitarity checks).
+# Every state here is accepted, so none reaches eigvalsh, which only words a refusal.
 CALL_COUNTS = {
     "scattering_circuit": (lambda: scattering.scattering_circuit(RHO, U), [(N, N)], 1),
     "scattering_circuit_gates": (
@@ -330,11 +331,13 @@ def _shape(a, *args, **kwargs):
 
 @pytest.mark.parametrize("name", CALL_COUNTS)
 def test_each_input_is_checked_exactly_once(name, monkeypatch):
-    call, want_eig, want_unitary = CALL_COUNTS[name]
+    call, want_factor, want_unitary = CALL_COUNTS[name]
+    factor_shapes = record_calls(monkeypatch, np.linalg, "cholesky", entry=_shape)
     eig_shapes = record_calls(monkeypatch, np.linalg, "eigvalsh", entry=_shape)
     unitary_checks = record_calls(monkeypatch, linalg, "is_unitary")
     call()
-    assert eig_shapes == want_eig
+    assert factor_shapes == want_factor
+    assert eig_shapes == []
     assert len(unitary_checks) == want_unitary
 
 
@@ -415,6 +418,7 @@ def test_budget_is_refused_before_any_check(name, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an over-budget input reached a check")
 
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(linalg, "is_unitary", refuse)
     with pytest.raises(QubitBudgetError):
@@ -451,6 +455,7 @@ def test_cli_noise_refuses_the_budget_before_checking_the_state(point, monkeypat
         raise AssertionError("an over-budget state reached a check")
 
     monkeypatch.setattr(io, "load_matrix", lambda path: _over_budget(1 << 12))
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(linalg, "is_unitary", refuse)
     assert cli.main(["wigner", "--rho", "rho.json", "--noise-p", "0.1", *point]) == 6

@@ -1,8 +1,11 @@
 """Tests for the shared dense linear algebra layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qscatter import phasespace, states
 from qscatter.errors import (
     DimensionMismatchError,
     InvalidValueError,
@@ -13,7 +16,6 @@ from qscatter.linalg import (
     assert_density_matrix,
     assert_unitary,
     is_density_matrix,
-    is_hermitian,
     is_unitary,
     qubit_count,
 )
@@ -74,8 +76,12 @@ class TestQubitCount:
 
 class TestPredicates:
     def test_hermitian(self):
-        assert is_hermitian(np.array([[1, 1j], [-1j, 2]]))
-        assert not is_hermitian(np.array([[1, 1j], [1j, 2]]))
+        rho = np.array([[0.5, 0.1j], [-0.1j, 0.5]])
+        skew = np.array([[0, 1], [0, 0]])
+        assert is_density_matrix(rho)
+        assert is_density_matrix(rho + 0.9e-12 * skew)
+        assert not is_density_matrix(rho + 1.1e-12 * skew)
+        assert not is_density_matrix(np.array([[0.5, 0.1j], [0.1j, 0.5]]))
 
     def test_unitary(self):
         assert is_unitary(np.eye(3))
@@ -83,6 +89,8 @@ class TestPredicates:
 
     def test_density_matrix_accepts_valid(self):
         assert is_density_matrix(np.diag([0.25, 0.75]).astype(complex))
+        assert is_density_matrix(np.diag([0.25, 0.75]))
+        assert is_density_matrix(np.array([[1, 0], [0, 0]]))
 
     def test_density_matrix_rejects_negative_eigenvalue(self):
         assert not is_density_matrix(np.diag([1.5, -0.5]).astype(complex))
@@ -95,6 +103,8 @@ class TestPredicates:
             assert_unitary(np.ones((2, 2)))
 
     def test_assert_density_matrix_messages(self):
+        with pytest.raises(InvalidValueError, match="^state has negative eigenvalue -1.000e-01$"):
+            assert_density_matrix(np.diag([1.1, -0.1]))
         with pytest.raises(InvalidValueError, match="Hermitian"):
             assert_density_matrix(np.array([[0.5, 1], [0, 0.5]]))
         with pytest.raises(InvalidValueError, match="trace"):
@@ -120,3 +130,87 @@ class TestRandomEnsembles:
         u1 = random_unitary(4, np.random.default_rng(99))
         u2 = random_unitary(4, np.random.default_rng(99))
         assert np.array_equal(u1, u2)
+
+
+def _reference_defect(a, trace_tol):
+    """The density-matrix check as a full eigendecomposition: the judge of the factorization."""
+    if np.abs(a - a.conj().T).max() > 1e-12:
+        return "state is not Hermitian within tolerance 1e-12"
+    if abs(np.trace(a) - 1.0) > trace_tol:
+        return f"state trace is {np.trace(a):.6g}, expected 1"
+    lowest = np.linalg.eigvalsh((a + a.conj().T) / 2).min()
+    return f"state has negative eigenvalue {lowest:.3e}" if lowest < -1e-10 else None
+
+
+def _pure(n, rng):
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+
+
+def _rank_deficient(n, rng):
+    g = rng.standard_normal((n, n // 2)) + 1j * rng.standard_normal((n, n // 2))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def _near_floor(n, rng):
+    # Lowest eigenvalue -1e-10 (1 + s r), s = +-1, r log-uniform in [1e-6, 1e-1]:
+    # half are just below the floor, half just above it.
+    lam = np.empty(n)
+    lam[0] = -1e-10 * (1 + rng.choice([-1, 1]) * 10 ** rng.uniform(-6, -1))
+    rest = rng.uniform(size=n - 1)
+    lam[1:] = rest / rest.sum() * (1 - lam[0])
+    v = random_unitary(n, rng)
+    m = (v * lam) @ v.conj().T
+    return (m + m.conj().T) / 2
+
+
+STATE_KINDS = {
+    "full-rank": (random_density_matrix, 3),
+    "pure": (_pure, 3),
+    "pseudo-pure": (lambda n, rng: states.pseudo_pure(int(rng.integers(n)), n, rng.uniform()), 3),
+    "rank-deficient": (_rank_deficient, 3),
+    "near-floor": (_near_floor, 12),
+}
+
+
+class TestStateVerdicts:
+    """The Cholesky check decides every state as the eigenvalue check it replaced."""
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
+    def test_verdicts_and_messages_match_the_eigenvalue_reference(self, n, monkeypatch):
+        # wigner_direct checks its input, so the grids of refused states come from
+        # the unchecked transform.
+        monkeypatch.setattr(phasespace, "assert_density_matrix", lambda rho: rho)
+        rng = np.random.default_rng(n)
+        refused = 0
+        for kind, (make, count) in STATE_KINDS.items():
+            for _ in range(count):
+                rho = make(n, rng)
+                want = _reference_defect(rho, 1e-12)
+                assert is_density_matrix(rho) == (want is None), kind
+                if want is None:
+                    assert assert_density_matrix(rho) is rho
+                else:
+                    refused += 1
+                    with pytest.raises(InvalidValueError) as err:
+                        assert_density_matrix(rho)
+                    assert str(err.value) == want
+                rec = phasespace.reconstruct(phasespace.wigner_direct(rho))
+                assert rec.valid == (_reference_defect(rec.matrix, 1e-10) is None), kind
+        assert 0 < refused < STATE_KINDS["near-floor"][1]  # both sides of the floor
+
+    def test_check_holds_at_most_two_state_sized_temporaries(self):
+        n = 512
+        rho = random_density_matrix(n, np.random.default_rng(4))
+        assert_density_matrix(rho)  # first-call allocations, before the baseline
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert_density_matrix(rho)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # Plus numpy's fixed-size ufunc buffers (64 KiB each); tracemalloc sees
+        # numpy's arrays, not the copy LAPACK factors in.
+        assert peak <= 2 * 16 * n * n + (1 << 18)
