@@ -13,10 +13,12 @@ permutation times a diagonal (Leonhardt, PRA 53, 2998, 1996),
 
     A(q, p)|x> = exp(i pi ((p q - 2 p x) mod 2N) / N) / 2N * |q - x mod N>,
 
-and ``phase_point_operator`` builds it exactly from that index map, written
-once in ``_point_operator``, with the integer phase exponent reduced mod 2N
-before exponentiation. U, V and R are not built here: the tests hold A(q, p)
-to their dense product.
+and that index map, written once in ``_point_operator`` with the integer
+phase exponent reduced mod 2N before exponentiation, is the only form of
+A(q, p) the library uses: ``wigner_via_circuit`` hands the map of the
+unitary 2N * A(q, p) to the probe readout, which applies it like a run of
+gates, and only ``phase_point_operator`` builds the dense N x N matrix.
+U, V and R are not built here: the tests hold A(q, p) to their dense product.
 
 W(q, p) = Re Tr[A(q, p) rho] is the quasi-probability distribution of rho.
 The trace reads only the anti-diagonal rho[x, (q - x) mod N], so the grid is
@@ -71,21 +73,24 @@ def _expect(kind: type, *values) -> None:
             raise InvalidValueError(f"expected a {kind.__name__}, got {type(v).__name__}")
 
 
-def _point_operator(alpha: PhasePoint) -> np.ndarray:
+def _point_operator(alpha: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     # Unchecked core: alpha is a PhasePoint whose register is already budgeted.
-    # The one place the index map of A(alpha) is written.
+    # The one place the index map of A(alpha) is written: the unitary
+    # 2N A(alpha) sends |x> to phase[x] |label[x]>.
     n, q, p = alpha.n, int(alpha.q), int(alpha.p)
     x = np.arange(n)
-    a = np.zeros((n, n), dtype=complex)
-    a[(q - x) % n, x] = np.exp(1j * np.pi * ((p * q - 2 * p * x) % (2 * n)) / n) / (2 * n)
-    return a
+    return (q - x) % n, np.exp(1j * np.pi * ((p * q - 2 * p * x) % (2 * n)) / n)
 
 
 def phase_point_operator(alpha: PhasePoint) -> np.ndarray:
     """Hermitian point operator A(alpha) from its index map; 2N times it is unitary."""
     _expect(PhasePoint, alpha)
-    check_qubit_budget(probe=1, system=wire_count(alpha.n))
-    return _point_operator(alpha)
+    n = alpha.n
+    check_qubit_budget(probe=1, system=wire_count(n))
+    label, phase = _point_operator(alpha)
+    a = np.zeros((n, n), dtype=complex)
+    a[label, np.arange(n)] = phase / (2 * n)
+    return a
 
 
 @dataclass(frozen=True)
@@ -138,8 +143,8 @@ def wigner_via_circuit(rho: np.ndarray, alpha: PhasePoint) -> float:
 
     Checks, in order, the point's type, the register width, the state, its
     size against the point's register and that register's power of two. The
-    probe readout then runs on 2N * A(alpha), which is built unitary from its
-    index map and is not checked again.
+    probe readout then applies the controlled 2N * A(alpha) as its index map,
+    which is unitary by construction and is not checked again.
     """
     _expect(PhasePoint, alpha)
     n = alpha.n
@@ -147,7 +152,7 @@ def wigner_via_circuit(rho: np.ndarray, alpha: PhasePoint) -> float:
     rho = assert_density_matrix(rho)
     _check_size(rho, n)
     wires = qubit_count(n) + 1
-    return _probe_readout(rho, [], wires, 2 * n * _point_operator(alpha)).sigma_z / (2 * n)
+    return _probe_readout(rho, [], wires, _point_operator(alpha)).sigma_z / (2 * n)
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,18 @@ frame the x component holds minus the imaginary part, so
 exactly. Expectation values are computed from the evolved density matrix, so
 no sampling noise enters.
 
-The controlled block is a gate list (``scattering_circuit_gates``) or a dense
-U that the readout applies itself, in place like the gates: U on the probe-1
-rows of the joint state, then U^dagger on its probe-1 columns.
+The controlled block is a gate list (``scattering_circuit_gates``), an index
+map (label, phase), U|x> = phase[x] |label[x]>, run by the gate kernel's map
+pass, or a dense U that the readout applies itself, in place like the gates:
+U on the probe-1 rows of the joint state, then U^dagger on those columns.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import GateOp, _apply_sequence, _check_gates, _contract, _pauli_expectation
+from .circuits import GateOp, _apply_map, _apply_sequence, _check_gates, _contract
+from .circuits import _pauli_expectation
 from .errors import DimensionMismatchError
 from .linalg import as_square_matrix, assert_density_matrix, assert_unitary, check_int
 from .linalg import check_qubit_budget, largest_side, qubit_count, wire_count
@@ -59,21 +61,25 @@ def direct_trace(rho: np.ndarray, u: np.ndarray) -> complex:
     """Tr(U rho) evaluated without any circuit; the oracle side of the duality."""
     check_qubit_budget(probe=1, system=wire_count(largest_side(rho, u)))
     rho, u = _check_operands(rho, u)
-    return complex(np.trace(assert_unitary(u) @ rho))
+    return complex(np.einsum("ij,ji->", assert_unitary(u), rho))
 
 
 def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int,
-                   u: np.ndarray | None = None) -> ScatteringResult:
+                   u: np.ndarray | tuple | None = None) -> ScatteringResult:
     # Unchecked core: rho is a valid state, every gate fits the wires probe,
     # system, work, and u, if given, is a unitary on the system with no work
-    # wires. Probe and work wires start in |0>, so rho fills every w-th row
-    # and column of the joint state; the circuit evolves it in place.
+    # wires, dense or as its index map (label, phase). Probe and work wires
+    # start in |0>, so rho fills every w-th row and column of the joint
+    # state; the circuit evolves it in place.
     d = rho.shape[0]
     w = (1 << num_qubits) // (2 * d)
     joint = np.zeros((2 * d * w, 2 * d * w), dtype=complex)
     joint[: d * w : w, : d * w : w] = rho
     _apply_sequence(joint, [_PROBE_HADAMARD, *gates], num_qubits)
-    if u is not None:  # controlled-U: U on the probe-1 rows, U^dagger on those columns
+    if isinstance(u, tuple):  # controlled map: the identity on the probe-0 labels
+        label, phase = u
+        _apply_map(joint, np.r_[np.arange(d), d + label], np.r_[np.ones(d), phase])
+    elif u is not None:  # controlled-U: U on the probe-1 rows, U^dagger on those columns
         if d == 2:  # one system wire: the kernel's one-wire update, which rounds unlike a gemm
             _contract(joint[d:], 0, u)
             _contract(joint[:, d:], 1, u.conj())

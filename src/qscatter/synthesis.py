@@ -27,7 +27,8 @@ Constructions, each verified against the dense operator in the tests:
   PhaseShift (phase kickback).
 
 ``point_circuit_error`` checks a point circuit on two kets through the gate
-kernel, in O(gates * 2^n) with no dense 2^n x 2^n matrix.
+kernel, in O(gates * 2^n) with no dense matrix: its target 2N * A(alpha)
+acts by its index map.
 """
 
 from dataclasses import dataclass
@@ -176,11 +177,11 @@ def point_circuit_error(seq: GateSequence, alpha: PhasePoint) -> float:
     if n <= m:
         raise InvalidValueError(f"expected a GateSequence on more than {m} wires, got {n}")
     check_qubit_budget(probe=1, system=m, work=n - 1 - m)
-    u = 2 * d * _point_operator(alpha)
+    label, phase = _point_operator(alpha)
     err = 0.0
     for v in (np.ones(1 << n, dtype=complex), np.arange(1, (1 << n) + 1, dtype=complex)):
         t = v.reshape(2, d, -1).copy()  # probe, system, work
-        t[1] = u @ t[1]
+        t[1][label] = phase[:, None] * t[1]
         got = _apply_sequence(v, seq.gates, n)
         err = max(err, float(np.abs(got - t.ravel()).max() / np.abs(t).max()))
     return err

@@ -486,3 +486,5 @@ def test_probe_readout_equals_direct_trace(case):
     for wires in (seq.num_qubits, seq.num_qubits + 1):
         res = scattering.scattering_circuit_gates(rho, seq.gates, wires)
         assert abs(res.trace_estimate - dense.trace_estimate) < 1e-10
+    # The same block as the index map wigner_via_circuit hands the readout.
+    assert abs(phasespace.wigner_via_circuit(rho, alpha) - dense.sigma_z / (2 * alpha.n)) < 1e-14
