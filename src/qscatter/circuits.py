@@ -19,7 +19,12 @@ matrix, each run of two or more such gates is composed into one map over the
 2^n basis labels, G|i> = phase[i] |label[i]>, at O(2^n) per gate, and
 applied in one O(4^n) pass:
 rho'[label[i], label[j]] = phase[i] conj(phase[j]) rho[i, j]. Hadamard, a
-lone gate and every ket gate keep the slice kernel.
+lone gate and every ket gate keep the slice kernel, whose one-wire update
+takes one of four branches by the 2x2 matrix: a diagonal one scales the two
+slices, an anti-diagonal one swaps them, a real Hadamard form
+c [[1, 1], [1, -1]] (every Hadamard pass) forms c s0 once for both slices,
+holding one half-state temporary, and any other matrix, which only the probe
+readout's dense 2x2 U brings, updates both slices elementwise.
 Dense 2^n x 2^n operators come from the same kernel: ``compose_sequence``
 runs the gates on the identity, viewed as a ket on 2n wires.
 """
@@ -195,6 +200,15 @@ def _contract(view: np.ndarray, axis: int, m: np.ndarray) -> None:
     # and j on ``axis``, by updating its two slices directly. The trailing
     # Ellipsis here and in the caller keeps each slice a writable view even
     # when no axis is left (a ket gate whose other wires all control).
+    # Branches by m: a diagonal m scales; an anti-diagonal m swaps; a real
+    # Hadamard form c [[1, 1], [1, -1]] (every Hadamard row and column pass)
+    # computes c s0 once and adds it into both slices, holding one half-state
+    # temporary; any other m, a caller's dense 2x2 U, updates elementwise.
+    # The Hadamard branch rounds as the elementwise one, signed zeros
+    # included: it keeps every other product with its operand order, and its
+    # one product s0 * m00 stands for m10 * s0 only when m10 is m00 bit for
+    # bit and real (numpy fuses one product of a complex multiply, so the
+    # operand order shows when c is complex).
     lead = (slice(None),) * axis
     s0, s1 = view[lead + (0, ...)], view[lead + (1, ...)]
     if m[0, 1] == 0 and m[1, 0] == 0:
@@ -206,6 +220,13 @@ def _contract(view: np.ndarray, axis: int, m: np.ndarray) -> None:
         old0 = s0.copy()
         s0[...] = s1 if m[0, 1] == 1 else m[0, 1] * s1
         s1[...] = old0 if m[1, 0] == 1 else m[1, 0] * old0
+    elif (m[0, 0].imag == 0 and m[1, 0].tobytes() == m[0, 0].tobytes()
+          and m[0, 0] == m[0, 1] == -m[1, 1]):
+        c_s0 = s0 * m[0, 0]
+        np.multiply(m[0, 1], s1, out=s0)
+        s0 += c_s0
+        s1 *= m[1, 1]
+        s1 += c_s0
     else:
         old0 = s0.copy()
         s0 *= m[0, 0]

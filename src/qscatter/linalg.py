@@ -112,7 +112,10 @@ def _state_defect(a: np.ndarray, trace_tol: float) -> str | None:
     # A Cholesky factorization of (a + a^H)/2 - EIGENVALUE_FLOOR * I succeeds
     # exactly when no eigenvalue is below the floor, up to a backward error of
     # about n * eps * |a|; eigvalsh runs only when it fails, to judge and word
-    # the refusal. At most two N x N arrays of this function are alive at once.
+    # the refusal. Its peak is three N x N arrays: the symmetrized conjugate h,
+    # and, inside the factorization, LAPACK's copy of h and the returned factor
+    # (+197 MiB of ru_maxrss over the caller's state at N=2048). The
+    # Hermiticity step holds two.
     h = a.conj().T.astype(complex, copy=False)  # integer and real states too
     gap = a - h
     if np.abs(gap, out=gap).real.max() > HERMITIAN_TOL:  # in place: no third array

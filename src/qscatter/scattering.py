@@ -80,7 +80,9 @@ def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int,
         label, phase = u
         _apply_map(joint, np.r_[np.arange(d), d + label], np.r_[np.ones(d), phase])
     elif u is not None:  # controlled-U: U on the probe-1 rows, U^dagger on those columns
-        if d == 2:  # one system wire: the kernel's one-wire update, which rounds unlike a gemm
+        # One system wire: the kernel's one-wire update, which rounds unlike a
+        # gemm. Its elementwise branch serves only a dense U like this one.
+        if d == 2:
             _contract(joint[d:], 0, u)
             _contract(joint[:, d:], 1, u.conj())
         else:

@@ -1,13 +1,14 @@
 """Dense reference operators the tests hold the library's fast routes to,
 the dense gate oracle the gate kernel is held to, seeded random states and
-unitaries, the reading of the gate records the library writes, and a call
-recorder for the tests that count checks."""
+unitaries, the reading of the gate records the library writes, the
+elementwise one-wire update the kernel's Hadamard branch is held to bit for
+bit, and a call recorder for the tests that count checks."""
 
 from functools import reduce
 
 import numpy as np
 
-from qscatter.circuits import GateOp
+from qscatter.circuits import HADAMARD, GateOp
 from qscatter.errors import InvalidValueError
 
 
@@ -86,6 +87,31 @@ def dense_gate(g: GateOp, n: int) -> np.ndarray:
 def dense_product(gates, n: int) -> np.ndarray:
     """Product of ``dense_gate`` over a gate list, gates[0] applied first."""
     return reduce(lambda m, g: dense_gate(g, n) @ m, gates, np.eye(1 << n, dtype=complex))
+
+
+def contract_elementwise(view: np.ndarray, axis: int, m: np.ndarray) -> None:
+    """In place: view[..., i, ...] <- sum_j m[i, j] view[..., j, ...] on
+    ``axis``, both slices updated elementwise for any 2x2 m: the general form
+    of the gate kernel's one-wire update, which its Hadamard branch must
+    match bit for bit."""
+    lead = (slice(None),) * axis
+    s0, s1 = view[lead + (0, ...)], view[lead + (1, ...)]
+    old0 = s0.copy()
+    s0 *= m[0, 0]
+    s0 += m[0, 1] * s1
+    s1 *= m[1, 1]
+    s1 += m[1, 0] * old0
+
+
+def hadamards_elementwise(state: np.ndarray, n: int) -> np.ndarray:
+    """A Hadamard on every wire of an n-wire density matrix or ket, wire 0
+    first, each by ``contract_elementwise``: H on the row axis, then its
+    conjugate on the column axis. Evolves ``state`` in place and returns it."""
+    tensor = state.reshape((2,) * (state.ndim * n))
+    for wire in range(n):
+        for offset, m in ((0, HADAMARD), (n, HADAMARD.conj()))[: state.ndim]:
+            contract_elementwise(tensor, offset + wire, m)
+    return state
 
 
 def gate_from_record(rec: dict) -> GateOp:

@@ -3,6 +3,7 @@
 import itertools
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,8 +33,9 @@ from qscatter.phasespace import PhasePoint
 from qscatter.scattering import scattering_circuit_gates
 from qscatter.states import basis_state, maximally_mixed, pseudo_pure
 from qscatter.synthesis import GateSequence, sequence_to_json, synth_phase_point_circuit
-from reference import controlled, dense_gate, dense_product, gate_from_record
-from reference import random_density_matrix, random_unitary, record_calls
+from reference import contract_elementwise, controlled, dense_gate, dense_product
+from reference import gate_from_record, hadamards_elementwise, random_density_matrix
+from reference import random_unitary, record_calls
 
 
 def bit(index, wire, n):
@@ -316,6 +318,77 @@ class TestIndexMap:
         res = scattering_circuit_gates(rho, seq.gates, seq.num_qubits)
         assert time.perf_counter() - start < 5.0
         assert abs(res.trace_estimate - np.trace(2 * n * a @ rho)) < 1e-10
+
+
+@st.composite
+def complex_array(draw, shape):
+    """A complex array whose parts are normal draws, with a drawn share of
+    them set to signed zeros and signed subnormals, where a sum's sign and
+    last bit are most fragile."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.standard_normal((2, *shape))
+    hit = rng.random(parts.shape) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    parts[hit] = rng.choice([0.0, -0.0, 5e-324, -5e-324], size=int(hit.sum()))
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = parts  # each part as drawn, signed zeros included
+    return out
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestHadamardBranch:
+    """The kernel's Hadamard branch forms c s0 once for both slices; it must
+    round exactly as the elementwise update does, signed zeros included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from([1, 2]), st.data())
+    def test_hadamards_on_every_wire_match_the_elementwise_update(self, n, ndim, data):
+        state = data.draw(complex_array((1 << n,) * ndim))
+        gates = [GateOp("Hadamard", (w,)) for w in range(n)]
+        got = _apply_sequence(state.copy(), gates, n)
+        assert same_bits(got, hadamards_elementwise(state.copy(), n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.one_of(
+            st.sampled_from([1, -1, 1j, -1j]),
+            st.floats(-2 * np.pi, 2 * np.pi).map(lambda phi: np.exp(1j * phi)),
+        ),
+        st.booleans(),
+        st.data(),
+    )
+    def test_phased_hadamard_forms_match_the_elementwise_update(self, k, phase, conj, data):
+        # e^{i phi} H, as a row pass, or conjugated, as a column pass, on any
+        # axis; a zero imaginary part may also carry either sign.
+        m = phase * HADAMARD
+        m = m.conj() if conj else m
+        negative_zero = data.draw(st.lists(st.booleans(), min_size=4, max_size=4))
+        m.imag[(m.imag == 0) & np.reshape(negative_zero, (2, 2))] = -0.0
+        view = data.draw(complex_array((2,) * k))
+        axis = data.draw(st.integers(0, k - 1))
+        got, want = view.copy(), view.copy()
+        circuits._contract(got, axis, m)
+        contract_elementwise(want, axis, m)
+        assert same_bits(got, want)
+
+    def test_a_hadamard_holds_one_half_state_temporary(self):
+        n = 10
+        rho = random_density_matrix(1 << n, np.random.default_rng(n))
+        gates = [GateOp("Hadamard", (3,))]  # an inner wire: strided slices on both passes
+        _apply_sequence(rho, gates, n)  # first-call allocations, before the baseline
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _apply_sequence(rho, gates, n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # Plus two of numpy's 128 KiB complex ufunc buffers on the strided
+        # column pass and a few KiB of views and iterators.
+        assert peak <= rho.nbytes // 2 + (1 << 18) + (1 << 14)
 
 
 class TestValidation:
