@@ -20,11 +20,12 @@ matrix, each run of two or more such gates is composed into one map over the
 applied in one O(4^n) pass:
 rho'[label[i], label[j]] = phase[i] conj(phase[j]) rho[i, j]. Hadamard, a
 lone gate and every ket gate keep the slice kernel, whose one-wire update
-takes one of four branches by the 2x2 matrix: a diagonal one scales the two
-slices, an anti-diagonal one swaps them, a real Hadamard form
-c [[1, 1], [1, -1]] (every Hadamard pass) forms c s0 once for both slices,
-holding one half-state temporary, and any other matrix, which only the probe
-readout's dense 2x2 U brings, updates both slices elementwise.
+takes one of three branches by the 2x2 matrix: a diagonal one scales the two
+slices, an anti-diagonal one swaps them, and any other one, every Hadamard
+pass and the probe readout's dense 2x2 U, updates both slices in place,
+bit for bit as the elementwise update. A Hadamard, c [[1, 1], [1, -1]] with
+a real c, forms c s0 once for both slices and so holds one half-state
+temporary.
 Dense 2^n x 2^n operators come from the same kernel: ``compose_sequence``
 runs the gates on the identity, viewed as a ket on 2n wires.
 """
@@ -200,15 +201,20 @@ def _contract(view: np.ndarray, axis: int, m: np.ndarray) -> None:
     # and j on ``axis``, by updating its two slices directly. The trailing
     # Ellipsis here and in the caller keeps each slice a writable view even
     # when no axis is left (a ket gate whose other wires all control).
-    # Branches by m: a diagonal m scales; an anti-diagonal m swaps; a real
-    # Hadamard form c [[1, 1], [1, -1]] (every Hadamard row and column pass)
-    # computes c s0 once and adds it into both slices, holding one half-state
-    # temporary; any other m, a caller's dense 2x2 U, updates elementwise.
-    # The Hadamard branch rounds as the elementwise one, signed zeros
-    # included: it keeps every other product with its operand order, and its
-    # one product s0 * m00 stands for m10 * s0 only when m10 is m00 bit for
-    # bit and real (numpy fuses one product of a complex multiply, so the
-    # operand order shows when c is complex).
+    # Branches by m: a diagonal m scales; an anti-diagonal m swaps; any other
+    # m, every Hadamard row and column pass and a caller's dense 2x2 U, runs
+    # the elementwise update s0 <- m00 s0 + m01 s1, s1 <- m11 s1 + m10 s0
+    # with its products and sums in order, so it rounds the same, signed
+    # zeros included. m10 s0 is formed before s0 is scaled in place, except
+    # when m10 is m00 bit for bit, real and above 1/2 in size, as in a
+    # Hadamard c [[1, 1], [1, -1]]: then the scaled s0, s0 m00, stands for
+    # it. numpy fuses one product of a complex multiply, so the operand order
+    # shows for a complex m00, and for a real one only where a product
+    # underflows to a signed zero, which |m00| > 1/2 rules out. So a Hadamard
+    # holds one half-state temporary, m01 s1, and a dense U two.
+    # m01 s1 is not written into s0 by ``out=``: on an inner axis s0 and s1
+    # interleave, numpy then buffers the operands, and a buffered complex
+    # product can round differently.
     lead = (slice(None),) * axis
     s0, s1 = view[lead + (0, ...)], view[lead + (1, ...)]
     if m[0, 1] == 0 and m[1, 0] == 0:
@@ -220,19 +226,15 @@ def _contract(view: np.ndarray, axis: int, m: np.ndarray) -> None:
         old0 = s0.copy()
         s0[...] = s1 if m[0, 1] == 1 else m[0, 1] * s1
         s1[...] = old0 if m[1, 0] == 1 else m[1, 0] * old0
-    elif (m[0, 0].imag == 0 and m[1, 0].tobytes() == m[0, 0].tobytes()
-          and m[0, 0] == m[0, 1] == -m[1, 1]):
-        c_s0 = s0 * m[0, 0]
-        np.multiply(m[0, 1], s1, out=s0)
-        s0 += c_s0
-        s1 *= m[1, 1]
-        s1 += c_s0
     else:
-        old0 = s0.copy()
+        tie = (m[0, 0].imag == 0 and abs(m[0, 0].real) > 0.5
+               and m[1, 0].tobytes() == m[0, 0].tobytes())
+        m10_s0 = None if tie else m[1, 0] * s0
         s0 *= m[0, 0]
-        s0 += m[0, 1] * s1
+        m01_s1 = m[0, 1] * s1
         s1 *= m[1, 1]
-        s1 += m[1, 0] * old0
+        s1 += s0 if tie else m10_s0
+        s0 += m01_s1
 
 
 def compose_sequence(gates, num_qubits: int) -> np.ndarray:

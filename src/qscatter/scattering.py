@@ -81,7 +81,7 @@ def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int,
         _apply_map(joint, np.r_[np.arange(d), d + label], np.r_[np.ones(d), phase])
     elif u is not None:  # controlled-U: U on the probe-1 rows, U^dagger on those columns
         # One system wire: the kernel's one-wire update, which rounds unlike a
-        # gemm. Its elementwise branch serves only a dense U like this one.
+        # gemm; its in-place branch serves this dense U and the Hadamard alike.
         if d == 2:
             _contract(joint[d:], 0, u)
             _contract(joint[:, d:], 1, u.conj())

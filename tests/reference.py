@@ -1,7 +1,7 @@
 """Dense reference operators the tests hold the library's fast routes to,
 the dense gate oracle the gate kernel is held to, seeded random states and
 unitaries, the reading of the gate records the library writes, the
-elementwise one-wire update the kernel's Hadamard branch is held to bit for
+elementwise one-wire update the kernel's in-place branch is held to bit for
 bit, and a call recorder for the tests that count checks."""
 
 from functools import reduce
@@ -92,7 +92,7 @@ def dense_product(gates, n: int) -> np.ndarray:
 def contract_elementwise(view: np.ndarray, axis: int, m: np.ndarray) -> None:
     """In place: view[..., i, ...] <- sum_j m[i, j] view[..., j, ...] on
     ``axis``, both slices updated elementwise for any 2x2 m: the general form
-    of the gate kernel's one-wire update, which its Hadamard branch must
+    of the gate kernel's one-wire update, which its in-place branch must
     match bit for bit."""
     lead = (slice(None),) * axis
     s0, s1 = view[lead + (0, ...)], view[lead + (1, ...)]
