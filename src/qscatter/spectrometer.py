@@ -21,8 +21,10 @@ to |Tr(U^t)|^2 / N^2 instead, measuring correlations between eigenphases.
 
 Both Fourier routes read Tr(U^t) from the eigenvalues of U, checked at every
 t against products of U itself: baby steps U^0 .. U^(m-1) and giant steps
-U^(am), about 2 sqrt(t_max) matrix products instead of t_max (Paterson and
-Stockmeyer, SIAM J. Comput. 2, 60, 1973). The circuit route simulates the
+U^(am), about m + t_max/m matrix products instead of t_max (Paterson and
+Stockmeyer, SIAM J. Comput. 2, 60, 1973). m is about sqrt(t_max), capped by
+a 4 MiB stack of baby steps: 35 products at N=256 and t_max=127 (m = 4), and
+m = 1, so t_max products, for N >= 512. The circuit route simulates the
 three registers with ``np.fft`` as the counter Fourier gate and one batched
 product as the power map. Every route holds the counter to the qubit budget,
 so n1 <= 12 (and t_max < 2**12) before any work starts.
@@ -34,11 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValueError
-from .linalg import as_real_array, assert_unitary, check_int, check_qubit_budget, largest_side
-from .linalg import qubit_count, wire_count
+from .linalg import as_real_array, as_square_matrix, assert_unitary, check_int
+from .linalg import check_qubit_budget, largest_side, qubit_count, wire_count
 
 _SERIES_SELF_CHECK_TOL = 1e-9
-_BABY_STACK_BYTES = 4 << 20  # caps the self-check's stack of baby-step powers
+_BABY_STACK_BYTES = 4 << 20  # caps the self-check's baby-step stack and each block of powers
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,11 @@ class SpectralSeries:
 def trace_powers(u: np.ndarray, t_max: int) -> TraceSeries:
     """Trace of every power of U up to t_max < 2**QUBIT_BUDGET.
 
-    Evaluated from the eigenvalues and cross-checked at every t against
-    matrix products of U: with m baby-step powers B_b = U^b and giant steps
+    Evaluated from the eigenvalues lam as sum(lam**t): blocks of rows
+    lam ** t, at most 4 MiB each, are summed along each row, and row t = 2 is
+    lam**2, numpy's square, so every value has the bits of its own
+    np.sum(lam**t). The series is cross-checked at every t against matrix
+    products of U: with m baby-step powers B_b = U^b and giant steps
     G_a = U^(am), Tr(U^(am+b)) = sum(G_a * B_b^T), one matrix-vector product
     per giant step. Disagreement beyond 1e-9 at any t aborts, naming the first
     such t, rather than returning a silently wrong series.
@@ -104,7 +109,13 @@ def trace_powers(u: np.ndarray, t_max: int) -> TraceSeries:
     u = assert_unitary(u)
     n = u.shape[0]
     lam = np.linalg.eigvals(u)
-    values = np.array([np.sum(lam**t) for t in range(t_max + 1)])
+    values = np.empty(t_max + 1, dtype=complex)
+    rows = max(1, _BABY_STACK_BYTES // (16 * n))  # one block holds rows x n powers
+    for start in range(0, t_max + 1, rows):
+        t = np.arange(start, min(start + rows, t_max + 1))
+        values[start:start + t.size] = (lam ** t[:, None]).sum(axis=1)
+    if t_max >= 2:  # a scalar 2 takes numpy's square, an array exponent does not
+        values[2] = np.sum(lam**2)
 
     m = max(1, min(math.isqrt(t_max) + 1, _BABY_STACK_BYTES // (16 * n * n)))
     baby = np.empty((m, n, n), dtype=complex)  # baby[b] = (U^b)^T
@@ -167,9 +178,10 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
     """
     n1 = check_int(n1, "counter register n1", 2)
     check_qubit_budget(probe=1, counter=n1, system=wire_count(largest_side(u)))
+    u = as_square_matrix(u)
+    qubit_count(u.shape[0])  # a power-of-two register, before the O(N^3) unitarity check
     u = assert_unitary(u)
     n = u.shape[0]
-    qubit_count(n)  # the register needs a power-of-two dimension
     d = 1 << n1
 
     upow = np.empty((d, n, n), dtype=complex)

@@ -2,6 +2,7 @@
 the dense gate oracle the gate kernel is held to, seeded random states and
 unitaries, the reading of the gate records the library writes, the
 elementwise one-wire update the kernel's in-place branch is held to bit for
+bit, the per-t trace series the spectrometer's power sum is held to bit for
 bit, and a call recorder for the tests that count checks."""
 
 from functools import reduce
@@ -112,6 +113,13 @@ def hadamards_elementwise(state: np.ndarray, n: int) -> np.ndarray:
         for offset, m in ((0, HADAMARD), (n, HADAMARD.conj()))[: state.ndim]:
             contract_elementwise(tensor, offset + wire, m)
     return state
+
+
+def trace_powers_loop(lam: np.ndarray, t_max: int) -> np.ndarray:
+    """Tr(U^t) for t = 0 .. t_max from the eigenvalues ``lam``, one
+    ``np.sum(lam**t)`` per t: the series the chunked power sum of
+    ``trace_powers`` must match bit for bit."""
+    return np.array([np.sum(lam**t) for t in range(t_max + 1)])
 
 
 def gate_from_record(rec: dict) -> GateOp:

@@ -23,7 +23,7 @@ from qscatter import cli, circuits, io, linalg, phasespace, scattering, spectrom
 from qscatter import synthesis
 from qscatter.circuits import GateOp
 from qscatter.errors import DimensionMismatchError, InvalidValueError, QscatterError
-from qscatter.errors import QubitBudgetError
+from qscatter.errors import PowerOfTwoError, QubitBudgetError
 from qscatter.phasespace import PhasePoint
 from reference import random_density_matrix, random_unitary, record_calls
 
@@ -423,6 +423,24 @@ def test_budget_is_refused_before_any_check(name, monkeypatch):
     monkeypatch.setattr(linalg, "is_unitary", refuse)
     with pytest.raises(QubitBudgetError):
         OVER_BUDGET[name]()
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda u: scattering.scattering_circuit(np.eye(3) / 3, u),
+        lambda u: spectrometer.spectral_density_via_circuit(u, 2),
+    ],
+    ids=["scattering_circuit", "spectral_density_via_circuit"],
+)
+def test_circuit_routes_refuse_the_dimension_before_the_unitarity_check(route, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 3x3 operator reached the unitarity check")
+
+    monkeypatch.setattr(linalg, "is_unitary", refuse)
+    with pytest.raises(PowerOfTwoError) as err:
+        route(np.diag([1.0, 2.0, 3.0]))  # not unitary either
+    assert err.value.slug == "not-power-of-two"
 
 
 def test_factory_rules_stop_at_the_largest_register():

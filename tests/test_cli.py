@@ -56,6 +56,8 @@ def inputs(tmp_path_factory):
         "mixed4": maximally_mixed(4),
         "sz": np.diag([1.0 + 0j, -1.0]),
         "eye3": np.eye(3),
+        "mixed3": np.eye(3) / 3,
+        "diag123": np.diag([1.0, 2.0, 3.0]),  # not unitary
     }
     paths = {}
     for name, m in files.items():
@@ -281,6 +283,17 @@ class TestErrorExits:
 
     def test_power_of_two_required_by_circuit(self, inputs):
         cp = run_cli("spectrum", "--u", inputs["eye3"], "--n1", 2, "--via-circuit")
+        assert cp.returncode == 5
+        assert error_payload(cp)["error"] == "not-power-of-two"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["scatter", "--rho", "mixed3"], ["spectrum", "--n1", "2", "--via-circuit"]],
+        ids=["scatter", "spectrum"],
+    )
+    def test_circuit_routes_refuse_the_dimension_before_unitarity(self, inputs, command):
+        args = [inputs.get(a, a) for a in command]
+        cp = run_cli(*args, "--u", inputs["diag123"])
         assert cp.returncode == 5
         assert error_payload(cp)["error"] == "not-power-of-two"
 

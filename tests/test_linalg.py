@@ -1,5 +1,9 @@
 """Tests for the shared dense linear algebra layer."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -200,7 +204,8 @@ class TestStateVerdicts:
                 assert rec.valid == (_reference_defect(rec.matrix, 1e-10) is None), kind
         assert 0 < refused < STATE_KINDS["near-floor"][1]  # both sides of the floor
 
-    def test_check_holds_at_most_two_state_sized_temporaries(self):
+    def test_check_allocates_at_most_two_state_sized_numpy_arrays(self):
+        # The resident-memory pin below counts what tracemalloc cannot see.
         n = 512
         rho = random_density_matrix(n, np.random.default_rng(4))
         assert_density_matrix(rho)  # first-call allocations, before the baseline
@@ -214,3 +219,28 @@ class TestStateVerdicts:
         # Plus numpy's fixed-size ufunc buffers (64 KiB each); tracemalloc sees
         # numpy's arrays, not the copy LAPACK factors in.
         assert peak <= 2 * 16 * n * n + (1 << 18)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB on Linux")
+    def test_check_peaks_at_about_three_states_of_resident_memory(self):
+        # The symmetrized conjugate, LAPACK's copy of it and the returned factor:
+        # one N=1024 call raised the process peak by 3.15 states.
+        code = textwrap.dedent(
+            """
+            import resource
+            import numpy as np
+            from qscatter.linalg import assert_density_matrix
+            n = 1024
+            rho = np.full((n, n), 0j)  # every page written, no temporary
+            np.fill_diagonal(rho, 1 / n)
+            assert_density_matrix(np.eye(4) / 4)  # LAPACK loaded, before the baseline
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            assert_density_matrix(rho)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+            """
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        cp = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, env=env, timeout=120)
+        assert cp.returncode == 0, cp.stderr
+        state = 1024**2 * 16
+        assert int(cp.stdout) * 1024 < 3.5 * state

@@ -6,9 +6,14 @@ circuit, and the circuit simulation is tested here as the ground truth the
 direct Fourier formula must reproduce.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qscatter import spectrometer
 from qscatter.circuits import PAULI_Z
 from qscatter.errors import InvalidValueError, QubitBudgetError
 from qscatter.linalg import QUBIT_BUDGET
@@ -20,7 +25,7 @@ from qscatter.spectrometer import (
     structure_function,
     trace_powers,
 )
-from reference import dft_matrix, random_unitary, shift_u
+from reference import dft_matrix, random_unitary, shift_u, trace_powers_loop
 
 
 class TestTracePowers:
@@ -56,6 +61,54 @@ class TestTracePowers:
             trace_powers(np.eye(2), edge + 1)
         with pytest.raises(QubitBudgetError):
             trace_powers(np.eye(2), 1 << 40)
+
+
+class TestChunkedPowerSum:
+    """The series is summed in blocks of rows lam ** t, bit for bit the per-t loop."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        haar=st.booleans(),
+        t_max=st.integers(0, 4095),
+        rows=st.integers(1, 128),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Chunks of 1 and 2 rows start at t = 2, 3 rows end on it and 4 straddle
+    # it; 7 rows straddle t = 100, where numpy's power leaves repeated
+    # multiplication for the library cpow.
+    @example(n=3, haar=True, t_max=4095, rows=7, seed=3)
+    @example(n=3, haar=False, t_max=200, rows=2, seed=4)
+    @example(n=64, haar=True, t_max=4095, rows=4, seed=5)
+    @example(n=1, haar=False, t_max=2, rows=1, seed=6)
+    @example(n=5, haar=True, t_max=150, rows=3, seed=7)
+    def test_series_equals_the_per_t_loop_bit_for_bit(self, n, haar, t_max, rows, seed):
+        rng = np.random.default_rng(seed)
+        if haar:
+            u = random_unitary(n, rng)
+        else:
+            u = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=n)))
+        with pytest.MonkeyPatch.context() as mp:
+            # A block of lam ** t holds 16 n bytes a row.
+            mp.setattr(spectrometer, "_BABY_STACK_BYTES", rows * 16 * n)
+            got = trace_powers(u, t_max).values
+        want = trace_powers_loop(np.linalg.eigvals(u), t_max)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_block_is_chunked_under_the_cap(self, monkeypatch):
+        # Unchunked, the N=64, t_max=4095 block alone is 4 MiB; under a 64 KiB
+        # cap the whole call peaked at 419 KiB, self-check included.
+        monkeypatch.setattr(spectrometer, "_BABY_STACK_BYTES", 64 << 10)
+        u = random_unitary(64, np.random.default_rng(8))
+        trace_powers(u, 4095)  # first-call allocations, before the baseline
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trace_powers(u, 4095)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _with_eigvals(monkeypatch, perturb):
