@@ -19,15 +19,19 @@ t = 0).
 The structure function applies the single-turn kernel exp(-2 pi i E t / D)
 to |Tr(U^t)|^2 / N^2 instead, measuring correlations between eigenphases.
 
-Both Fourier routes read Tr(U^t) from the eigenvalues of U, checked at every
-t against products of U itself: baby steps U^0 .. U^(m-1) and giant steps
-U^(am), about m + t_max/m matrix products instead of t_max (Paterson and
-Stockmeyer, SIAM J. Comput. 2, 60, 1973). m is about sqrt(t_max), capped by
-a 4 MiB stack of baby steps: 35 products at N=256 and t_max=127 (m = 4), and
-m = 1, so t_max products, for N >= 512. The circuit route simulates the
+Both Fourier routes read Tr(U^t) = sum(lam**t) from the eigenvalues lam of
+U. Rows t < 100 take numpy's power, which multiplies repeatedly there; from
+t = 100 on numpy calls libm's cpow, which glibc computes as
+cexp(t * clog(lam)), so those rows are exp(t * log(lam)) with the log taken
+once, the same bits at a small part of the cost. The series is checked at
+every t against products of U itself: baby steps U^0 .. U^(m-1) and giant
+steps U^(am), about m + t_max/m matrix products instead of t_max (Paterson
+and Stockmeyer, SIAM J. Comput. 2, 60, 1973). m is about sqrt(t_max), capped
+by a 4 MiB stack of baby steps: 35 products at N=256 and t_max=127 (m = 4),
+and m = 1, so t_max products, for N >= 512. The circuit route simulates the
 three registers with ``np.fft`` as the counter Fourier gate and one batched
-product as the power map. Every route holds the counter to the qubit budget,
-so n1 <= 12 (and t_max < 2**12) before any work starts.
+product as the power map, label by label. Every route holds the counter to
+the qubit budget, so n1 <= 12 (and t_max < 2**12) before any work starts.
 """
 
 import math
@@ -41,6 +45,7 @@ from .linalg import check_qubit_budget, largest_side, qubit_count, wire_count
 
 _SERIES_SELF_CHECK_TOL = 1e-9
 _BABY_STACK_BYTES = 4 << 20  # caps the self-check's baby-step stack and each block of powers
+_CPOW_FROM = 100  # numpy's complex power multiplies repeatedly below this |t|, calls cpow from it
 
 
 @dataclass(frozen=True)
@@ -95,25 +100,37 @@ class SpectralSeries:
 def trace_powers(u: np.ndarray, t_max: int) -> TraceSeries:
     """Trace of every power of U up to t_max < 2**QUBIT_BUDGET.
 
-    Evaluated from the eigenvalues lam as sum(lam**t): blocks of rows
-    lam ** t, at most 4 MiB each, are summed along each row, and row t = 2 is
-    lam**2, numpy's square, so every value has the bits of its own
-    np.sum(lam**t). The series is cross-checked at every t against matrix
-    products of U: with m baby-step powers B_b = U^b and giant steps
-    G_a = U^(am), Tr(U^(am+b)) = sum(G_a * B_b^T), one matrix-vector product
-    per giant step. Disagreement beyond 1e-9 at any t aborts, naming the first
-    such t, rather than returning a silently wrong series.
+    Evaluated from the eigenvalues lam as sum(lam**t), in blocks of rows of
+    powers, at most 4 MiB each, summed along each row. Rows t < 100 are
+    lam ** t, numpy's power, which multiplies repeatedly there, and row t = 2
+    is lam**2, numpy's square. From t = 100 on numpy's power calls libm's
+    cpow, which glibc computes as cexp(t * clog(lam)); those rows are
+    exp(t * log(lam)), the log taken once per call and the exp run in place,
+    which rounds identically at a fraction of the cost. So every value has
+    the bits of its own np.sum(lam**t). The series is cross-checked at every
+    t against matrix products of U: with m baby-step powers B_b = U^b and
+    giant steps G_a = U^(am), Tr(U^(am+b)) = sum(G_a * B_b^T), one
+    matrix-vector product per giant step. Disagreement beyond 1e-9 at any t
+    aborts, naming the first such t, rather than returning a silently wrong
+    series.
     """
     t_max = check_int(t_max, "t_max", 0)
     check_qubit_budget(counter=t_max.bit_length())
     u = assert_unitary(u)
     n = u.shape[0]
     lam = np.linalg.eigvals(u)
+    log_lam = np.log(lam)
     values = np.empty(t_max + 1, dtype=complex)
     rows = max(1, _BABY_STACK_BYTES // (16 * n))  # one block holds rows x n powers
-    for start in range(0, t_max + 1, rows):
-        t = np.arange(start, min(start + rows, t_max + 1))
-        values[start:start + t.size] = (lam ** t[:, None]).sum(axis=1)
+    edges = sorted({*range(0, t_max + 1, rows), min(_CPOW_FROM, t_max + 1), t_max + 1})
+    for lo, hi in zip(edges, edges[1:]):  # no block straddles t = 100
+        t = np.arange(lo, hi)[:, None]
+        if lo < _CPOW_FROM:
+            block = lam ** t
+        else:
+            block = t * log_lam
+            np.exp(block, out=block)
+        values[lo:hi] = block.sum(axis=1)
     if t_max >= 2:  # a scalar 2 takes numpy's square, an array exponent does not
         values[2] = np.sum(lam**2)
 
@@ -174,7 +191,15 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
     the probe z polarization is read off the final amplitudes. On the probe-1
     branch the counter Fourier gate is an orthonormal FFT over the counter
     axis and the power map |t>|n> -> |t> U^t |n> one batched matrix product.
-    The joint register (probe + counter + system) must fit the 12-qubit budget.
+    The first Fourier gate meets the basis state |E>, scaled by the probe
+    Hadamard, on every diagonal of the N x N slab, so it is one transform of
+    length D written onto those diagonals; every 1-D transform rounds the
+    same in or out of a batch. Off slice E the probe-0 branch is zero, so
+    both closing-Hadamard branches have the weights |f / sqrt 2|^2 of the
+    probe-1 amplitudes f there, and one weight array serves both sums, slice
+    E written in turn for each. These steps keep the bits of the gates
+    applied one by one to the full register. The joint register (probe +
+    counter + system) must fit the 12-qubit budget.
     """
     n1 = check_int(n1, "counter register n1", 2)
     check_qubit_budget(probe=1, counter=n1, system=wire_count(largest_side(u)))
@@ -191,23 +216,35 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
 
     bins = np.empty(d)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    label = np.zeros(d, dtype=complex)  # the probe-1 half of the counter input
+    psi1 = np.zeros((d, n, n), dtype=complex)  # off-diagonal entries stay zero
+    diagonals = psi1.reshape(d, n * n)[:, :: n + 1]
+    powered = np.empty_like(psi1)
+    final = np.empty_like(psi1)
+    psi0 = np.eye(n, dtype=complex) * inv_sqrt2  # the probe-0 branch, slice E only
+    slice_e = np.empty((2, n, n), dtype=complex)  # slice E of both closing branches
+    weights = np.empty((d, n, n))
     for energy in range(d):
+        # Probe Hadamard, then the counter Fourier gate on the probe-1 branch,
+        # with the analysis kernel sign exp(-2 pi i E k / D) / sqrt(D).
+        label[energy] = inv_sqrt2
+        diagonals[...] = np.fft.fft(label, norm="ortho")[:, None]
+        label[energy] = 0
         # Columns track the N pure-state components of the mixed system input.
-        psi0 = np.zeros((d, n, n), dtype=complex)
-        psi0[energy] = np.eye(n)
-        # Probe Hadamard splits |0> into equal branches.
-        psi1 = psi0 * inv_sqrt2
-        psi0 = psi0 * inv_sqrt2
-        # Controlled blocks act on the probe-1 branch only. The Fourier gate
-        # has the analysis kernel sign, exp(-2 pi i E k / D) / sqrt(D).
-        psi1 = np.fft.fft(psi1, axis=0, norm="ortho")
-        psi1 = np.matmul(upow, psi1)
-        psi1 = np.fft.fft(psi1, axis=0, norm="ortho")
+        np.matmul(upow, psi1, out=powered)
+        np.fft.fft(powered, axis=0, norm="ortho", out=final)
         # Closing probe Hadamard, then <sigma_z> from the branch norms,
         # averaged over the mixture.
-        top = (psi0 + psi1) * inv_sqrt2
-        bot = (psi0 - psi1) * inv_sqrt2
-        bins[energy] = (
-            np.sum(np.abs(top) ** 2) - np.sum(np.abs(bot) ** 2)
-        ) / n
+        np.add(psi0, final[energy], out=slice_e[0])
+        np.subtract(psi0, final[energy], out=slice_e[1])
+        slice_e *= inv_sqrt2
+        slice_e_weights = np.abs(slice_e)
+        np.square(slice_e_weights, out=slice_e_weights)
+        final *= inv_sqrt2
+        np.abs(final, out=weights)
+        np.square(weights, out=weights)
+        weights[energy] = slice_e_weights[0]
+        top = np.sum(weights)
+        weights[energy] = slice_e_weights[1]
+        bins[energy] = (top - np.sum(weights)) / n
     return SpectralSeries(n1=n1, bins=bins, phase_multiple=2)

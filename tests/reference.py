@@ -3,6 +3,7 @@ the dense gate oracle the gate kernel is held to, seeded random states and
 unitaries, the reading of the gate records the library writes, the
 elementwise one-wire update the kernel's in-place branch is held to bit for
 bit, the per-t trace series the spectrometer's power sum is held to bit for
+bit, the gate-by-gate counter circuit its circuit route is held to bit for
 bit, and a call recorder for the tests that count checks."""
 
 from functools import reduce
@@ -120,6 +121,35 @@ def trace_powers_loop(lam: np.ndarray, t_max: int) -> np.ndarray:
     ``np.sum(lam**t)`` per t: the series the chunked power sum of
     ``trace_powers`` must match bit for bit."""
     return np.array([np.sum(lam**t) for t in range(t_max + 1)])
+
+
+def spectral_density_via_circuit_loop(u: np.ndarray, n1: int) -> np.ndarray:
+    """Bins of the three-register counter circuit for a unitary U, every gate
+    applied to the full (D, N, N) register of each label in turn: both probe
+    branches, the Fourier gate as an FFT over all N x N columns and the
+    closing Hadamard on both branches, read out by two full-array sums. The
+    bins ``spectrometer.spectral_density_via_circuit`` must match bit for
+    bit."""
+    n = u.shape[0]
+    d = 1 << n1
+    upow = np.empty((d, n, n), dtype=complex)
+    upow[0] = np.eye(n)
+    for t in range(1, d):
+        upow[t] = u @ upow[t - 1]
+    bins = np.empty(d)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for energy in range(d):
+        psi0 = np.zeros((d, n, n), dtype=complex)
+        psi0[energy] = np.eye(n)
+        psi1 = psi0 * inv_sqrt2
+        psi0 = psi0 * inv_sqrt2
+        psi1 = np.fft.fft(psi1, axis=0, norm="ortho")
+        psi1 = np.matmul(upow, psi1)
+        psi1 = np.fft.fft(psi1, axis=0, norm="ortho")
+        top = (psi0 + psi1) * inv_sqrt2
+        bot = (psi0 - psi1) * inv_sqrt2
+        bins[energy] = (np.sum(np.abs(top) ** 2) - np.sum(np.abs(bot) ** 2)) / n
+    return bins
 
 
 def gate_from_record(rec: dict) -> GateOp:

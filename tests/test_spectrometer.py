@@ -25,7 +25,13 @@ from qscatter.spectrometer import (
     structure_function,
     trace_powers,
 )
-from reference import dft_matrix, random_unitary, shift_u, trace_powers_loop
+from reference import (
+    dft_matrix,
+    random_unitary,
+    shift_u,
+    spectral_density_via_circuit_loop,
+    trace_powers_loop,
+)
 
 
 class TestTracePowers:
@@ -76,8 +82,12 @@ class TestChunkedPowerSum:
     )
     # Chunks of 1 and 2 rows start at t = 2, 3 rows end on it and 4 straddle
     # it; 7 rows straddle t = 100, where numpy's power leaves repeated
-    # multiplication for the library cpow.
+    # multiplication for the library cpow and the series takes exp(t log lam);
+    # 50 rows end a chunk on t = 99 and start the next on t = 100.
     @example(n=3, haar=True, t_max=4095, rows=7, seed=3)
+    @example(n=3, haar=False, t_max=4095, rows=50, seed=8)
+    @example(n=16, haar=True, t_max=150, rows=50, seed=9)
+    @example(n=1, haar=True, t_max=100, rows=50, seed=10)
     @example(n=3, haar=False, t_max=200, rows=2, seed=4)
     @example(n=64, haar=True, t_max=4095, rows=4, seed=5)
     @example(n=1, haar=False, t_max=2, rows=1, seed=6)
@@ -109,6 +119,35 @@ class TestChunkedPowerSum:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestPowerIdentity:
+    """From |t| = 100 numpy's complex power calls libm's cpow, which glibc
+    computes as cexp(t * clog(lam)): the identity the series rests on."""
+
+    @staticmethod
+    def _eigenvalues():
+        rng = np.random.default_rng(12)
+        d = 4096
+        return np.concatenate([
+            np.exp(1j * rng.uniform(0, 2 * np.pi, size=16)),  # unit modulus
+            np.linalg.eigvals(random_unitary(16, rng)),  # modulus off 1 by rounding
+            np.exp(4j * np.pi * rng.integers(d, size=16) / d),  # on counter labels
+            [1, -1, 1j, -1j],
+        ])
+
+    def test_power_is_exp_of_t_log_from_t_100(self):
+        lam = self._eigenvalues()
+        t = np.arange(100, 4096)[:, None]
+        want = lam ** t
+        got = np.exp(t * np.log(lam))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_power_differs_below_t_100(self):
+        lam = self._eigenvalues()
+        t = np.arange(100)[:, None]
+        differs = (np.exp(t * np.log(lam)).view(np.uint64) != (lam ** t).view(np.uint64))
+        assert differs.any()
 
 
 def _with_eigvals(monkeypatch, perturb):
@@ -281,6 +320,58 @@ class TestCircuitEquivalence:
         u = np.diag(np.exp(2j * np.pi * np.arange(8) / 8))
         s = spectral_density_via_circuit(u, 8)
         assert np.abs(s.bins - spectral_density(u, 8).bins).max() < 1e-9
+
+
+class TestCircuitBitForBit:
+    """The label loop writes the first Fourier gate onto the slab diagonals and
+    reads both probe branches from one weight array, bit for bit the gates
+    applied to the whole register."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        # (n1, system wires) within the budget beside the probe
+        shape=st.integers(0, 6).flatmap(
+            lambda w: st.tuples(st.integers(2, QUBIT_BUDGET - 1 - w), st.just(w))
+        ),
+        kind=st.sampled_from(["haar", "labels", "diagonal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # The budget edges at N = 1, 2, 16 and 64 and the smallest counter at
+    # N = 64; eigenphases on labels make exact and signed zeros.
+    @example(shape=(11, 0), kind="haar", seed=1)
+    @example(shape=(10, 1), kind="labels", seed=2)
+    @example(shape=(5, 6), kind="haar", seed=3)
+    @example(shape=(2, 6), kind="labels", seed=4)
+    @example(shape=(7, 4), kind="labels", seed=5)
+    def test_bins_equal_the_gate_by_gate_loop(self, shape, kind, seed):
+        n1, wires = shape
+        n, d = 1 << wires, 1 << n1
+        rng = np.random.default_rng(seed)
+        if kind == "haar":
+            u = random_unitary(n, rng)
+        elif kind == "labels":  # eigenphases 4 pi E / D on counter labels
+            u = np.diag(np.exp(4j * np.pi * rng.integers(d, size=n) / d))
+        else:
+            u = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=n)))
+        got = spectral_density_via_circuit(u, n1).bins
+        want = spectral_density_via_circuit_loop(u, n1)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("n1,n", [(6, 32), (7, 16), (4, 64)])
+    def test_peak_memory_under_five_and_a_quarter_arrays(self, n1, n):
+        # Counted in (D, N, N) complex arrays: the powers, the three stages of
+        # the probe-1 branch and half an array of real weights make 4.5; the
+        # gate-by-gate loop peaks at 6.0.
+        u = random_unitary(n, np.random.default_rng(n1))
+        spectral_density_via_circuit(u, n1)  # first-call allocations, before the baseline
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            spectral_density_via_circuit(u, n1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.25 * (16 << n1) * n * n
 
 
 class TestStructureFunction:
