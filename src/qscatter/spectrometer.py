@@ -232,7 +232,7 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
         label[energy] = 0
         # Columns track the N pure-state components of the mixed system input.
         np.matmul(upow, psi1, out=powered)
-        np.fft.fft(powered, axis=0, norm="ortho", out=final)
+        np.fft.fft(powered, axis=0, norm="ortho", out=final)  # out= from numpy 2.0
         # Closing probe Hadamard, then <sigma_z> from the branch norms,
         # averaged over the mixture.
         np.add(psi0, final[energy], out=slice_e[0])
