@@ -15,6 +15,15 @@ The controlled block is a gate list (``scattering_circuit_gates``), an index
 map (label, phase), U|x> = phase[x] |label[x]>, run by the gate kernel's map
 pass, or a dense U that the readout applies itself, in place like the gates:
 U on the probe-1 rows of the joint state, then U^dagger on those columns.
+
+The probe gates around that block make no whole-state pass. The opening
+Hadamard is a state preparation: the readout writes |+><+| (x) rho out
+directly, as the kernel's Hadamard would leave |0><0| (x) rho, signed zeros
+included. The closing Hadamard and frame rotation act on the probe alone,
+so on the 4 D block-diagonal entries joint[i D + y, j D + y] (D the dimension
+of system and work wires) they need no other entry, and those are all the
+Pauli readout sums; they run there alone, through the kernel's one-wire
+update, so every readout is bit for bit the whole-state circuit's.
 """
 
 from dataclasses import dataclass
@@ -64,18 +73,38 @@ def direct_trace(rho: np.ndarray, u: np.ndarray) -> complex:
     return complex(np.einsum("ij,ji->", assert_unitary(u), rho))
 
 
+def _plus_joint(rho: np.ndarray, num_qubits: int) -> np.ndarray:
+    # |+><+| (x) R on num_qubits wires, R being rho at every w-th row and
+    # column (the work wires in |0>), bit for bit as the kernel's probe
+    # Hadamard leaves |0><0| (x) R. Each pass is the kernel's one-wire update
+    # (``_contract``) written out for a zero s1: s0 <- s0 m00 + m01 0 and
+    # s1 <- 0 m11 + s0 m00, the products with 0 taken from numpy so their
+    # signed zeros are the kernel's. The row pass runs on the left half only,
+    # as it leaves the right half +0; so the column pass meets a zero s1 too.
+    half = 1 << (num_qubits - 1)
+    w = half // rho.shape[0]
+    joint = np.zeros((2 * half, 2 * half), dtype=complex)
+    joint[:half:w, :half:w] = rho
+    zero = np.zeros(1, dtype=complex)
+    h = _PROBE_HADAMARD.matrix
+    for m, s0, s1 in ((h, joint[:half, :half], joint[half:, :half]),
+                      (h.conj(), joint[:, :half], joint[:, half:])):
+        s0 *= m[0, 0]
+        np.add(zero * m[1, 1], s0, out=s1)
+        s0 += m[0, 1] * zero
+    return joint
+
+
 def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int,
                    u: np.ndarray | tuple | None = None) -> ScatteringResult:
     # Unchecked core: rho is a valid state, every gate fits the wires probe,
     # system, work, and u, if given, is a unitary on the system with no work
-    # wires, dense or as its index map (label, phase). Probe and work wires
-    # start in |0>, so rho fills every w-th row and column of the joint
-    # state; the circuit evolves it in place.
+    # wires, dense or as its index map (label, phase). The circuit starts
+    # from the probe's |+><+| and evolves the joint state in place.
     d = rho.shape[0]
-    w = (1 << num_qubits) // (2 * d)
-    joint = np.zeros((2 * d * w, 2 * d * w), dtype=complex)
-    joint[: d * w : w, : d * w : w] = rho
-    _apply_sequence(joint, [_PROBE_HADAMARD, *gates], num_qubits)
+    half = 1 << (num_qubits - 1)
+    joint = _plus_joint(rho, num_qubits)
+    _apply_sequence(joint, gates, num_qubits)
     if isinstance(u, tuple):  # controlled map: the identity on the probe-0 labels
         label, phase = u
         _apply_map(joint, np.r_[np.arange(d), d + label], np.r_[np.ones(d), phase])
@@ -88,7 +117,19 @@ def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int,
         else:
             joint[d:] = u @ joint[d:]
             joint[:, d:] = joint[:, d:] @ u.conj().T
-    _apply_sequence(joint, [_PROBE_HADAMARD, _PROBE_FRAME], num_qubits)
+    # The readout sums only the block diagonals joint[i*half + y, j*half + y],
+    # and the closing gates act on the probe alone, elementwise in the rest,
+    # so they run on those 4*half entries only: gathered into a contiguous
+    # block, system index innermost as in the joint, so the kernel's update
+    # rounds as on the whole state, then written back. The joint is left as
+    # working memory: off the block diagonals it holds values from before the
+    # closing gates.
+    diagonals = np.einsum("iyjy->ijy", joint.reshape(2, half, 2, half))
+    block = diagonals.copy()
+    for g in (_PROBE_HADAMARD, _PROBE_FRAME):
+        _contract(block, 0, g.matrix)
+        _contract(block, 1, g.matrix.conj())
+    diagonals[...] = block
     z = _pauli_expectation(joint, "z", 0)
     x = _pauli_expectation(joint, "x", 0)
     return ScatteringResult(sigma_z=z, sigma_x=x)

@@ -4,14 +4,17 @@ unitaries, the reading of the gate records the library writes, the
 elementwise one-wire update the kernel's in-place branch is held to bit for
 bit, the per-t trace series the spectrometer's power sum is held to bit for
 bit, the gate-by-gate counter circuit its circuit route is held to bit for
+bit, the whole-state probe readout the scattering readout is held to bit for
 bit, and a call recorder for the tests that count checks."""
 
 from functools import reduce
 
 import numpy as np
 
-from qscatter.circuits import HADAMARD, GateOp
+from qscatter.circuits import HADAMARD, GateOp, _apply_map, _apply_sequence, _contract
+from qscatter.circuits import _pauli_expectation
 from qscatter.errors import InvalidValueError
+from qscatter.scattering import ScatteringResult
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -150,6 +153,34 @@ def spectral_density_via_circuit_loop(u: np.ndarray, n1: int) -> np.ndarray:
         bot = (psi0 - psi1) * inv_sqrt2
         bins[energy] = (np.sum(np.abs(top) ** 2) - np.sum(np.abs(bot) ** 2)) / n
     return bins
+
+
+def probe_readout_full(rho: np.ndarray, gates, num_qubits: int, u=None) -> ScatteringResult:
+    """The probe circuit with every probe gate run on the whole joint state by
+    the gate kernel: |0><0| (x) rho (rho at every w-th row and column), a
+    Hadamard, the gates, the controlled block (a dense U or its index map
+    (label, phase)), a Hadamard and the frame PhaseShift(-pi/2), then the z
+    and x readout. The polarization ``scattering._probe_readout`` must match
+    bit for bit; it takes the same unchecked arguments."""
+    d = rho.shape[0]
+    w = (1 << num_qubits) // (2 * d)
+    hadamard = GateOp("Hadamard", (0,))
+    joint = np.zeros((2 * d * w, 2 * d * w), dtype=complex)
+    joint[: d * w : w, : d * w : w] = rho
+    _apply_sequence(joint, [hadamard, *gates], num_qubits)
+    if isinstance(u, tuple):
+        label, phase = u
+        _apply_map(joint, np.r_[np.arange(d), d + label], np.r_[np.ones(d), phase])
+    elif u is not None:
+        if d == 2:
+            _contract(joint[d:], 0, u)
+            _contract(joint[:, d:], 1, u.conj())
+        else:
+            joint[d:] = u @ joint[d:]
+            joint[:, d:] = joint[:, d:] @ u.conj().T
+    _apply_sequence(joint, [hadamard, GateOp("PhaseShift", (0,), theta=-np.pi / 2)], num_qubits)
+    return ScatteringResult(sigma_z=_pauli_expectation(joint, "z", 0),
+                            sigma_x=_pauli_expectation(joint, "x", 0))
 
 
 def gate_from_record(rec: dict) -> GateOp:

@@ -2,25 +2,34 @@
 
 The circuit route (Hadamard, controlled-U, Hadamard, frame rotation, Pauli
 readout) must reproduce Tr(U rho) computed directly, for every state and
-unitary, to near machine precision.
+unitary, to near machine precision. The readout prepares the probe's
+|+><+| directly and runs the closing probe gates only on the entries it
+reads; its polarization is held bit for bit to the circuit run gate by gate
+on the whole joint state (``reference.probe_readout_full``).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qscatter import scattering
-from qscatter.circuits import HADAMARD, PAULI_Y
+from qscatter.circuits import HADAMARD, PAULI_Y, GateOp, _apply_sequence
 from qscatter.errors import DimensionMismatchError, InvalidValueError, QubitBudgetError
-from qscatter.phasespace import PhasePoint, phase_point_operator
+from qscatter.phasespace import PhasePoint, _point_operator, phase_point_operator
 from qscatter.scattering import (
     ScatteringResult,
+    _plus_joint,
+    _probe_readout,
     direct_trace,
     scattering_circuit,
     scattering_circuit_gates,
 )
 from qscatter.states import basis_state, maximally_mixed
 from qscatter.synthesis import synth_phase_point_circuit
-from reference import random_density_matrix, random_unitary
+from reference import probe_readout_full, random_density_matrix, random_unitary
 
 
 class TestKnownTraces:
@@ -103,6 +112,128 @@ class TestGateListRoute:
     def test_non_integer_wire_count(self):
         with pytest.raises(InvalidValueError, match="wires"):
             scattering_circuit_gates(maximally_mixed(4), [], 3.0)
+
+
+def sparse_state(n: int, rng, real: bool, signed: bool) -> np.ndarray:
+    """A state on a random set of basis labels, real or complex; if
+    ``signed``, its zero entries carry a random sign on either part."""
+    support = np.flatnonzero(rng.random(n) < 0.5)
+    if support.size == 0:
+        support = rng.integers(n, size=1)
+    k = support.size
+    g = rng.standard_normal((k, k)) + (0 if real else 1j) * rng.standard_normal((k, k))
+    rho = np.zeros((n, n), dtype=complex)
+    rho[np.ix_(support, support)] = g @ g.conj().T / np.sum(np.abs(g) ** 2)
+    for part in (rho.real, rho.imag) if signed else ():
+        part[(part == 0) & (rng.random((n, n)) < 0.5)] = -0.0
+    return rho
+
+
+def real_orthogonal(n: int, rng) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.sign(np.diag(r))).astype(complex)
+
+
+def polarization_bits(res: ScatteringResult) -> list[int]:
+    return np.array([res.sigma_z, res.sigma_x]).view(np.uint64).tolist()
+
+
+class TestReadoutBits:
+    """The readout starts from |+><+| (x) rho and runs the closing Hadamard
+    and frame on the block diagonals alone; sigma_z and sigma_x are bit for
+    bit those of the whole-state circuit, signed zeros included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        route=st.sampled_from(["dense", "map", "synth", "idle"]),
+        k=st.integers(0, 8),
+        real=st.booleans(),
+        zeros=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # N = 1, and N = 2, where the dense U takes the kernel's one-wire update;
+    # a real state and U make Im Tr(U rho) vanish, so sigma_x is an exact zero.
+    @example(route="dense", k=0, real=True, zeros=False, seed=1)
+    @example(route="dense", k=1, real=True, zeros=True, seed=2)
+    @example(route="dense", k=1, real=False, zeros=False, seed=3)
+    @example(route="dense", k=3, real=True, zeros=True, seed=4)
+    @example(route="dense", k=8, real=False, zeros=True, seed=5)
+    @example(route="map", k=4, real=True, zeros=True, seed=6)
+    @example(route="synth", k=3, real=False, zeros=True, seed=7)  # one work wire
+    @example(route="idle", k=2, real=True, zeros=True, seed=8)  # two idle work wires
+    def test_polarization_matches_the_whole_state_circuit(self, route, k, real, zeros, seed):
+        if route != "dense":  # a phase point needs N >= 2; gate lists stay at N <= 32
+            k = min(max(k, 1), 8 if route == "map" else 5)
+        n = 1 << k
+        rng = np.random.default_rng(seed)
+        if real or zeros:
+            rho = sparse_state(n, rng, real, zeros)
+        else:
+            rho = random_density_matrix(n, rng)
+        if route == "dense":
+            u = real_orthogonal(n, rng) if real else random_unitary(n, rng)
+            args = ([], k + 1, u)
+        else:
+            q, p = (int(v) for v in rng.integers(2 * n, size=2))
+            alpha = PhasePoint(q=q, p=0 if real else p, n=n)
+            if route == "map":
+                args = ([], k + 1, _point_operator(alpha))
+            else:
+                seq = synth_phase_point_circuit(alpha)
+                args = (list(seq.gates), seq.num_qubits + 2 * (route == "idle"))
+        got = _probe_readout(rho, *args)
+        assert polarization_bits(got) == polarization_bits(probe_readout_full(rho, *args))
+
+
+class TestPreparation:
+    """The prepared |+><+| (x) R is the kernel's probe Hadamard on |0><0| (x) R,
+    entry by entry and bit for bit, work wires included. The readout's sums
+    can hide a zero's sign (an exactly zero polarization has come out +0 in
+    every case tried), so the whole joint is compared here."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 4])
+    @pytest.mark.parametrize("work", [0, 1])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_prepared_joint_is_the_kernel_hadamard(self, k, work, zeros):
+        n = 1 << k
+        rng = np.random.default_rng(10 * k + work)
+        rho = sparse_state(n, rng, False, True) if zeros else random_density_matrix(n, rng)
+        wires = k + 1 + work
+        w = 1 << work
+        joint = np.zeros((1 << wires, 1 << wires), dtype=complex)
+        joint[: n * w : w, : n * w : w] = rho
+        want = _apply_sequence(joint, [GateOp("Hadamard", (0,))], wires)
+        got = _plus_joint(rho, wires)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+class TestReadoutMemory:
+    """Peak traced memory of one readout, in joint states (2N x 2N complex)."""
+
+    @staticmethod
+    def peak_in_joints(rho, u) -> float:
+        n = rho.shape[0]
+        _probe_readout(rho, [], n.bit_length(), u)  # first-call allocations, before the baseline
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _probe_readout(rho, [], n.bit_length(), u)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak / (4 * n * n * 16)
+
+    def test_dense_u(self):
+        # The joint, a half-state product and U's conjugate: 1.75 joints; with
+        # the whole-state Hadamards the readout peaked at 1.88.
+        rng = np.random.default_rng(128)
+        rho, u = random_density_matrix(128, rng), random_unitary(128, rng)
+        assert self.peak_in_joints(rho, u) < 1.8
+
+    def test_index_map(self):
+        # The joint and the map's one state-sized spare: 2.01 joints.
+        rho = random_density_matrix(128, np.random.default_rng(129))
+        assert self.peak_in_joints(rho, _point_operator(PhasePoint(q=77, p=201, n=128))) < 2.05
 
 
 class TestValidation:
