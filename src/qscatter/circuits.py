@@ -30,6 +30,7 @@ Dense 2^n x 2^n operators come from the same kernel: ``compose_sequence``
 runs the gates on the identity, viewed as a ket on 2n wires.
 """
 
+import sys
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -94,9 +95,12 @@ class GateOp:
         if len(set(t)) != len(t):
             raise InvalidValueError(f"{self.kind} wires must be distinct, got {brief(t)}")
         if callable(matrix):
-            if not (_is_real(self.theta) and np.isfinite(self.theta)):
+            # An int compares with a float exactly: one beyond float range fails.
+            th = self.theta
+            if not (_is_real(th) and (abs(th) <= sys.float_info.max if isinstance(th, int)
+                                      else np.isfinite(th))):
                 raise InvalidValueError(f"{self.kind} needs a finite theta")
-            matrix = matrix(self.theta)
+            matrix = matrix(th)
         elif self.theta is not None:
             raise InvalidValueError(f"{self.kind} takes no theta")
         if len(t) != wires:
@@ -264,23 +268,17 @@ def pauli_expectation(rho: np.ndarray, axis: str, qubit: int) -> float:
     """Expectation of a single-qubit Pauli operator on one wire.
 
     Refuses a register over the qubit budget from the shape alone, then
-    checks the state, axis and wire once; the private core it then runs
-    checks nothing.
+    checks the state, axis and wire once, and reads the wire's reduced 2x2
+    state.
     """
     check_qubit_budget(system=wire_count(largest_side(rho)))
     rho = assert_density_matrix(rho)
     n = qubit_count(rho.shape[0])
     if not (isinstance(axis, str) and axis in _PAULI_BY_AXIS):
         raise InvalidValueError(f"axis must be one of x, y, z; got {brief(axis)}")
-    return _pauli_expectation(rho, axis, check_int(qubit, "qubit", 0, n))
-
-
-def _pauli_expectation(rho: np.ndarray, axis: str, qubit: int) -> float:
-    # Unchecked core: rho is a valid state and qubit one of its wires.
-    a = 1 << qubit
+    a = 1 << check_int(qubit, "qubit", 0, n)
     b = rho.shape[0] // (2 * a)
-    r6 = rho.reshape(a, 2, b, a, 2, b)
-    reduced = np.einsum("xiyxjy->ij", r6)
+    reduced = np.einsum("xiyxjy->ij", rho.reshape(a, 2, b, a, 2, b))
     return float(np.trace(reduced @ _PAULI_BY_AXIS[axis]).real)
 
 

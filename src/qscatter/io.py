@@ -113,7 +113,7 @@ def wigner_point_csv(q: int, p: int, w: float) -> str:
 
 def wigner_json(grid) -> str:
     payload = {
-        "n": int(grid.n),
+        "n": grid.n,
         "values": [[round12(v) for v in row] for row in grid.values],
     }
     return json.dumps(payload) + "\n"
@@ -137,9 +137,9 @@ def spectrum_csv(series) -> str:
 
 def spectrum_json(series) -> str:
     payload = {
-        "n1": int(series.n1),
-        "t_max": int(series.t_max),
-        "phase_multiple": int(series.phase_multiple),
+        "n1": series.n1,
+        "t_max": series.t_max,
+        "phase_multiple": series.phase_multiple,
         "E": list(range(series.num_labels)),
         "phi": [round12(v) for v in series.phases],
         "g": [round12(v) for v in series.bins],

@@ -58,8 +58,9 @@ class PhasePoint:
 
     def __post_init__(self):
         n = _check_dim(self.n)
-        check_int(self.q, "q", 0, 2 * n)
-        check_int(self.p, "p", 0, 2 * n)
+        object.__setattr__(self, "q", check_int(self.q, "q", 0, 2 * n))
+        object.__setattr__(self, "p", check_int(self.p, "p", 0, 2 * n))
+        object.__setattr__(self, "n", n)
 
 
 def _check_dim(n) -> int:
@@ -77,7 +78,7 @@ def _point_operator(alpha: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     # Unchecked core: alpha is a PhasePoint whose register is already budgeted.
     # The one place the index map of A(alpha) is written: the unitary
     # 2N A(alpha) sends |x> to phase[x] |label[x]>.
-    n, q, p = alpha.n, int(alpha.q), int(alpha.p)
+    n, q, p = alpha.n, alpha.q, alpha.p
     x = np.arange(n)
     return (q - x) % n, np.exp(1j * np.pi * ((p * q - 2 * p * x) % (2 * n)) / n)
 
@@ -101,7 +102,7 @@ class WignerGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        _check_dim(self.n)
+        object.__setattr__(self, "n", _check_dim(self.n))
         v = as_real_array(self.values, "grid values")
         if v.shape != (2 * self.n, 2 * self.n):
             side = brief(2 * self.n)

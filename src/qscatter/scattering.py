@@ -8,8 +8,8 @@ frame the x component holds minus the imaginary part, so
 
     sigma_z - i * sigma_x == Tr(U rho)
 
-exactly. Expectation values are computed from the evolved density matrix, so
-no sampling noise enters.
+exactly. Both components are read from the probe's reduced 2x2 state, summed
+once from the evolved density matrix, so no sampling noise enters.
 
 The controlled block is a gate list (``scattering_circuit_gates``), an index
 map (label, phase), U|x> = phase[x] |label[x]>, run by the gate kernel's map
@@ -22,24 +22,23 @@ directly, as the kernel's Hadamard would leave |0><0| (x) rho, signed zeros
 included. The closing Hadamard and frame rotation act on the probe alone,
 so on the 4 D block-diagonal entries joint[i D + y, j D + y] (D the dimension
 of system and work wires) they need no other entry, and those are all the
-Pauli readout sums; they run there alone, through the kernel's one-wire
-update, so every readout is bit for bit the whole-state circuit's.
+probe's reduced state sums; they run there alone, through the kernel's
+one-wire update, so every readout is bit for bit the whole-state circuit's.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import GateOp, _apply_map, _apply_sequence, _check_gates, _contract
-from .circuits import _pauli_expectation
+from .circuits import HADAMARD, PAULI_X, PAULI_Z, GateOp, _apply_map, _apply_sequence
+from .circuits import _check_gates, _contract, phase_gate
 from .errors import DimensionMismatchError
 from .linalg import as_square_matrix, assert_density_matrix, assert_unitary, check_int
 from .linalg import check_qubit_budget, largest_side, qubit_count, wire_count
 
-# The gates around the controlled block, built and checked once. The closing
-# PhaseShift makes the x readout return -Im Tr(U rho); it commutes with z.
-_PROBE_HADAMARD = GateOp("Hadamard", (0,))
-_PROBE_FRAME = GateOp("PhaseShift", (0,), theta=-np.pi / 2)
+# The closing frame rotation makes the x readout return -Im Tr(U rho); it
+# commutes with z.
+_PROBE_FRAME = phase_gate(-np.pi / 2)
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,9 @@ def _check_size(rho: np.ndarray, dim: int) -> None:
 
 
 def _check_operands(rho, u) -> tuple[np.ndarray, np.ndarray]:
-    # rho checked and u coerced to the same size; the caller checks that u is unitary.
+    # The register budgeted, rho checked and u coerced to the same size; the
+    # caller checks that u is unitary.
+    check_qubit_budget(probe=1, system=wire_count(largest_side(rho, u)))
     rho, u = assert_density_matrix(rho), as_square_matrix(u)
     _check_size(rho, u.shape[0])
     return rho, u
@@ -68,7 +69,6 @@ def _check_operands(rho, u) -> tuple[np.ndarray, np.ndarray]:
 
 def direct_trace(rho: np.ndarray, u: np.ndarray) -> complex:
     """Tr(U rho) evaluated without any circuit; the oracle side of the duality."""
-    check_qubit_budget(probe=1, system=wire_count(largest_side(rho, u)))
     rho, u = _check_operands(rho, u)
     return complex(np.einsum("ij,ji->", assert_unitary(u), rho))
 
@@ -86,9 +86,8 @@ def _plus_joint(rho: np.ndarray, num_qubits: int) -> np.ndarray:
     joint = np.zeros((2 * half, 2 * half), dtype=complex)
     joint[:half:w, :half:w] = rho
     zero = np.zeros(1, dtype=complex)
-    h = _PROBE_HADAMARD.matrix
-    for m, s0, s1 in ((h, joint[:half, :half], joint[half:, :half]),
-                      (h.conj(), joint[:, :half], joint[:, half:])):
+    for m, s0, s1 in ((HADAMARD, joint[:half, :half], joint[half:, :half]),
+                      (HADAMARD.conj(), joint[:, :half], joint[:, half:])):
         s0 *= m[0, 0]
         np.add(zero * m[1, 1], s0, out=s1)
         s0 += m[0, 1] * zero
@@ -117,27 +116,25 @@ def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int,
         else:
             joint[d:] = u @ joint[d:]
             joint[:, d:] = joint[:, d:] @ u.conj().T
-    # The readout sums only the block diagonals joint[i*half + y, j*half + y],
-    # and the closing gates act on the probe alone, elementwise in the rest,
-    # so they run on those 4*half entries only: gathered into a contiguous
-    # block, system index innermost as in the joint, so the kernel's update
-    # rounds as on the whole state, then written back. The joint is left as
-    # working memory: off the block diagonals it holds values from before the
-    # closing gates.
+    # The probe's reduced state sums only the block diagonals
+    # joint[i*half + y, j*half + y], and the closing gates act on the probe
+    # alone, so they run on those 4*half entries only: on a contiguous copy,
+    # system index innermost, so the kernel rounds as on the whole state, then
+    # written back for the one reduction, summed as ``pauli_expectation`` sums
+    # wire 0. The rest of the joint is left from before the closing gates.
     diagonals = np.einsum("iyjy->ijy", joint.reshape(2, half, 2, half))
     block = diagonals.copy()
-    for g in (_PROBE_HADAMARD, _PROBE_FRAME):
-        _contract(block, 0, g.matrix)
-        _contract(block, 1, g.matrix.conj())
+    for m in (HADAMARD, _PROBE_FRAME):
+        _contract(block, 0, m)
+        _contract(block, 1, m.conj())
     diagonals[...] = block
-    z = _pauli_expectation(joint, "z", 0)
-    x = _pauli_expectation(joint, "x", 0)
+    reduced = np.einsum("ijy->ij", diagonals)
+    z, x = (float(np.trace(reduced @ pauli).real) for pauli in (PAULI_Z, PAULI_X))
     return ScatteringResult(sigma_z=z, sigma_x=x)
 
 
 def scattering_circuit(rho: np.ndarray, u: np.ndarray) -> ScatteringResult:
     """Run the probe circuit with a dense controlled-U block; U is checked once, here."""
-    check_qubit_budget(probe=1, system=wire_count(largest_side(rho, u)))
     rho, u = _check_operands(rho, u)
     return _probe_readout(rho, [], qubit_count(u.shape[0]) + 1, assert_unitary(u))
 

@@ -75,7 +75,8 @@ class SpectralSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "n1", check_int(self.n1, "n1", 0, 64))
-        check_int(self.phase_multiple, "phase multiple", 1, 3)
+        multiple = check_int(self.phase_multiple, "phase multiple", 1, 3)
+        object.__setattr__(self, "phase_multiple", multiple)
         b = as_real_array(self.bins, "spectral bins")
         if b.shape != (1 << self.n1,):
             raise InvalidValueError(

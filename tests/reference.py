@@ -12,7 +12,7 @@ from functools import reduce
 import numpy as np
 
 from qscatter.circuits import HADAMARD, GateOp, _apply_map, _apply_sequence, _contract
-from qscatter.circuits import _pauli_expectation
+from qscatter.circuits import pauli_expectation
 from qscatter.errors import InvalidValueError
 from qscatter.scattering import ScatteringResult
 
@@ -179,8 +179,8 @@ def probe_readout_full(rho: np.ndarray, gates, num_qubits: int, u=None) -> Scatt
             joint[d:] = u @ joint[d:]
             joint[:, d:] = joint[:, d:] @ u.conj().T
     _apply_sequence(joint, [hadamard, GateOp("PhaseShift", (0,), theta=-np.pi / 2)], num_qubits)
-    return ScatteringResult(sigma_z=_pauli_expectation(joint, "z", 0),
-                            sigma_x=_pauli_expectation(joint, "x", 0))
+    return ScatteringResult(sigma_z=pauli_expectation(joint, "z", 0),
+                            sigma_x=pauli_expectation(joint, "x", 0))
 
 
 def gate_from_record(rec: dict) -> GateOp:

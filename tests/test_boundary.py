@@ -136,7 +136,8 @@ def test_an_empty_matrix_is_refused_by_its_size():
 
 
 # name: (call with the integer argument, a valid value). Each call returns a
-# value that is compared exactly between a Python int and np.int64.
+# value that is compared exactly between a Python int and each numpy integer
+# type the value fits.
 W = phasespace.wigner_direct(RHO)
 INTEGER_ARGUMENTS = {
     "qubit_count-dim": (linalg.qubit_count, 4),
@@ -154,7 +155,9 @@ INTEGER_ARGUMENTS = {
     "PhasePoint-q": (lambda v: phasespace.phase_point_operator(PhasePoint(v, 1, N)), 5),
     "PhasePoint-p": (lambda v: phasespace.phase_point_operator(PhasePoint(3, v, N)), 7),
     "PhasePoint-n": (lambda v: phasespace.phase_point_operator(PhasePoint(3, 1, v)), N),
-    "WignerGrid-n": (lambda v: phasespace.WignerGrid(v, W.values).values, N),
+    "WignerGrid-n": (
+        lambda v: phasespace.reconstruct(phasespace.WignerGrid(v, W.values)).matrix, N,
+    ),
     "line_sum-a": (lambda v: phasespace.line_sum(W, v, 0, 2), 1),
     "line_sum-b": (lambda v: phasespace.line_sum(W, 0, v, 4), -1),
     "line_sum-c": (lambda v: phasespace.line_sum(W, 1, 1, v), 3),
@@ -190,13 +193,36 @@ def test_integer_argument_refuses_a_non_integer(name, bad):
 
 @pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
 def test_integer_argument_takes_a_numpy_integer(name):
+    # A record that kept an int8 would overflow in its own arithmetic, and a
+    # uint64 mixed with int64 indices turns them into floats.
     call, good = INTEGER_ARGUMENTS[name]
-    want, got = _comparable(call(good)), _comparable(call(np.int64(good)))
-    assert type(got) is type(want)
-    if isinstance(want, np.ndarray):
-        assert np.array_equal(got, want)
-    else:
-        assert got == want
+    want = _comparable(call(good))
+    for kind in (np.int64, np.int8, np.uint64):
+        if np.iinfo(kind).min <= good <= np.iinfo(kind).max:
+            got = _comparable(call(kind(good)))
+            assert type(got) is type(want)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want)
+            else:
+                assert got == want
+
+
+@pytest.mark.parametrize("kind", [np.int8, np.uint64])
+def test_numpy_integer_point_runs_as_the_python_int_point(kind):
+    # At N = 64, 2N = 128 overflows an int8: each route on the point
+    # matches the Python int one bit for bit.
+    n = 64
+    rho = random_density_matrix(n, np.random.default_rng(64))
+    plain, typed = PhasePoint(100, 77, n), PhasePoint(kind(100), kind(77), kind(n))
+    assert all(type(v) is int for v in (typed.q, typed.p, typed.n))
+    w = [phasespace.wigner_via_circuit(rho, alpha) for alpha in (typed, plain)]
+    assert np.array(w[0]).tobytes() == np.array(w[1]).tobytes()
+    assert np.array_equal(phasespace.phase_point_operator(typed),
+                          phasespace.phase_point_operator(plain))
+    seq = synthesis.synth_phase_point_circuit(typed)
+    assert synthesis.sequence_to_json(seq) == synthesis.sequence_to_json(
+        synthesis.synth_phase_point_circuit(plain))
+    assert synthesis.point_circuit_error(seq, typed) == synthesis.point_circuit_error(seq, plain)
 
 
 @pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
@@ -224,6 +250,10 @@ def test_boolean_label_is_refused():
 
 def test_integer_rule_returns_a_plain_int():
     assert type(linalg.check_int(np.int64(3), "x", 0, 4)) is int
+    # and the records store what it returns
+    series = spectrometer.SpectralSeries(np.int8(1), [0.5, 0.5], np.uint64(1))
+    assert type(phasespace.WignerGrid(np.uint64(N), W.values).n) is int
+    assert (type(series.n1), type(series.phase_multiple)) == (int, int)
     assert linalg.check_int(-5, "x") == -5
     for value, lo, hi in ((4, 0, 4), (-1, 0, None), (np.bool_(True), None, None), (2.0, None, None)):
         with pytest.raises(InvalidValueError, match="^x must be an integer"):

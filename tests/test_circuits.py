@@ -430,7 +430,8 @@ class TestValidation:
         with pytest.raises(InvalidValueError, match="theta"):
             GateOp("PhaseShift", (0,))
 
-    @pytest.mark.parametrize("theta", ["0.5", 1j, True, np.inf, [0.5]])
+    @pytest.mark.parametrize("theta", ["0.5", 1j, True, np.inf, [0.5],
+                                       pytest.param(10**400, id="10**400")])
     def test_theta_must_be_a_finite_real(self, theta):
         with pytest.raises(InvalidValueError, match="needs a finite theta"):
             GateOp("PhaseShift", (0,), theta=theta)
