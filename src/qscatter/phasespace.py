@@ -16,14 +16,17 @@ permutation times a diagonal (Leonhardt, PRA 53, 2998, 1996),
 and that index map, written once in ``_point_operator`` with the integer
 phase exponent reduced mod 2N before exponentiation, is the only form of
 A(q, p) the library uses: ``wigner_via_circuit`` hands the map of the
-unitary 2N * A(q, p) to the probe readout, which applies it like a run of
-gates, and only ``phase_point_operator`` builds the dense N x N matrix.
+unitary 2N * A(q, p) to the probe readout, which forms from it only the 4N
+entries it reads, and only ``phase_point_operator`` builds the dense N x N
+matrix.
 U, V and R are not built here: the tests hold A(q, p) to their dense product.
 
 W(q, p) = Re Tr[A(q, p) rho] is the quasi-probability distribution of rho.
 The trace reads only the anti-diagonal rho[x, (q - x) mod N], so the grid is
 one FFT per anti-diagonal, O(N^2 log N) time and O(N^2) memory with nothing
-cached; ``reconstruct`` inverts it with one FFT per grid row. Every operator
+cached; ``reconstruct`` inverts it with one FFT per grid row. A line sum
+reads only the line's own cells, O(N) of them, and adds them in row-major
+order, the order numpy sums a boolean mask of the grid in. Every operator
 and grid here is held to the probe circuit's budget, 1 probe + log2(N)
 system wires (N <= 2048, grid side 2N <= 2**QUBIT_BUDGET), before any work
 starts.
@@ -35,6 +38,7 @@ the full 2N x 2N grid with prefactor N (equivalently 4N on one subgrid); a
 brute-force calibration of that convention is frozen in the test fixtures.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,13 +201,34 @@ def line_sum(w: WignerGrid, a: int, b: int, c: int) -> float:
 
     Axis-parallel lines recover marginal probabilities: (a, b) = (1, 0)
     fixes p = c, (a, b) = (0, -1) fixes q = c; even-index lines carry
-    position or momentum populations and odd-index lines vanish.
+    position or momentum populations and odd-index lines vanish. A direction
+    (a, b) = (0, 0) mod 2N selects no line and is refused.
+
+    Reads the line's own cells only, 2N * gcd(a, b, 2N) of them (2N for a
+    primitive direction such as either axis), and sums them in row-major
+    order, as numpy sums a boolean mask of the grid.
     """
     _expect(WignerGrid, w)
-    a, b, c = (check_int(v, f"line coefficient {name}") for name, v in zip("abc", (a, b, c)))
-    if a == 0 and b == 0:
-        raise InvalidValueError("line coefficients (a, b) = (0, 0) select no line")
     m = 2 * w.n
-    k = np.arange(m)  # q on axis 0, p on axis 1; a, b, c mod 2N keep products in int64
-    mask = ((a % m) * k % m)[None, :] == (((b % m) * k + c % m) % m)[:, None]
-    return float(w.values[mask].sum())
+    a, b = check_int(a, "line coefficient a"), check_int(b, "line coefficient b")
+    c = check_int(c, "line coefficient c") % m
+    if a % m == 0 and b % m == 0:
+        raise InvalidValueError(
+            f"line direction (a, b) = ({brief(a)}, {brief(b)}) is (0, 0) mod {m}: no line"
+        )
+    a, b = a % m, b % m
+    # Row q meets the line where a p = b q + c (mod m): at the g = gcd(a, m)
+    # cells p0 + k m/g when g divides b q + c. With h = gcd(b, g), that holds
+    # for the rows q = q0 (mod g/h) if h divides c, and for no row otherwise.
+    # Along those rows p0 steps by (b/h) (a/g)^-1 mod m/g.
+    g, h = math.gcd(a, m), math.gcd(a, b, m)
+    if c % h:
+        return 0.0
+    step, width = g // h, m // g
+    inverse = pow(a // g, -1, width)
+    q0 = -(c // h) * pow(b // h, -1, step) % step
+    p0, dp = (b * q0 + c) // g * inverse % width, b // h * inverse % width
+    q = np.arange(q0, m, step)
+    if dp:
+        p0 = np.arange(p0, p0 + q.size * dp, dp) % width
+    return float(w.values.reshape(m, g, width)[q, :, p0].sum())

@@ -12,9 +12,7 @@ exactly. Both components are read from the probe's reduced 2x2 state, summed
 once from the evolved density matrix, so no sampling noise enters.
 
 The controlled block is a gate list (``scattering_circuit_gates``), an index
-map (label, phase), U|x> = phase[x] |label[x]>, run by the gate kernel's map
-pass, or a dense U that the readout applies itself, in place like the gates:
-U on the probe-1 rows of the joint state, then U^dagger on those columns.
+map (label, phase), U|x> = phase[x] |label[x]>, or a dense U.
 
 The probe gates around that block make no whole-state pass. The opening
 Hadamard is a state preparation: the readout writes |+><+| (x) rho out
@@ -23,15 +21,26 @@ included. The closing Hadamard and frame rotation act on the probe alone,
 so on the 4 D block-diagonal entries joint[i D + y, j D + y] (D the dimension
 of system and work wires) they need no other entry, and those are all the
 probe's reduced state sums; they run there alone, through the kernel's
-one-wire update, so every readout is bit for bit the whole-state circuit's.
+one-wire update.
+
+A block that is one map over the joint labels forms no joint at all: an
+index map, and a list of two or more permutation-times-phase gates, which
+the kernel would run as one composed map. After a map, each block-diagonal
+entry is one prepared entry, at the preimages of its row and column, times
+their phases, so the readout forms the 4 D entries from O(D) prepared ones,
+with the products of the preparation and of the kernel's map pass in their
+order. A dense U, a lone gate and a list with a Hadamard evolve the whole
+2D x 2D joint in place: U on the probe-1 rows, then U^dagger on those
+columns, or the gates through the kernel. Either way every readout is bit
+for bit the whole-state circuit's.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import HADAMARD, PAULI_X, PAULI_Z, GateOp, _apply_map, _apply_sequence
-from .circuits import _check_gates, _contract, phase_gate
+from .circuits import _KINDS, HADAMARD, PAULI_X, PAULI_Z, GateOp, _apply_sequence
+from .circuits import _check_gates, _compose_map, _contract, phase_gate
 from .errors import DimensionMismatchError
 from .linalg import as_square_matrix, assert_density_matrix, assert_unitary, check_int
 from .linalg import check_qubit_budget, largest_side, qubit_count, wire_count
@@ -94,41 +103,82 @@ def _plus_joint(rho: np.ndarray, num_qubits: int) -> np.ndarray:
     return joint
 
 
+def _plus_entries(r: np.ndarray, bottom: np.ndarray, right: np.ndarray) -> np.ndarray:
+    # Entries (s, t) of |+><+| (x) R as ``_plus_joint`` leaves them, each
+    # from r = R[s mod half, t mod half]: the same products and sums in the
+    # same order, the row pass taking its bottom-half form where ``bottom``
+    # (s >= half) and the column pass its right-half form where ``right``
+    # (t >= half).
+    zero = np.zeros(1, dtype=complex)
+    for m, second in ((HADAMARD, bottom), (HADAMARD.conj(), right)):
+        r = r * m[0, 0]
+        r = np.where(second, zero * m[1, 1] + r, r + m[0, 1] * zero)
+    return r
+
+
+def _mapped_diagonals(rho: np.ndarray, num_qubits: int, label: np.ndarray,
+                      phase: np.ndarray) -> np.ndarray:
+    # The block diagonals joint[i half + y, j half + y], as a (2, 2, half)
+    # array, of the prepared joint after the map G|s> = phase[s] |label[s]>
+    # over all its labels. Each is the prepared entry at the preimages (s, t)
+    # times phase[s] conj(phase[t]), the products of ``_apply_map`` in its
+    # order, so no other entry of the joint is formed.
+    half = 1 << (num_qubits - 1)
+    w = half // rho.shape[0]
+    preimage = np.empty_like(label)
+    preimage[label] = np.arange(label.size)
+    s, t = preimage.reshape(2, 1, half), preimage.reshape(1, 2, half)
+    x, z = s % half, t % half
+    r = np.where((x % w == 0) & (z % w == 0), rho[x // w, z // w], 0)
+    entries = _plus_entries(r, s >= half, t >= half)
+    if (phase != 1).any():
+        entries = entries * phase[s] * phase.conj()[t]
+    return entries
+
+
 def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int,
                    u: np.ndarray | tuple | None = None) -> ScatteringResult:
     # Unchecked core: rho is a valid state, every gate fits the wires probe,
-    # system, work, and u, if given, is a unitary on the system with no work
-    # wires, dense or as its index map (label, phase). The circuit starts
-    # from the probe's |+><+| and evolves the joint state in place.
+    # system, work, and u, if given, comes with no gates and is a unitary on
+    # the system with no work wires, dense or as its index map (label, phase).
+    # The circuit starts from the probe's |+><+|. A block that is one map
+    # (an index map, or gates that ``_apply_sequence`` would run as one
+    # composed map) gives the block diagonals from O(half) prepared entries;
+    # any other block evolves the whole joint state in place.
     d = rho.shape[0]
     half = 1 << (num_qubits - 1)
-    joint = _plus_joint(rho, num_qubits)
-    _apply_sequence(joint, gates, num_qubits)
     if isinstance(u, tuple):  # controlled map: the identity on the probe-0 labels
         label, phase = u
-        _apply_map(joint, np.r_[np.arange(d), d + label], np.r_[np.ones(d), phase])
-    elif u is not None:  # controlled-U: U on the probe-1 rows, U^dagger on those columns
-        # One system wire: the kernel's one-wire update, which rounds unlike a
-        # gemm; its in-place branch serves this dense U and the Hadamard alike.
-        if d == 2:
-            _contract(joint[d:], 0, u)
-            _contract(joint[:, d:], 1, u.conj())
-        else:
-            joint[d:] = u @ joint[d:]
-            joint[:, d:] = joint[:, d:] @ u.conj().T
+        block = _mapped_diagonals(rho, num_qubits, np.r_[np.arange(d), d + label],
+                                  np.r_[np.ones(d), phase])
+    elif len(gates) > 1 and all(_KINDS[g.kind][2] for g in gates):  # one composed run
+        block = _mapped_diagonals(rho, num_qubits, *_compose_map(gates, num_qubits))
+    else:
+        joint = _plus_joint(rho, num_qubits)
+        _apply_sequence(joint, gates, num_qubits)
+        if u is not None:  # controlled-U: U on the probe-1 rows, U^dagger on those columns
+            # One system wire: the kernel's one-wire update, which rounds unlike
+            # a gemm; its in-place branch serves this dense U and the Hadamard
+            # alike.
+            if d == 2:
+                _contract(joint[d:], 0, u)
+                _contract(joint[:, d:], 1, u.conj())
+            else:
+                joint[d:] = u @ joint[d:]
+                joint[:, d:] = joint[:, d:] @ u.conj().T
+        block = np.einsum("iyjy->ijy", joint.reshape(2, half, 2, half)).copy()
     # The probe's reduced state sums only the block diagonals
     # joint[i*half + y, j*half + y], and the closing gates act on the probe
-    # alone, so they run on those 4*half entries only: on a contiguous copy,
-    # system index innermost, so the kernel rounds as on the whole state, then
-    # written back for the one reduction, summed as ``pauli_expectation`` sums
-    # wire 0. The rest of the joint is left from before the closing gates.
-    diagonals = np.einsum("iyjy->ijy", joint.reshape(2, half, 2, half))
-    block = diagonals.copy()
+    # alone, so they run on those 4*half entries only, a contiguous array
+    # with the system index innermost, so the kernel rounds as on the whole
+    # state. The reduction adds them one at a time in y, the order in which
+    # einsum sums the whole state's strided diagonals (``pauli_expectation``
+    # on wire 0; a contiguous einsum sums pairwise and moves last bits), and
+    # + 0 turns a -0 total into the +0 that einsum's zero start leaves.
     for m in (HADAMARD, _PROBE_FRAME):
         _contract(block, 0, m)
         _contract(block, 1, m.conj())
-    diagonals[...] = block
-    reduced = np.einsum("ijy->ij", diagonals)
+    reduced = np.cumsum(block, axis=2)[..., -1] + 0
     z, x = (float(np.trace(reduced @ pauli).real) for pauli in (PAULI_Z, PAULI_X))
     return ScatteringResult(sigma_z=z, sigma_x=x)
 

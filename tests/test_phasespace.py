@@ -11,11 +11,12 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qscatter import phasespace, scattering
@@ -417,12 +418,76 @@ class TestLineSums:
         assert cells
         assert line_sum(w, a, b, c) == float(np.array(cells).sum())
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 64),
+        a=st.integers(-(10**15), 10**15),
+        b=st.integers(-(10**15), 10**15),
+        c=st.integers(-(10**15), 10**15),
+        # a common factor of a or b with 2N: rows with several cells, or
+        # rows the line skips
+        scale=st.tuples(*[st.sampled_from([1, 1, 2, 3, 4, 6, 8, 64])] * 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=3, a=0, b=1, c=2, scale=(1, 1), seed=1)
+    @example(n=6, a=4, b=6, c=2, scale=(1, 1), seed=2)
+    @example(n=6, a=4, b=6, c=1, scale=(1, 1), seed=3)  # misses every row
+    @example(n=64, a=10**15, b=-(10**15) + 1, c=10**15, scale=(1, 1), seed=4)
+    def test_equals_the_row_major_cell_sum(self, n, a, b, c, scale, seed):
+        # Any real grid, every direction that is not (0, 0) mod 2N: the cells
+        # enumerated with Python integers and summed as numpy sums a mask.
+        m = 2 * n
+        a, b = a * scale[0], b * scale[1]
+        assume((a % m, b % m) != (0, 0))
+        w = WignerGrid(n, np.random.default_rng(seed).standard_normal((m, m)))
+        cells = [w.values[q, p] for q in range(m) for p in range(m) if (a * p - b * q - c) % m == 0]
+        got, want = np.array(line_sum(w, a, b, c)), np.array(cells, dtype=float).sum()
+        assert got.view(np.uint64) == want.view(np.uint64)
+
+    def test_every_axis_line_at_n_1024(self):
+        # All 4N axis-parallel lines of an N = 1024 grid: the populations in
+        # position and momentum on the even lines, zero on the odd ones.
+        n = 1024
+        rho = random_density_matrix(n, np.random.default_rng(1024))
+        w = wigner_direct(rho)
+        f = dft_matrix(n)
+        even = np.arange(2 * n) % 2 == 0
+        pos = np.where(even, np.repeat(np.diag(rho).real, 2), 0.0)
+        mom = np.where(even, np.repeat(np.diag(f @ rho @ f.conj().T).real[(-np.arange(n)) % n], 2), 0.0)
+        got_pos = [line_sum(w, 0, -1, c) for c in range(2 * n)]
+        got_mom = [line_sum(w, 1, 0, c) for c in range(2 * n)]
+        assert np.abs(got_pos - pos).max() < 1e-10
+        assert np.abs(got_mom - mom).max() < 1e-10
+
+    def test_one_line_holds_memory_linear_in_n(self):
+        # A boolean mask of the N = 512 grid would be 1 MiB; the line's own
+        # indices and cells are a few 2N-entry arrays.
+        n = 512
+        w = WignerGrid(n, np.random.default_rng(512).standard_normal((2 * n, 2 * n)))
+        for a, b, c in ((1, 0, 3), (0, -1, 4), (3, 5, 7), (2, 6, 8), (n, 3, 1)):
+            line_sum(w, a, b, c)  # first-call allocations, before the baseline
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                line_sum(w, a, b, c)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2 * n  # 64 KiB, eight 2N-entry int64 arrays
+
     def test_rejects_degenerate_line(self):
         w = wigner_direct(maximally_mixed(2))
         with pytest.raises(InvalidValueError):
             line_sum(w, 0, 0, 1)
         with pytest.raises(InvalidValueError):
             line_sum(w, 1, 0, 0.5)
+
+    @pytest.mark.parametrize("a,b,c", [(0, 8, 0), (8, 0, 3), (-16, 24, 1), (8, 8, 8)])
+    def test_rejects_every_direction_that_is_zero_mod_2n(self, a, b, c):
+        # (0, 8) mod 8 is (0, 0): no line, however the coefficients are written.
+        w = wigner_direct(maximally_mixed(4))
+        with pytest.raises(InvalidValueError, match=r"is \(0, 0\) mod 8"):
+            line_sum(w, a, b, c)
 
 
 class TestValidation:

@@ -4,8 +4,10 @@ The circuit route (Hadamard, controlled-U, Hadamard, frame rotation, Pauli
 readout) must reproduce Tr(U rho) computed directly, for every state and
 unitary, to near machine precision. The readout prepares the probe's
 |+><+| directly and runs the closing probe gates only on the entries it
-reads; its polarization is held bit for bit to the circuit run gate by gate
-on the whole joint state (``reference.probe_readout_full``).
+reads; a block that is one map (an index map, or a gate list that composes
+to one) forms only those entries. Its polarization is held bit for bit to
+the circuit run gate by gate on the whole joint state
+(``reference.probe_readout_full``).
 """
 
 import tracemalloc
@@ -15,12 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qscatter import scattering
-from qscatter.circuits import HADAMARD, PAULI_Y, GateOp, _apply_sequence
+from qscatter import phasespace, scattering
+from qscatter.circuits import HADAMARD, PAULI_Y, GateOp, _apply_map, _apply_sequence
+from qscatter.circuits import _compose_map
 from qscatter.errors import DimensionMismatchError, InvalidValueError, QubitBudgetError
 from qscatter.phasespace import PhasePoint, _point_operator, phase_point_operator
 from qscatter.scattering import (
     ScatteringResult,
+    _mapped_diagonals,
     _plus_joint,
     _probe_readout,
     direct_trace,
@@ -29,7 +33,7 @@ from qscatter.scattering import (
 )
 from qscatter.states import basis_state, maximally_mixed
 from qscatter.synthesis import synth_phase_point_circuit
-from reference import probe_readout_full, random_density_matrix, random_unitary
+from reference import probe_readout_full, random_density_matrix, random_unitary, record_calls
 
 
 class TestKnownTraces:
@@ -134,18 +138,36 @@ def real_orthogonal(n: int, rng) -> np.ndarray:
     return (q * np.sign(np.diag(r))).astype(complex)
 
 
+def mapped_gates(wires: int, count: int, rng) -> list[GateOp]:
+    """``count`` random permutation-times-phase gates on any of ``wires``
+    wires, the probe and work wires included."""
+    kinds = [(kind, size) for kind, size in (
+        ("PauliX", 1), ("PauliY", 1), ("PauliZ", 1), ("PhaseShift", 1), ("CNOT", 2),
+        ("ControlledPhase", 2), ("Toffoli", 3)) if size <= wires]
+    gates = []
+    for _ in range(count):
+        kind, size = kinds[rng.integers(len(kinds))]
+        targets = tuple(int(v) for v in rng.choice(wires, size, replace=False))
+        theta = float(rng.uniform(-7, 7)) if "Phase" in kind else None
+        gates.append(GateOp(kind, targets, theta=theta))
+    return gates
+
+
 def polarization_bits(res: ScatteringResult) -> list[int]:
     return np.array([res.sigma_z, res.sigma_x]).view(np.uint64).tolist()
 
 
 class TestReadoutBits:
     """The readout starts from |+><+| (x) rho and runs the closing Hadamard
-    and frame on the block diagonals alone; sigma_z and sigma_x are bit for
-    bit those of the whole-state circuit, signed zeros included."""
+    and frame on the block diagonals alone; under a map (an index map, a
+    synthesized point circuit with or without idle work wires, any list of
+    two or more permutation-times-phase gates) it forms only those. sigma_z
+    and sigma_x are bit for bit those of the whole-state circuit, signed
+    zeros included."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
-        route=st.sampled_from(["dense", "map", "synth", "idle"]),
+        route=st.sampled_from(["dense", "map", "synth", "idle", "mapped"]),
         k=st.integers(0, 8),
         real=st.booleans(),
         zeros=st.booleans(),
@@ -159,11 +181,17 @@ class TestReadoutBits:
     @example(route="dense", k=3, real=True, zeros=True, seed=4)
     @example(route="dense", k=8, real=False, zeros=True, seed=5)
     @example(route="map", k=4, real=True, zeros=True, seed=6)
+    @example(route="map", k=1, real=True, zeros=False, seed=9)
+    @example(route="synth", k=1, real=True, zeros=True, seed=10)  # no work wire
     @example(route="synth", k=3, real=False, zeros=True, seed=7)  # one work wire
+    @example(route="synth", k=5, real=False, zeros=False, seed=11)
+    @example(route="idle", k=1, real=False, zeros=True, seed=12)
     @example(route="idle", k=2, real=True, zeros=True, seed=8)  # two idle work wires
+    @example(route="mapped", k=0, real=True, zeros=True, seed=13)
+    @example(route="mapped", k=4, real=False, zeros=True, seed=14)
     def test_polarization_matches_the_whole_state_circuit(self, route, k, real, zeros, seed):
         if route != "dense":  # a phase point needs N >= 2; gate lists stay at N <= 32
-            k = min(max(k, 1), 8 if route == "map" else 5)
+            k = min(max(k, 1 if route != "mapped" else 0), 8 if route == "map" else 5)
         n = 1 << k
         rng = np.random.default_rng(seed)
         if real or zeros:
@@ -173,6 +201,9 @@ class TestReadoutBits:
         if route == "dense":
             u = real_orthogonal(n, rng) if real else random_unitary(n, rng)
             args = ([], k + 1, u)
+        elif route == "mapped":  # any wires, the probe's too, and up to two work wires
+            wires = k + 1 + int(rng.integers(3))
+            args = (mapped_gates(wires, int(rng.integers(2, 40)), rng), wires)
         else:
             q, p = (int(v) for v in rng.integers(2 * n, size=2))
             alpha = PhasePoint(q=q, p=0 if real else p, n=n)
@@ -183,6 +214,20 @@ class TestReadoutBits:
                 args = (list(seq.gates), seq.num_qubits + 2 * (route == "idle"))
         got = _probe_readout(rho, *args)
         assert polarization_bits(got) == polarization_bits(probe_readout_full(rho, *args))
+
+    @pytest.mark.parametrize("n", [2, 8, 64, 512, 2048])
+    def test_index_map_at_every_size(self, n):
+        # Up to the probe budget, where the whole joint is 2N x 2N = 1 GiB.
+        rng = np.random.default_rng(n)
+        rho = random_density_matrix(n, rng) if n <= 512 else sparse_state(n, rng, False, True)
+        alpha = PhasePoint(*(int(v) for v in rng.integers(2 * n, size=2)), n=n)
+        args = ([], n.bit_length(), _point_operator(alpha))
+        got = _probe_readout(rho, *args)
+        if n <= 512:
+            assert polarization_bits(got) == polarization_bits(probe_readout_full(rho, *args))
+        else:
+            want = np.einsum("ij,ji->", phase_point_operator(alpha), rho) * 2 * n
+            assert abs(got.trace_estimate - want) < 1e-10
 
 
 class TestPreparation:
@@ -207,33 +252,91 @@ class TestPreparation:
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
+class TestMappedBlock:
+    """Under a map, the (2, 2, half) block diagonals are the whole joint's
+    after ``_plus_joint`` and ``_apply_map``, entry by entry and bit for bit;
+    the sums that follow can hide a zero's sign, so the entries are compared
+    here."""
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 5])
+    @pytest.mark.parametrize("work", [0, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_block_is_the_mapped_joint_diagonals(self, k, work, seed):
+        n, wires = 1 << k, k + 1 + work
+        rng = np.random.default_rng(100 * k + 10 * work + seed)
+        rho = sparse_state(n, rng, bool(seed % 2), True)
+        label, phase = _compose_map(mapped_gates(wires, 30, rng), wires)
+        joint = _plus_joint(rho, wires)
+        _apply_map(joint, label, phase)
+        half = 1 << (wires - 1)
+        want = np.einsum("iyjy->ijy", joint.reshape(2, half, 2, half)).copy()
+        got = _mapped_diagonals(rho, wires, label, phase)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+class TestMappedRoutes:
+    """Which blocks skip the joint: an index map and a list the kernel would
+    run as one composed map do; a dense U, a lone gate and a list with a
+    Hadamard build it."""
+
+    @pytest.mark.parametrize("build", ["map", "synth", "idle"])
+    def test_one_map_forms_no_joint(self, monkeypatch, build):
+        rho = random_density_matrix(8, np.random.default_rng(3))
+        alpha = PhasePoint(q=11, p=5, n=8)
+        calls = record_calls(monkeypatch, scattering, "_plus_joint")
+        if build == "map":
+            phasespace.wigner_via_circuit(rho, alpha)
+        else:
+            seq = synth_phase_point_circuit(alpha)
+            scattering_circuit_gates(rho, seq.gates, seq.num_qubits + (build == "idle"))
+        assert calls == []
+
+    @pytest.mark.parametrize("gates", [[GateOp("PauliX", (1,))],
+                                       [GateOp("CNOT", (0, 1)), GateOp("Hadamard", (2,))]])
+    def test_other_blocks_build_the_joint(self, monkeypatch, gates):
+        rho = random_density_matrix(4, np.random.default_rng(4))
+        calls = record_calls(monkeypatch, scattering, "_plus_joint")
+        scattering_circuit_gates(rho, gates, 3)
+        scattering_circuit(rho, random_unitary(4, np.random.default_rng(5)))
+        assert calls == ["_plus_joint"] * 2
+
+
 class TestReadoutMemory:
-    """Peak traced memory of one readout, in joint states (2N x 2N complex)."""
+    """Peak traced memory of one readout, in joint states (2N x 2N complex)
+    where the readout forms the joint, else in states (N x N complex)."""
 
     @staticmethod
-    def peak_in_joints(rho, u) -> float:
-        n = rho.shape[0]
-        _probe_readout(rho, [], n.bit_length(), u)  # first-call allocations, before the baseline
+    def peak_bytes(rho, *args) -> int:
+        _probe_readout(rho, *args)  # first-call allocations, before the baseline
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _probe_readout(rho, [], n.bit_length(), u)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            _probe_readout(rho, *args)
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        return peak / (4 * n * n * 16)
 
     def test_dense_u(self):
         # The joint, a half-state product and U's conjugate: 1.75 joints; with
         # the whole-state Hadamards the readout peaked at 1.88.
         rng = np.random.default_rng(128)
         rho, u = random_density_matrix(128, rng), random_unitary(128, rng)
-        assert self.peak_in_joints(rho, u) < 1.8
+        assert self.peak_bytes(rho, [], 8, u) / (4 * 128 * 128 * 16) < 1.8
 
     def test_index_map(self):
-        # The joint and the map's one state-sized spare: 2.01 joints.
+        # A few (2, 2, N) arrays: 0.24 states. The joint and the map's spare
+        # took 2.01 joints, 8.04 states.
         rho = random_density_matrix(128, np.random.default_rng(129))
-        assert self.peak_in_joints(rho, _point_operator(PhasePoint(q=77, p=201, n=128))) < 2.05
+        u = _point_operator(PhasePoint(q=77, p=201, n=128))
+        assert self.peak_bytes(rho, [], 8, u) / (128 * 128 * 16) < 0.5
+
+    def test_synthesized_list(self):
+        # 426 gates on 9 wires, whose joint would be 16 states: the composed
+        # map's bit planes and the block diagonals, 0.46 states.
+        rho = random_density_matrix(128, np.random.default_rng(130))
+        seq = synth_phase_point_circuit(PhasePoint(q=77, p=201, n=128))
+        assert seq.num_qubits == 9
+        assert self.peak_bytes(rho, list(seq.gates), 9) / (128 * 128 * 16) < 1.0
 
 
 class TestValidation:
