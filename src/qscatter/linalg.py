@@ -4,6 +4,9 @@ Matrices are plain numpy arrays of dtype complex128. Every public function
 checks each matrix its caller passes exactly once, through
 ``assert_density_matrix`` / ``assert_unitary``, and never re-checks arrays
 the library builds itself; private cores take raw, already-checked arrays.
+The predicates ``is_unitary`` / ``is_density_matrix`` coerce their argument
+the same way. The check arithmetic runs with numpy's overflow warnings off:
+an overflow leaves inf or nan, which every check refuses.
 Real grids and series coerce through ``as_real_array``, which refuses a
 nonzero imaginary part rather than drop it.
 
@@ -101,10 +104,12 @@ def check_qubit_budget(**registers: int) -> None:
         )
 
 
-def is_unitary(a: np.ndarray) -> bool:
-    g = a @ a.conj().T
-    np.einsum("ii->i", g)[:] -= 1  # the diagonal, as a writable view
-    return bool(np.abs(g).max() <= UNITARY_TOL)
+def _is_unitary(m: np.ndarray) -> bool:
+    # A product that overflows leaves inf or nan, which no tolerance admits.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = m @ m.conj().T
+        np.einsum("ii->i", g)[:] -= 1  # the diagonal, as a writable view
+        return bool(np.abs(g).max() <= UNITARY_TOL)
 
 
 def _state_defect(a: np.ndarray, trace_tol: float) -> str | None:
@@ -115,16 +120,20 @@ def _state_defect(a: np.ndarray, trace_tol: float) -> str | None:
     # the refusal. Its peak is three N x N arrays: the symmetrized conjugate h,
     # and, inside the factorization, LAPACK's copy of h and the returned factor
     # (+197 MiB of ru_maxrss over the caller's state at N=2048). The
-    # Hermiticity step holds two.
-    h = a.conj().T.astype(complex, copy=False)  # integer and real states too
-    gap = a - h
-    if np.abs(gap, out=gap).real.max() > HERMITIAN_TOL:  # in place: no third array
-        return "state is not Hermitian within tolerance 1e-12"
-    del gap
-    if abs(np.trace(a) - 1.0) > trace_tol:
-        return f"state trace is {np.trace(a):.6g}, expected 1"
-    h += a
-    h *= 0.5
+    # Hermiticity step holds two, and its spare takes a/2, so that h sums two
+    # halves and stays finite for any finite a. A sum that overflows elsewhere
+    # leaves inf or nan, which the checks refuse.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = a.conj().T
+        gap = np.subtract(a, h, order="F")  # in h's layout, for the sum below
+        if np.abs(gap, out=gap).real.max() > HERMITIAN_TOL:  # in place: no third array
+            return "state is not Hermitian within tolerance 1e-12"
+        trace = np.trace(a)
+        if not abs(trace - 1.0) <= trace_tol:
+            return f"state trace is {trace:.6g}, expected 1"
+        h *= 0.5
+        h += np.multiply(a, 0.5, out=gap)
+        del gap
     diagonal = np.einsum("ii->i", h)  # a writable view
     unshifted = diagonal.copy()
     diagonal -= EIGENVALUE_FLOOR
@@ -137,14 +146,20 @@ def _state_defect(a: np.ndarray, trace_tol: float) -> str | None:
     return f"state has negative eigenvalue {lowest:.3e}" if lowest < EIGENVALUE_FLOOR else None
 
 
-def is_density_matrix(a: np.ndarray, trace_tol: float = TRACE_TOL) -> bool:
-    """Hermitian, unit trace, and no eigenvalue below the small negative floor."""
-    return _state_defect(a, trace_tol) is None
+def is_unitary(a) -> bool:
+    """U U^dagger = I within UNITARY_TOL; ``a`` is coerced as ``as_square_matrix`` does."""
+    return _is_unitary(as_square_matrix(a))
+
+
+def is_density_matrix(a, trace_tol: float = TRACE_TOL) -> bool:
+    """Hermitian, unit trace, and no eigenvalue below the small negative floor;
+    ``a`` is coerced as ``as_square_matrix`` does."""
+    return _state_defect(as_square_matrix(a), trace_tol) is None
 
 
 def assert_unitary(a) -> np.ndarray:
     m = as_square_matrix(a)
-    if not is_unitary(m):
+    if not _is_unitary(m):
         raise InvalidValueError("operator is not unitary within tolerance 1e-12")
     return m
 

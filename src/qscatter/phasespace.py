@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidValueError, brief
 from .linalg import as_real_array, assert_density_matrix, check_int, check_qubit_budget
-from .linalg import is_density_matrix, largest_side, qubit_count, wire_count
+from .linalg import _state_defect, largest_side, qubit_count, wire_count
 from .scattering import _check_size, _probe_readout
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -185,7 +185,7 @@ def reconstruct(w: WignerGrid) -> Reconstruction:
     g = np.fft.fft(w.values, axis=1)[k, (2 * x - k) % m] / 2
     rho = np.empty((n, n), dtype=complex)
     rho[(k[:n] - x) % n, x] = g[:n] + g[n:]
-    return Reconstruction(matrix=rho, valid=is_density_matrix(rho, trace_tol=1e-10))
+    return Reconstruction(matrix=rho, valid=_state_defect(rho, 1e-10) is None)
 
 
 def overlap_from_grids(w1: WignerGrid, w2: WignerGrid) -> float:

@@ -15,13 +15,15 @@ The controlled block is a gate list (``scattering_circuit_gates``), an index
 map (label, phase), U|x> = phase[x] |label[x]>, or a dense U.
 
 The probe gates around that block make no whole-state pass. The opening
-Hadamard is a state preparation: the readout writes |+><+| (x) rho out
-directly, as the kernel's Hadamard would leave |0><0| (x) rho, signed zeros
-included. The closing Hadamard and frame rotation act on the probe alone,
-so on the 4 D block-diagonal entries joint[i D + y, j D + y] (D the dimension
-of system and work wires) they need no other entry, and those are all the
-probe's reduced state sums; they run there alone, through the kernel's
-one-wire update.
+Hadamard is a state preparation: the readout writes |+><+| (x) rho out by
+value, each entry (rho h) h with h = 1/sqrt(2), the two products the
+kernel's Hadamard forms on |0><0| (x) rho, so the values are the kernel's bit
+for bit. The signs of zeros are not kept inside the readout; its final + 0
+clears them from the output. The closing Hadamard and frame rotation act on
+the probe alone, so on the 4 D block-diagonal entries joint[i D + y, j D + y]
+(D the dimension of system and work wires) they need no other entry, and
+those are all the probe's reduced state sums; they run there alone, through
+the kernel's one-wire update.
 
 A block that is one map over the joint labels forms no joint at all: an
 index map, and a list of two or more permutation-times-phase gates, which
@@ -84,53 +86,34 @@ def direct_trace(rho: np.ndarray, u: np.ndarray) -> complex:
 
 def _plus_joint(rho: np.ndarray, num_qubits: int) -> np.ndarray:
     # |+><+| (x) R on num_qubits wires, R being rho at every w-th row and
-    # column (the work wires in |0>), bit for bit as the kernel's probe
-    # Hadamard leaves |0><0| (x) R. Each pass is the kernel's one-wire update
-    # (``_contract``) written out for a zero s1: s0 <- s0 m00 + m01 0 and
-    # s1 <- 0 m11 + s0 m00, the products with 0 taken from numpy so their
-    # signed zeros are the kernel's. The row pass runs on the left half only,
-    # as it leaves the right half +0; so the column pass meets a zero s1 too.
+    # column (the work wires in |0>): each quadrant holds (R h) h at those
+    # entries, with h = HADAMARD[0, 0], the two products the kernel's probe
+    # Hadamard forms on |0><0| (x) R, so every value is the kernel's bit for
+    # bit; the signs of its zeros are not kept.
     half = 1 << (num_qubits - 1)
     w = half // rho.shape[0]
+    h = HADAMARD[0, 0]
     joint = np.zeros((2 * half, 2 * half), dtype=complex)
-    joint[:half:w, :half:w] = rho
-    zero = np.zeros(1, dtype=complex)
-    for m, s0, s1 in ((HADAMARD, joint[:half, :half], joint[half:, :half]),
-                      (HADAMARD.conj(), joint[:, :half], joint[:, half:])):
-        s0 *= m[0, 0]
-        np.add(zero * m[1, 1], s0, out=s1)
-        s0 += m[0, 1] * zero
+    joint.reshape(2, half, 2, half)[:, ::w, :, ::w] = (rho * h * h)[:, None]
     return joint
-
-
-def _plus_entries(r: np.ndarray, bottom: np.ndarray, right: np.ndarray) -> np.ndarray:
-    # Entries (s, t) of |+><+| (x) R as ``_plus_joint`` leaves them, each
-    # from r = R[s mod half, t mod half]: the same products and sums in the
-    # same order, the row pass taking its bottom-half form where ``bottom``
-    # (s >= half) and the column pass its right-half form where ``right``
-    # (t >= half).
-    zero = np.zeros(1, dtype=complex)
-    for m, second in ((HADAMARD, bottom), (HADAMARD.conj(), right)):
-        r = r * m[0, 0]
-        r = np.where(second, zero * m[1, 1] + r, r + m[0, 1] * zero)
-    return r
 
 
 def _mapped_diagonals(rho: np.ndarray, num_qubits: int, label: np.ndarray,
                       phase: np.ndarray) -> np.ndarray:
     # The block diagonals joint[i half + y, j half + y], as a (2, 2, half)
     # array, of the prepared joint after the map G|s> = phase[s] |label[s]>
-    # over all its labels. Each is the prepared entry at the preimages (s, t)
-    # times phase[s] conj(phase[t]), the products of ``_apply_map`` in its
-    # order, so no other entry of the joint is formed.
+    # over all its labels. Each is the prepared entry at the preimages (s, t),
+    # (R h) h as ``_plus_joint`` writes it, times phase[s] conj(phase[t]), the
+    # products of ``_apply_map`` in its order, so no other entry of the joint
+    # is formed.
     half = 1 << (num_qubits - 1)
     w = half // rho.shape[0]
+    h = HADAMARD[0, 0]
     preimage = np.empty_like(label)
     preimage[label] = np.arange(label.size)
     s, t = preimage.reshape(2, 1, half), preimage.reshape(1, 2, half)
     x, z = s % half, t % half
-    r = np.where((x % w == 0) & (z % w == 0), rho[x // w, z // w], 0)
-    entries = _plus_entries(r, s >= half, t >= half)
+    entries = np.where((x % w == 0) & (z % w == 0), rho[x // w, z // w], 0) * h * h
     if (phase != 1).any():
         entries = entries * phase[s] * phase.conj()[t]
     return entries

@@ -364,7 +364,7 @@ def test_each_input_is_checked_exactly_once(name, monkeypatch):
     call, want_factor, want_unitary = CALL_COUNTS[name]
     factor_shapes = record_calls(monkeypatch, np.linalg, "cholesky", entry=_shape)
     eig_shapes = record_calls(monkeypatch, np.linalg, "eigvalsh", entry=_shape)
-    unitary_checks = record_calls(monkeypatch, linalg, "is_unitary")
+    unitary_checks = record_calls(monkeypatch, linalg, "_is_unitary")
     call()
     assert factor_shapes == want_factor
     assert eig_shapes == []
@@ -450,7 +450,7 @@ def test_budget_is_refused_before_any_check(name, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    monkeypatch.setattr(linalg, "is_unitary", refuse)
+    monkeypatch.setattr(linalg, "_is_unitary", refuse)
     with pytest.raises(QubitBudgetError):
         OVER_BUDGET[name]()
 
@@ -467,7 +467,7 @@ def test_circuit_routes_refuse_the_dimension_before_the_unitarity_check(route, m
     def refuse(*args, **kwargs):
         raise AssertionError("a 3x3 operator reached the unitarity check")
 
-    monkeypatch.setattr(linalg, "is_unitary", refuse)
+    monkeypatch.setattr(linalg, "_is_unitary", refuse)
     with pytest.raises(PowerOfTwoError) as err:
         route(np.diag([1.0, 2.0, 3.0]))  # not unitary either
     assert err.value.slug == "not-power-of-two"
@@ -505,7 +505,7 @@ def test_cli_noise_refuses_the_budget_before_checking_the_state(point, monkeypat
     monkeypatch.setattr(io, "load_matrix", lambda path: _over_budget(1 << 12))
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    monkeypatch.setattr(linalg, "is_unitary", refuse)
+    monkeypatch.setattr(linalg, "_is_unitary", refuse)
     assert cli.main(["wigner", "--rho", "rho.json", "--noise-p", "0.1", *point]) == 6
     assert capsys.readouterr().out == ""
 

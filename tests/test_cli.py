@@ -326,6 +326,33 @@ class TestErrorExits:
         assert cp.returncode == 7
         assert error_payload(cp)["error"] == "invalid-value"
 
+    @pytest.mark.parametrize("command", [
+        "scatter --rho {overflowing} --u {pauli_x}",
+        "wigner --rho {overflowing} --point 1,1",
+        "scatter --rho {huge_trace} --u {pauli_x}",
+        "wigner --rho {huge_trace}",
+        "scatter --rho {mixed2} --u {huge_u}",
+        "spectrum --u {huge_u} --n1 3",
+        "spectrum --u {huge_u} --n1 3 --via-circuit",
+    ], ids=["scatter-hermitian", "wigner-hermitian", "scatter-trace", "wigner-trace",
+            "scatter-unitary", "spectrum", "spectrum-circuit"])
+    def test_finite_entries_whose_sums_overflow(self, command, tmp_path):
+        # Refused with one JSON line and no numpy warning.
+        paths = {}
+        for name, m in {
+            "overflowing": [[0.5, 1e308], [1e308, 0.5]],  # its Hermitian part overflows
+            "huge_trace": np.diag([1e308, 1e308]),  # its trace overflows
+            "huge_u": np.full((2, 2), 1e200),  # U U^dagger overflows
+            "pauli_x": [[0, 1], [1, 0]],
+            "mixed2": np.eye(2) / 2,
+        }.items():
+            paths[name] = tmp_path / f"{name}.json"
+            io.save_matrix(paths[name], np.asarray(m))
+        cp = run_cli(*command.format(**paths).split())
+        assert cp.returncode == 7
+        assert error_payload(cp)["error"] == "invalid-value"
+        assert cp.stdout == ""
+
     def test_point_format_error(self, inputs):
         cp = run_cli("wigner", "--rho", inputs["rho4"], "--point", "3;5")
         assert cp.returncode == 3

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qscatter import phasespace, states
+from qscatter.circuits import PAULI_X
 from qscatter.errors import (
     DimensionMismatchError,
     InvalidValueError,
@@ -23,6 +24,8 @@ from qscatter.linalg import (
     is_unitary,
     qubit_count,
 )
+from qscatter.phasespace import PhasePoint
+from qscatter.scattering import scattering_circuit
 from reference import dft_matrix, random_density_matrix, random_unitary
 
 
@@ -115,6 +118,44 @@ class TestPredicates:
             assert_density_matrix(np.eye(2))
         with pytest.raises(InvalidValueError, match="negative eigenvalue"):
             assert_density_matrix(np.diag([1.5, -0.5]))
+
+    def test_predicates_coerce_their_argument(self):
+        assert is_unitary([[1, 0], [0, 1]])
+        assert is_density_matrix([[1, 0], [0, 0]])
+        with pytest.raises(InvalidValueError, match="numbers"):
+            is_density_matrix("x")
+        with pytest.raises(DimensionMismatchError):
+            is_unitary([[1, 0]])
+
+
+class TestHugeEntries:
+    """Finite entries whose sums overflow: every verdict is a library error,
+    and no numpy RuntimeWarning escapes (the suite turns one into an error)."""
+
+    # Hermitian and of unit trace, with eigenvalues 0.5 +- 1e308.
+    OVERFLOWING = np.array([[0.5, 1e308], [1e308, 0.5]])
+
+    def test_state_whose_hermitian_part_overflows_is_refused(self):
+        assert not is_density_matrix(self.OVERFLOWING)
+        with pytest.raises(InvalidValueError, match="^state has negative eigenvalue -1.000e.308$"):
+            assert_density_matrix(self.OVERFLOWING)
+
+    @pytest.mark.parametrize("route", [
+        lambda rho: scattering_circuit(rho, PAULI_X),
+        lambda rho: phasespace.wigner_via_circuit(rho, PhasePoint(q=1, p=1, n=2)),
+    ], ids=["scattering_circuit", "wigner_via_circuit"])
+    def test_state_routes_refuse_it(self, route):
+        with pytest.raises(InvalidValueError, match="negative eigenvalue"):
+            route(self.OVERFLOWING)
+
+    def test_overflowing_trace_is_refused(self):
+        with pytest.raises(InvalidValueError, match="trace"):
+            assert_density_matrix(np.diag([1e308, 1e308]))
+
+    def test_overflowing_product_is_not_unitary(self):
+        assert not is_unitary(np.full((2, 2), 1e200))
+        with pytest.raises(InvalidValueError, match="not unitary"):
+            assert_unitary(np.full((2, 2), 1e200))
 
 
 class TestRandomEnsembles:

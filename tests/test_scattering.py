@@ -161,37 +161,48 @@ class TestReadoutBits:
     """The readout starts from |+><+| (x) rho and runs the closing Hadamard
     and frame on the block diagonals alone; under a map (an index map, a
     synthesized point circuit with or without idle work wires, any list of
-    two or more permutation-times-phase gates) it forms only those. sigma_z
+    two or more permutation-times-phase gates) it forms only those, and a
+    list with a Hadamard runs through the kernel on the whole joint. sigma_z
     and sigma_x are bit for bit those of the whole-state circuit, signed
     zeros included."""
 
     @settings(max_examples=200, deadline=None)
     @given(
-        route=st.sampled_from(["dense", "map", "synth", "idle", "mapped"]),
+        route=st.sampled_from(["dense", "map", "synth", "idle", "mapped", "hadamard"]),
         k=st.integers(0, 8),
+        work=st.integers(0, 2),
         real=st.booleans(),
         zeros=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     # N = 1, and N = 2, where the dense U takes the kernel's one-wire update;
     # a real state and U make Im Tr(U rho) vanish, so sigma_x is an exact zero.
-    @example(route="dense", k=0, real=True, zeros=False, seed=1)
-    @example(route="dense", k=1, real=True, zeros=True, seed=2)
-    @example(route="dense", k=1, real=False, zeros=False, seed=3)
-    @example(route="dense", k=3, real=True, zeros=True, seed=4)
-    @example(route="dense", k=8, real=False, zeros=True, seed=5)
-    @example(route="map", k=4, real=True, zeros=True, seed=6)
-    @example(route="map", k=1, real=True, zeros=False, seed=9)
-    @example(route="synth", k=1, real=True, zeros=True, seed=10)  # no work wire
-    @example(route="synth", k=3, real=False, zeros=True, seed=7)  # one work wire
-    @example(route="synth", k=5, real=False, zeros=False, seed=11)
-    @example(route="idle", k=1, real=False, zeros=True, seed=12)
-    @example(route="idle", k=2, real=True, zeros=True, seed=8)  # two idle work wires
-    @example(route="mapped", k=0, real=True, zeros=True, seed=13)
-    @example(route="mapped", k=4, real=False, zeros=True, seed=14)
-    def test_polarization_matches_the_whole_state_circuit(self, route, k, real, zeros, seed):
+    @example(route="dense", k=0, work=0, real=True, zeros=False, seed=1)
+    @example(route="dense", k=1, work=0, real=True, zeros=True, seed=2)
+    @example(route="dense", k=1, work=0, real=False, zeros=False, seed=3)
+    @example(route="dense", k=3, work=0, real=True, zeros=True, seed=4)
+    @example(route="dense", k=8, work=0, real=False, zeros=True, seed=5)
+    @example(route="map", k=4, work=0, real=True, zeros=True, seed=6)
+    @example(route="map", k=1, work=0, real=True, zeros=False, seed=9)
+    @example(route="synth", k=1, work=0, real=True, zeros=True, seed=10)  # no work wire
+    @example(route="synth", k=3, work=0, real=False, zeros=True, seed=7)  # one work wire
+    @example(route="synth", k=5, work=0, real=False, zeros=False, seed=11)
+    @example(route="idle", k=1, work=0, real=False, zeros=True, seed=12)
+    @example(route="idle", k=2, work=0, real=True, zeros=True, seed=8)  # two idle work wires
+    @example(route="mapped", k=0, work=0, real=True, zeros=True, seed=13)
+    @example(route="mapped", k=4, work=0, real=False, zeros=True, seed=14)
+    # The states of TestPreparation's signed-zero cases, whose prepared joints
+    # keep none of the kernel Hadamard's zero signs.
+    @example(route="hadamard", k=1, work=0, real=False, zeros=True, seed=10)
+    @example(route="hadamard", k=2, work=0, real=False, zeros=True, seed=20)
+    @example(route="hadamard", k=4, work=0, real=False, zeros=True, seed=40)
+    @example(route="hadamard", k=2, work=1, real=False, zeros=True, seed=21)
+    @example(route="hadamard", k=4, work=1, real=False, zeros=True, seed=41)
+    def test_polarization_matches_the_whole_state_circuit(
+            self, route, k, work, real, zeros, seed):
         if route != "dense":  # a phase point needs N >= 2; gate lists stay at N <= 32
-            k = min(max(k, 1 if route != "mapped" else 0), 8 if route == "map" else 5)
+            lo = 1 if route in ("map", "synth", "idle") else 0
+            k = min(max(k, lo), 8 if route == "map" else 5)
         n = 1 << k
         rng = np.random.default_rng(seed)
         if real or zeros:
@@ -204,6 +215,13 @@ class TestReadoutBits:
         elif route == "mapped":  # any wires, the probe's too, and up to two work wires
             wires = k + 1 + int(rng.integers(3))
             args = (mapped_gates(wires, int(rng.integers(2, 40)), rng), wires)
+        elif route == "hadamard":  # 1-3 Hadamards among map gates on any wire, 0-2 work wires
+            wires = k + 1 + work
+            gates = mapped_gates(wires, int(rng.integers(0, 12)), rng)
+            for _ in range(int(rng.integers(1, 4))):
+                at = int(rng.integers(len(gates) + 1))
+                gates.insert(at, GateOp("Hadamard", (int(rng.integers(wires)),)))
+            args = (gates, wires)
         else:
             q, p = (int(v) for v in rng.integers(2 * n, size=2))
             alpha = PhasePoint(q=q, p=0 if real else p, n=n)
@@ -232,9 +250,9 @@ class TestReadoutBits:
 
 class TestPreparation:
     """The prepared |+><+| (x) R is the kernel's probe Hadamard on |0><0| (x) R,
-    entry by entry and bit for bit, work wires included. The readout's sums
-    can hide a zero's sign (an exactly zero polarization has come out +0 in
-    every case tried), so the whole joint is compared here."""
+    entry by entry, work wires included: equal values, so every nonzero entry
+    bit for bit. The signs of zeros are not kept; the readout's + 0 clears
+    them from the polarization (TestReadoutBits)."""
 
     @pytest.mark.parametrize("k", [0, 1, 2, 4])
     @pytest.mark.parametrize("work", [0, 1])
@@ -248,8 +266,7 @@ class TestPreparation:
         joint = np.zeros((1 << wires, 1 << wires), dtype=complex)
         joint[: n * w : w, : n * w : w] = rho
         want = _apply_sequence(joint, [GateOp("Hadamard", (0,))], wires)
-        got = _plus_joint(rho, wires)
-        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert np.array_equal(_plus_joint(rho, wires), want)
 
 
 class TestMappedBlock:
