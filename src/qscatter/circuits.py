@@ -21,11 +21,10 @@ applied in one O(4^n) pass:
 rho'[label[i], label[j]] = phase[i] conj(phase[j]) rho[i, j]. Hadamard, a
 lone gate and every ket gate keep the slice kernel, whose one-wire update
 takes one of three branches by the 2x2 matrix: a diagonal one scales the two
-slices, an anti-diagonal one swaps them, and any other one, every Hadamard
-pass and the probe readout's dense 2x2 U, updates both slices in place,
-bit for bit as the elementwise update. A Hadamard, c [[1, 1], [1, -1]] with
-a real c, forms c s0 once for both slices and so holds one half-state
-temporary.
+slices, an anti-diagonal one swaps them, and the only other one, a
+Hadamard row or column pass, updates both slices in place, bit for bit as
+the elementwise update; it forms c s0 once for both slices, so it holds one
+half-state temporary.
 Dense 2^n x 2^n operators come from the same kernel: ``compose_sequence``
 runs the gates on the identity, viewed as a ket on 2n wires.
 """
@@ -206,16 +205,13 @@ def _contract(view: np.ndarray, axis: int, m: np.ndarray) -> None:
     # Ellipsis here and in the caller keeps each slice a writable view even
     # when no axis is left (a ket gate whose other wires all control).
     # Branches by m: a diagonal m scales; an anti-diagonal m swaps; any other
-    # m, every Hadamard row and column pass and a caller's dense 2x2 U, runs
-    # the elementwise update s0 <- m00 s0 + m01 s1, s1 <- m11 s1 + m10 s0
-    # with its products and sums in order, so it rounds the same, signed
-    # zeros included. m10 s0 is formed before s0 is scaled in place, except
-    # when m10 is m00 bit for bit, real and above 1/2 in size, as in a
-    # Hadamard c [[1, 1], [1, -1]]: then the scaled s0, s0 m00, stands for
-    # it. numpy fuses one product of a complex multiply, so the operand order
-    # shows for a complex m00, and for a real one only where a product
-    # underflows to a signed zero, which |m00| > 1/2 rules out. So a Hadamard
-    # holds one half-state temporary, m01 s1, and a dense U two.
+    # m is a Hadamard row or column pass, c [[1, 1], [1, -1]] with c = 1/sqrt(2)
+    # (``_KINDS`` holds no other matrix that is neither), and runs the
+    # elementwise update s0 <- c s0 + c s1, s1 <- -c s1 + c s0 with its
+    # products and sums in order, so it rounds the same, signed zeros
+    # included. For a real c above 1/2 the scaled s0, s0 c, is c s0 bit for
+    # bit, so it serves both slices and a Hadamard holds one half-state
+    # temporary, m01 s1.
     # m01 s1 is not written into s0 by ``out=``: on an inner axis s0 and s1
     # interleave, numpy then buffers the operands, and a buffered complex
     # product can round differently.
@@ -231,13 +227,10 @@ def _contract(view: np.ndarray, axis: int, m: np.ndarray) -> None:
         s0[...] = s1 if m[0, 1] == 1 else m[0, 1] * s1
         s1[...] = old0 if m[1, 0] == 1 else m[1, 0] * old0
     else:
-        tie = (m[0, 0].imag == 0 and abs(m[0, 0].real) > 0.5
-               and m[1, 0].tobytes() == m[0, 0].tobytes())
-        m10_s0 = None if tie else m[1, 0] * s0
         s0 *= m[0, 0]
         m01_s1 = m[0, 1] * s1
         s1 *= m[1, 1]
-        s1 += s0 if tie else m10_s0
+        s1 += s0
         s0 += m01_s1
 
 

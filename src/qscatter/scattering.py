@@ -31,10 +31,11 @@ the kernel would run as one composed map. After a map, each block-diagonal
 entry is one prepared entry, at the preimages of its row and column, times
 their phases, so the readout forms the 4 D entries from O(D) prepared ones,
 with the products of the preparation and of the kernel's map pass in their
-order. A dense U, a lone gate and a list with a Hadamard evolve the whole
-2D x 2D joint in place: U on the probe-1 rows, then U^dagger on those
-columns, or the gates through the kernel. Either way every readout is bit
-for bit the whole-state circuit's.
+order, so the readout is bit for bit the whole-state circuit's. A dense U
+forms no joint either: the diagonals of R, R U^dagger, U R and U R U^dagger,
+R the prepared quadrant, take one N x N product and row sums, and agree
+with the whole-state circuit to rounding. A lone gate and a list with a
+Hadamard evolve the whole 2D x 2D joint in place through the kernel.
 """
 
 from dataclasses import dataclass
@@ -61,7 +62,7 @@ class ScatteringResult:
 
     @property
     def trace_estimate(self) -> complex:
-        return complex(self.sigma_z, -self.sigma_x)
+        return complex(self.sigma_z, 0.0 - self.sigma_x)  # 0 - x: +0, not -0, for x = 0
 
 
 def _check_size(rho: np.ndarray, dim: int) -> None:
@@ -126,29 +127,31 @@ def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int,
     # the system with no work wires, dense or as its index map (label, phase).
     # The circuit starts from the probe's |+><+|. A block that is one map
     # (an index map, or gates that ``_apply_sequence`` would run as one
-    # composed map) gives the block diagonals from O(half) prepared entries;
-    # any other block evolves the whole joint state in place.
+    # composed map) gives the block diagonals from O(half) prepared entries,
+    # a dense U from one N x N product; any other block evolves the whole
+    # joint state in place.
     d = rho.shape[0]
-    half = 1 << (num_qubits - 1)
     if isinstance(u, tuple):  # controlled map: the identity on the probe-0 labels
         label, phase = u
         block = _mapped_diagonals(rho, num_qubits, np.r_[np.arange(d), d + label],
                                   np.r_[np.ones(d), phase])
+    elif u is not None:  # controlled-U: the quadrants R, R U^dagger, U R, U R U^dagger
+        # R = (rho h) h as prepared, X = U R, and diag(A U^dagger) as the row
+        # sums of A times conj U, for A = R and X.
+        h = HADAMARD[0, 0]
+        r = rho * h * h
+        x = u @ r
+        block = np.empty((2, 2, d), dtype=complex)
+        block[:, 0] = r.diagonal(), x.diagonal()
+        r *= u.conj()
+        x *= u.conj()
+        block[:, 1] = r.sum(axis=1), x.sum(axis=1)
     elif len(gates) > 1 and all(_KINDS[g.kind][2] for g in gates):  # one composed run
         block = _mapped_diagonals(rho, num_qubits, *_compose_map(gates, num_qubits))
     else:
         joint = _plus_joint(rho, num_qubits)
         _apply_sequence(joint, gates, num_qubits)
-        if u is not None:  # controlled-U: U on the probe-1 rows, U^dagger on those columns
-            # One system wire: the kernel's one-wire update, which rounds unlike
-            # a gemm; its in-place branch serves this dense U and the Hadamard
-            # alike.
-            if d == 2:
-                _contract(joint[d:], 0, u)
-                _contract(joint[:, d:], 1, u.conj())
-            else:
-                joint[d:] = u @ joint[d:]
-                joint[:, d:] = joint[:, d:] @ u.conj().T
+        half = 1 << (num_qubits - 1)
         block = np.einsum("iyjy->ijy", joint.reshape(2, half, 2, half)).copy()
     # The probe's reduced state sums only the block diagonals
     # joint[i*half + y, j*half + y], and the closing gates act on the probe

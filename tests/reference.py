@@ -4,14 +4,14 @@ unitaries, the reading of the gate records the library writes, the
 elementwise one-wire update the kernel's in-place branch is held to bit for
 bit, the per-t trace series the spectrometer's power sum is held to bit for
 bit, the gate-by-gate counter circuit its circuit route is held to bit for
-bit, the whole-state probe readout the scattering readout is held to bit for
-bit, and a call recorder for the tests that count checks."""
+bit, the whole-state probe readout the scattering readout is held to, and a
+call recorder for the tests that count checks."""
 
 from functools import reduce
 
 import numpy as np
 
-from qscatter.circuits import HADAMARD, GateOp, _apply_map, _apply_sequence, _contract
+from qscatter.circuits import HADAMARD, GateOp, _apply_map, _apply_sequence
 from qscatter.circuits import pauli_expectation
 from qscatter.errors import InvalidValueError
 from qscatter.scattering import ScatteringResult
@@ -96,9 +96,9 @@ def dense_product(gates, n: int) -> np.ndarray:
 
 def contract_elementwise(view: np.ndarray, axis: int, m: np.ndarray) -> None:
     """In place: view[..., i, ...] <- sum_j m[i, j] view[..., j, ...] on
-    ``axis``, both slices updated elementwise for any 2x2 m: the general form
-    of the gate kernel's one-wire update, which its in-place branch must
-    match bit for bit."""
+    ``axis``, both slices updated elementwise for any 2x2 m: the update the
+    gate kernel's in-place Hadamard branch must match bit for bit, and the
+    whole-state probe circuit's dense U at N=2."""
     lead = (slice(None),) * axis
     s0, s1 = view[lead + (0, ...)], view[lead + (1, ...)]
     old0 = s0.copy()
@@ -160,8 +160,9 @@ def probe_readout_full(rho: np.ndarray, gates, num_qubits: int, u=None) -> Scatt
     the gate kernel: |0><0| (x) rho (rho at every w-th row and column), a
     Hadamard, the gates, the controlled block (a dense U or its index map
     (label, phase)), a Hadamard and the frame PhaseShift(-pi/2), then the z
-    and x readout. The polarization ``scattering._probe_readout`` must match
-    bit for bit; it takes the same unchecked arguments."""
+    and x readout. The polarization ``scattering._probe_readout`` must match,
+    bit for bit but for a dense U, which it meets to rounding; it takes the
+    same unchecked arguments."""
     d = rho.shape[0]
     w = (1 << num_qubits) // (2 * d)
     hadamard = GateOp("Hadamard", (0,))
@@ -173,8 +174,8 @@ def probe_readout_full(rho: np.ndarray, gates, num_qubits: int, u=None) -> Scatt
         _apply_map(joint, np.r_[np.arange(d), d + label], np.r_[np.ones(d), phase])
     elif u is not None:
         if d == 2:
-            _contract(joint[d:], 0, u)
-            _contract(joint[:, d:], 1, u.conj())
+            contract_elementwise(joint[d:], 0, u)
+            contract_elementwise(joint[:, d:], 1, u.conj())
         else:
             joint[d:] = u @ joint[d:]
             joint[:, d:] = joint[:, d:] @ u.conj().T

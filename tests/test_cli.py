@@ -95,6 +95,15 @@ class TestScatter:
         b = run_cli("scatter", "--rho", inputs["rho4"], "--u", inputs["u4"])
         assert a.stdout == b.stdout
 
+    def test_a_real_trace_prints_a_positive_zero(self, tmp_path, capsys):
+        # Tr(Z diag(0.75, 0.25)) = 0.5: every zero prints unsigned.
+        io.save_matrix(tmp_path / "rho.json", np.diag([0.75, 0.25]))
+        io.save_matrix(tmp_path / "u.json", np.diag([1.0, -1.0]))
+        argv = ["scatter", "--rho", str(tmp_path / "rho.json"), "--u", str(tmp_path / "u.json")]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (
+            '{"sigma_z": 0.5, "sigma_x": 0.0, "re_trace": 0.5, "im_trace": 0.0}\n')
+
 
 class TestWigner:
     def test_csv_grid(self, inputs):
@@ -473,7 +482,8 @@ def probe_inputs(n, seed):
 def probe_argv(stem, root):
     """The ``scatter`` or ``wigner --point`` call a probe golden's name describes:
     scatter_n<N>[_s<seed>], or wigner_n<N>_q<q>_p<p>_<format>. The seed is N
-    unless named; the named ones at N=2 round differently under a gemm."""
+    unless named; the named ones at N=2 sit on a 12-digit rounding edge, where
+    the order of the readout's sums could show."""
     command, n, *rest = stem.split("_")
     n = int(n[1:])
     rho, u = probe_inputs(n, int(rest[0][1:]) if command == "scatter" and rest else n)

@@ -5,9 +5,10 @@ readout) must reproduce Tr(U rho) computed directly, for every state and
 unitary, to near machine precision. The readout prepares the probe's
 |+><+| directly and runs the closing probe gates only on the entries it
 reads; a block that is one map (an index map, or a gate list that composes
-to one) forms only those entries. Its polarization is held bit for bit to
+to one) or a dense U forms only those entries. Its polarization is held to
 the circuit run gate by gate on the whole joint state
-(``reference.probe_readout_full``).
+(``reference.probe_readout_full``): bit for bit, and for a dense U, whose
+sums run in another order, to rounding.
 """
 
 import tracemalloc
@@ -153,6 +154,10 @@ def mapped_gates(wires: int, count: int, rng) -> list[GateOp]:
     return gates
 
 
+# How far a dense-U readout may sit from the whole-state circuit.
+DENSE_TOL = 1e-14
+
+
 def polarization_bits(res: ScatteringResult) -> list[int]:
     return np.array([res.sigma_z, res.sigma_x]).view(np.uint64).tolist()
 
@@ -164,7 +169,9 @@ class TestReadoutBits:
     two or more permutation-times-phase gates) it forms only those, and a
     list with a Hadamard runs through the kernel on the whole joint. sigma_z
     and sigma_x are bit for bit those of the whole-state circuit, signed
-    zeros included."""
+    zeros included. A dense U forms its block diagonals from one N x N
+    product and row sums, whose order moves last bits: it is held to the
+    whole-state circuit within DENSE_TOL (2.8e-16 measured, N = 1 ... 256)."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -175,8 +182,8 @@ class TestReadoutBits:
         zeros=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    # N = 1, and N = 2, where the dense U takes the kernel's one-wire update;
-    # a real state and U make Im Tr(U rho) vanish, so sigma_x is an exact zero.
+    # N = 1, and N = 2, where the whole-state circuit applies the dense U by
+    # the elementwise update; a real state and U make Im Tr(U rho) vanish.
     @example(route="dense", k=0, work=0, real=True, zeros=False, seed=1)
     @example(route="dense", k=1, work=0, real=True, zeros=True, seed=2)
     @example(route="dense", k=1, work=0, real=False, zeros=False, seed=3)
@@ -230,8 +237,12 @@ class TestReadoutBits:
             else:
                 seq = synth_phase_point_circuit(alpha)
                 args = (list(seq.gates), seq.num_qubits + 2 * (route == "idle"))
-        got = _probe_readout(rho, *args)
-        assert polarization_bits(got) == polarization_bits(probe_readout_full(rho, *args))
+        got, want = _probe_readout(rho, *args), probe_readout_full(rho, *args)
+        if route == "dense":
+            assert abs(got.sigma_z - want.sigma_z) < DENSE_TOL
+            assert abs(got.sigma_x - want.sigma_x) < DENSE_TOL
+        else:
+            assert polarization_bits(got) == polarization_bits(want)
 
     @pytest.mark.parametrize("n", [2, 8, 64, 512, 2048])
     def test_index_map_at_every_size(self, n):
@@ -246,6 +257,21 @@ class TestReadoutBits:
         else:
             want = np.einsum("ij,ji->", phase_point_operator(alpha), rho) * 2 * n
             assert abs(got.trace_estimate - want) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 8, 64, 512, 1024])
+    def test_dense_u_at_every_size(self, n):
+        # The dense twin of the index-map sizes; at N = 1024 the whole-state
+        # circuit would take a 2N x 2N joint, so Tr(U rho) is the judge.
+        rng = np.random.default_rng(n)
+        rho, u = random_density_matrix(n, rng), random_unitary(n, rng)
+        args = ([], n.bit_length(), u)
+        got = _probe_readout(rho, *args)
+        if n <= 512:
+            want = probe_readout_full(rho, *args)
+            assert abs(got.sigma_z - want.sigma_z) < DENSE_TOL
+            assert abs(got.sigma_x - want.sigma_x) < DENSE_TOL
+        else:
+            assert abs(got.trace_estimate - direct_trace(rho, u)) < 1e-10
 
 
 class TestPreparation:
@@ -292,8 +318,8 @@ class TestMappedBlock:
 
 
 class TestMappedRoutes:
-    """Which blocks skip the joint: an index map and a list the kernel would
-    run as one composed map do; a dense U, a lone gate and a list with a
+    """Which blocks skip the joint: an index map, a list the kernel would run
+    as one composed map and a dense U do; a lone gate and a list with a
     Hadamard build it."""
 
     @pytest.mark.parametrize("build", ["map", "synth", "idle"])
@@ -308,19 +334,25 @@ class TestMappedRoutes:
             scattering_circuit_gates(rho, seq.gates, seq.num_qubits + (build == "idle"))
         assert calls == []
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_a_dense_u_forms_no_joint(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        calls = record_calls(monkeypatch, scattering, "_plus_joint")
+        scattering_circuit(random_density_matrix(n, rng), random_unitary(n, rng))
+        assert calls == []
+
     @pytest.mark.parametrize("gates", [[GateOp("PauliX", (1,))],
                                        [GateOp("CNOT", (0, 1)), GateOp("Hadamard", (2,))]])
     def test_other_blocks_build_the_joint(self, monkeypatch, gates):
         rho = random_density_matrix(4, np.random.default_rng(4))
         calls = record_calls(monkeypatch, scattering, "_plus_joint")
         scattering_circuit_gates(rho, gates, 3)
-        scattering_circuit(rho, random_unitary(4, np.random.default_rng(5)))
-        assert calls == ["_plus_joint"] * 2
+        assert calls == ["_plus_joint"]
 
 
 class TestReadoutMemory:
-    """Peak traced memory of one readout, in joint states (2N x 2N complex)
-    where the readout forms the joint, else in states (N x N complex)."""
+    """Peak traced memory of one readout, in states (N x N complex); the
+    joint would be 4 states."""
 
     @staticmethod
     def peak_bytes(rho, *args) -> int:
@@ -334,11 +366,11 @@ class TestReadoutMemory:
             tracemalloc.stop()
 
     def test_dense_u(self):
-        # The joint, a half-state product and U's conjugate: 1.75 joints; with
-        # the whole-state Hadamards the readout peaked at 1.88.
+        # The prepared quadrant, U times it and U's conjugate: 3.03 states;
+        # the joint alone would be 4.
         rng = np.random.default_rng(128)
         rho, u = random_density_matrix(128, rng), random_unitary(128, rng)
-        assert self.peak_bytes(rho, [], 8, u) / (4 * 128 * 128 * 16) < 1.8
+        assert self.peak_bytes(rho, [], 8, u) / (128 * 128 * 16) < 4
 
     def test_index_map(self):
         # A few (2, 2, N) arrays: 0.24 states. The joint and the map's spare
@@ -399,3 +431,10 @@ class TestQubitBudget:
 def test_result_is_plain_record():
     res = ScatteringResult(sigma_z=0.5, sigma_x=-0.25)
     assert res.trace_estimate == 0.5 + 0.25j
+
+
+def test_a_real_trace_has_a_positive_zero_imaginary_part():
+    # rho = diag(0.75, 0.25), U = Z: Tr(U rho) = 0.5, and sigma_x reads +0.
+    res = scattering_circuit(np.diag([0.75, 0.25]), np.diag([1.0, -1.0]))
+    for r in (res, ScatteringResult(sigma_z=0.5, sigma_x=-0.0)):
+        assert np.copysign(1, r.trace_estimate.imag) == 1
