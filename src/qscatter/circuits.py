@@ -16,9 +16,11 @@ al., Sci. Rep. 9, 10736, 2019). A gate costs O(4^n); a ket, viewed as a
 (2,)*n tensor, takes the row pass alone at O(2^n). Every kind but Hadamard
 is a permutation times a phase, as the kinds table records. On a density
 matrix, each run of two or more such gates is composed into one map over the
-2^n basis labels, G|i> = phase[i] |label[i]>, at O(2^n) per gate, and
-applied in one O(4^n) pass:
-rho'[label[i], label[j]] = phase[i] conj(phase[j]) rho[i, j]. Hadamard, a
+2^n basis labels, G|i> = phase[i] |label[i]>, and applied in one O(4^n)
+pass: rho'[label[i], label[j]] = phase[i] conj(phase[j]) rho[i, j]. The
+composition holds each wire's bits of all 2^n image labels as one Python int,
+so a gate's controls and flip are a few bitwise operations on 2^n-bit ints;
+only a phase factor other than 1 makes a pass over the 2^n phases. Hadamard, a
 lone gate and every ket gate keep the slice kernel, whose one-wire update
 takes one of three branches by the 2x2 matrix: a diagonal one scales the two
 slices, an anti-diagonal one swaps them, and the only other one, a
@@ -163,25 +165,42 @@ def _apply_sequence(state: np.ndarray, gates, num_qubits: int) -> np.ndarray:
 
 
 def _compose_map(gates, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # The run as G|i> = phase[i] |label[i]>, composed on bit planes: row w
-    # of ``bits`` holds wire w of every image label. Each gate's one-wire
-    # target matrix u is diagonal or anti-diagonal, so where its controls
-    # are all 1 it sends target bit b to b ^ flip with the factor u[b ^ flip, b].
+    # The run as G|i> = phase[i] |label[i]>, composed on wire planes: bit i
+    # of the Python int planes[w] is wire w of label[i]. Each gate's one-wire
+    # target matrix u is diagonal or anti-diagonal, so where its controls are
+    # all 1 it sends target bit b to b ^ flip with the factor u[b ^ flip, b],
+    # which multiplies the phases where a mask unpacked from the planes is
+    # set. The labels are read from the planes once, at the end.
+    size = 1 << n
     place = 1 << np.arange(n - 1, -1, -1)
-    bits = np.arange(1 << n) & place[:, None] != 0
-    phase = np.ones(1 << n, dtype=complex)
+    planes = [_pack(row) for row in np.arange(size) & place[:, None] != 0]
+    every = (1 << size) - 1
+    phase = np.ones(size, dtype=complex)
     for g in gates:
         *controls, t = g.targets
-        u, on = g.matrix, True
+        on = every
         for c in controls:
-            on = on & bits[c]
-        flip = int(u[0, 0] == 0)
-        for b in (0, 1):
-            if u[b ^ flip, b] != 1:
-                np.multiply(phase, u[b ^ flip, b], out=phase, where=(bits[t] == b) & on)
+            on &= planes[c]
+        (u00, u01), (u10, u11) = g.matrix.tolist()
+        flip = u00 == 0
+        for b, factor in enumerate((u10, u01) if flip else (u00, u11)):
+            if factor != 1:
+                where = on & planes[t] if b else on & ~planes[t]
+                np.multiply(phase, factor, out=phase, where=_unpack(where, size))
         if flip:
-            bits[t] ^= on
-    return place @ bits, phase
+            planes[t] ^= on
+    return place @ np.array([_unpack(p, size) for p in planes]), phase
+
+
+def _pack(mask: np.ndarray) -> int:
+    # A boolean row as an int whose bit i is mask[i].
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _unpack(bits: int, size: int) -> np.ndarray:
+    # The inverse of ``_pack``: bits 0 .. size-1 of a non-negative int as a boolean row.
+    raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little").view(bool)
 
 
 def _apply_map(rho: np.ndarray, label: np.ndarray, phase: np.ndarray) -> None:

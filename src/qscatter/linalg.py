@@ -30,7 +30,9 @@ EIGENVALUE_FLOOR = -1e-10
 
 def check_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
     """``value`` as a plain int; anything else, a boolean, or outside [lo, hi) is refused."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    # A plain int first: the common case, and the cheapest test.
+    if type(value) is int or (isinstance(value, (int, np.integer))
+                              and not isinstance(value, bool)):
         if (lo is None or value >= lo) and (hi is None or value < hi):
             return int(value)
     span = f" in [{lo}, {brief(hi)})" if hi is not None else f" >= {lo}" if lo is not None else ""

@@ -228,7 +228,8 @@ def line_sum(w: WignerGrid, a: int, b: int, c: int) -> float:
     inverse = pow(a // g, -1, width)
     q0 = -(c // h) * pow(b // h, -1, step) % step
     p0, dp = (b * q0 + c) // g * inverse % width, b // h * inverse % width
+    cells = w.values.reshape(m, g, width)
+    if dp == 0:  # a column that does not move: basic slicing, copied to sum in order
+        return float(np.ascontiguousarray(cells[q0::step, :, p0]).sum())
     q = np.arange(q0, m, step)
-    if dp:
-        p0 = np.arange(p0, p0 + q.size * dp, dp) % width
-    return float(w.values.reshape(m, g, width)[q, :, p0].sum())
+    return float(cells[q, :, np.arange(p0, p0 + q.size * dp, dp) % width].sum())

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import _KINDS, HADAMARD, PAULI_X, PAULI_Z, GateOp, _apply_sequence
+from .circuits import _KINDS, HADAMARD, GateOp, _apply_sequence
 from .circuits import _check_gates, _compose_map, _contract, phase_gate
 from .errors import DimensionMismatchError
 from .linalg import as_square_matrix, assert_density_matrix, assert_unitary, check_int
@@ -133,8 +133,8 @@ def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int,
     d = rho.shape[0]
     if isinstance(u, tuple):  # controlled map: the identity on the probe-0 labels
         label, phase = u
-        block = _mapped_diagonals(rho, num_qubits, np.r_[np.arange(d), d + label],
-                                  np.r_[np.ones(d), phase])
+        block = _mapped_diagonals(rho, num_qubits, np.concatenate((np.arange(d), d + label)),
+                                  np.concatenate((np.ones(d), phase)))
     elif u is not None:  # controlled-U: the quadrants R, R U^dagger, U R, U R U^dagger
         # R = (rho h) h as prepared, X = U R, and diag(A U^dagger) as the row
         # sums of A times conj U, for A = R and X.
@@ -164,9 +164,8 @@ def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int,
     for m in (HADAMARD, _PROBE_FRAME):
         _contract(block, 0, m)
         _contract(block, 1, m.conj())
-    reduced = np.cumsum(block, axis=2)[..., -1] + 0
-    z, x = (float(np.trace(reduced @ pauli).real) for pauli in (PAULI_Z, PAULI_X))
-    return ScatteringResult(sigma_z=z, sigma_x=x)
+    (r00, r01), (r10, r11) = np.cumsum(block, axis=2)[..., -1] + 0
+    return ScatteringResult(sigma_z=float((r00 - r11).real), sigma_x=float((r01 + r10).real))
 
 
 def scattering_circuit(rho: np.ndarray, u: np.ndarray) -> ScatteringResult:

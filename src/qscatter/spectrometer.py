@@ -31,7 +31,9 @@ by a 4 MiB stack of baby steps: 35 products at N=256 and t_max=127 (m = 4),
 and m = 1, so t_max products, for N >= 512. The circuit route simulates the
 three registers with ``np.fft`` as the counter Fourier gate and one batched
 product as the power map, label by label. Every route holds the counter to
-the qubit budget, so n1 <= 12 (and t_max < 2**12) before any work starts.
+the qubit budget, so n1 <= 12 (and t_max < 2**12), and the system too, so
+N <= 2**12, before any work starts; the Fourier routes budget each alone,
+the circuit route all three registers together.
 """
 
 import math
@@ -99,7 +101,9 @@ class SpectralSeries:
 
 
 def trace_powers(u: np.ndarray, t_max: int) -> TraceSeries:
-    """Trace of every power of U up to t_max < 2**QUBIT_BUDGET.
+    """Trace of every power of U up to t_max < 2**QUBIT_BUDGET, for U of side
+    N <= 2**QUBIT_BUDGET; each limit is checked alone, from t_max and U's
+    shape, before U is read.
 
     Evaluated from the eigenvalues lam as sum(lam**t), in blocks of rows of
     powers, at most 4 MiB each, summed along each row. Rows t < 100 are
@@ -117,6 +121,7 @@ def trace_powers(u: np.ndarray, t_max: int) -> TraceSeries:
     """
     t_max = check_int(t_max, "t_max", 0)
     check_qubit_budget(counter=t_max.bit_length())
+    check_qubit_budget(system=wire_count(largest_side(u)))
     u = assert_unitary(u)
     n = u.shape[0]
     lam = np.linalg.eigvals(u)

@@ -4,8 +4,10 @@ unitaries, the reading of the gate records the library writes, the
 elementwise one-wire update the kernel's in-place branch is held to bit for
 bit, the per-t trace series the spectrometer's power sum is held to bit for
 bit, the gate-by-gate counter circuit its circuit route is held to bit for
-bit, the whole-state probe readout the scattering readout is held to, and a
-call recorder for the tests that count checks."""
+bit, the whole-state probe readout the scattering readout is held to, the
+composition of a gate run on boolean bit planes its composition on integer
+wire planes is held to bit for bit, and a call recorder for the tests that
+count checks."""
 
 from functools import reduce
 
@@ -182,6 +184,29 @@ def probe_readout_full(rho: np.ndarray, gates, num_qubits: int, u=None) -> Scatt
     _apply_sequence(joint, [hadamard, GateOp("PhaseShift", (0,), theta=-np.pi / 2)], num_qubits)
     return ScatteringResult(sigma_z=pauli_expectation(joint, "z", 0),
                             sigma_x=pauli_expectation(joint, "x", 0))
+
+
+def compose_map_bool_planes(gates, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A run of permutation-times-phase gates on n wires as G|i> = phase[i]
+    |label[i]>, composed on numpy boolean planes: row w of ``bits`` holds wire
+    w of every image label, and every gate makes a few passes over all 2^n
+    labels. The labels and phases ``circuits._compose_map`` must match, the
+    phases bit for bit."""
+    place = 1 << np.arange(n - 1, -1, -1)
+    bits = np.arange(1 << n) & place[:, None] != 0
+    phase = np.ones(1 << n, dtype=complex)
+    for g in gates:
+        *controls, t = g.targets
+        u, on = g.matrix, True
+        for c in controls:
+            on = on & bits[c]
+        flip = int(u[0, 0] == 0)
+        for b in (0, 1):
+            if u[b ^ flip, b] != 1:
+                np.multiply(phase, u[b ^ flip, b], out=phase, where=(bits[t] == b) & on)
+        if flip:
+            bits[t] ^= on
+    return place @ bits, phase
 
 
 def gate_from_record(rec: dict) -> GateOp:

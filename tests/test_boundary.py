@@ -14,6 +14,8 @@ Every integer argument follows one rule: a Python or numpy integer, never a
 boolean, inside its range, and no message prints an integer too long to print.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -433,6 +435,9 @@ OVER_BUDGET = {
         _over_budget(1 << 11), 2
     ),
     "trace_powers": lambda: spectrometer.trace_powers(U, 1 << 12),
+    "trace_powers-dim": lambda: spectrometer.trace_powers(_over_budget(1 << 13), 3),
+    "spectral_density-dim": lambda: spectrometer.spectral_density(_over_budget(1 << 13), 2),
+    "structure_function-dim": lambda: spectrometer.structure_function(_over_budget(1 << 13), 2),
     "pauli_expectation": lambda: circuits.pauli_expectation(_over_budget(1 << 13), "z", 0),
     "depolarize": lambda: circuits.depolarize(_over_budget(1 << 13), 0.1),
     "direct_trace": lambda: scattering.direct_trace(_over_budget(1 << 12), U),
@@ -508,6 +513,21 @@ def test_cli_noise_refuses_the_budget_before_checking_the_state(point, monkeypat
     monkeypatch.setattr(linalg, "_is_unitary", refuse)
     assert cli.main(["wigner", "--rho", "rho.json", "--noise-p", "0.1", *point]) == 6
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("extra", [[], ["--structure"]], ids=["density", "structure"])
+def test_cli_fourier_spectrum_refuses_a_system_over_budget(extra, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-budget unitary reached a check")
+
+    monkeypatch.setattr(io, "load_matrix", lambda path: _over_budget(1 << 13))
+    monkeypatch.setattr(linalg, "_is_unitary", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    assert cli.main(["spectrum", "--u", "u.json", "--n1", "2", *extra]) == 6
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "qubit-budget"
+    assert "(13 system)" in json.loads(err)["message"]
 
 
 @st.composite

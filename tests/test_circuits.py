@@ -20,6 +20,7 @@ from qscatter.circuits import (
     PAULI_Y,
     PAULI_Z,
     _apply_sequence,
+    _compose_map,
     apply_sequence,
     compose_sequence,
     depolarize,
@@ -33,7 +34,7 @@ from qscatter.phasespace import PhasePoint
 from qscatter.scattering import scattering_circuit_gates
 from qscatter.states import basis_state, maximally_mixed, pseudo_pure
 from qscatter.synthesis import GateSequence, sequence_to_json, synth_phase_point_circuit
-from reference import controlled, dense_gate, dense_product
+from reference import compose_map_bool_planes, controlled, dense_gate, dense_product
 from reference import gate_from_record, hadamards_elementwise, random_density_matrix
 from reference import random_unitary, record_calls
 
@@ -318,6 +319,55 @@ class TestIndexMap:
         res = scattering_circuit_gates(rho, seq.gates, seq.num_qubits)
         assert time.perf_counter() - start < 5.0
         assert abs(res.trace_estimate - np.trace(2 * n * a @ rho)) < 1e-10
+
+
+class TestComposedMapBits:
+    """A run composed on integer wire planes is the run composed on boolean
+    bit planes (``reference.compose_map_bool_planes``): equal labels, and
+    phases bit for bit."""
+
+    @staticmethod
+    def assert_same_map(gates, n):
+        label, phase = _compose_map(gates, n)
+        want_label, want_phase = compose_map_bool_planes(gates, n)
+        assert label.dtype == want_label.dtype and np.array_equal(label, want_label)
+        assert same_bits(phase, want_phase)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_runs_of_every_mapped_kind(self, data):
+        # 1 to 12 wires, the budget; a kind wider than the register is skipped.
+        n = data.draw(st.integers(1, QUBIT_BUDGET))
+        kinds = data.draw(st.lists(st.sampled_from(MAPPED_KINDS), min_size=2, max_size=40))
+        gates = [_gate(data.draw, kind, n) for kind in kinds if _KINDS[kind][0] <= n]
+        self.assert_same_map(gates, n)
+
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 2, np.pi, -np.pi / 2])
+    def test_phase_kinds_at_exact_angles(self, theta):
+        gates = [GateOp("PhaseShift", (1,), theta=theta), GateOp("PauliY", (0,)),
+                 GateOp("ControlledPhase", (2, 0), theta=theta), GateOp("PauliZ", (2,)),
+                 GateOp("Toffoli", (0, 2, 1)), GateOp("PhaseShift", (1,), theta=-theta)]
+        self.assert_same_map(gates, 3)
+
+    # Every point at N = 2 and 4, which need no work wire, and a few points
+    # from N = 8 on, whose circuits use it; an idle wire beyond them too.
+    # The N = 1024 circuit fills the 12-wire budget, so it has no idle wire.
+    @pytest.mark.parametrize("n,points,idle", [
+        (n, points, idle)
+        for n, points in [
+            (2, [(q, p) for q in range(4) for p in range(4)]),
+            (4, [(q, p) for q in range(8) for p in range(8)]),
+            (8, [(0, 0), (5, 11), (15, 15)]),
+            (32, [(11, 50), (63, 63)]),
+            (1024, [(1023, 2047)]),
+        ]
+        for idle in ((0, 1) if n < 1024 else (0,))
+    ])
+    def test_synthesized_point_circuits(self, n, points, idle):
+        for q, p in points:
+            seq = synth_phase_point_circuit(PhasePoint(q=q, p=p, n=n))
+            assert seq.num_qubits == n.bit_length() + (n >= 8)
+            self.assert_same_map(list(seq.gates), seq.num_qubits + idle)
 
 
 @st.composite

@@ -278,7 +278,7 @@ class TestPreparation:
     """The prepared |+><+| (x) R is the kernel's probe Hadamard on |0><0| (x) R,
     entry by entry, work wires included: equal values, so every nonzero entry
     bit for bit. The signs of zeros are not kept; the readout's + 0 clears
-    them from the polarization (TestReadoutBits)."""
+    them from the polarization (TestReadoutBits, TestNoNegativeZero)."""
 
     @pytest.mark.parametrize("k", [0, 1, 2, 4])
     @pytest.mark.parametrize("work", [0, 1])
@@ -293,6 +293,33 @@ class TestPreparation:
         joint[: n * w : w, : n * w : w] = rho
         want = _apply_sequence(joint, [GateOp("Hadamard", (0,))], wires)
         assert np.array_equal(_plus_joint(rho, wires), want)
+
+
+class TestNoNegativeZero:
+    """The readout's + 0 turns a -0 total of the reduced state into +0, so
+    neither polarization is ever -0. The block before the closing gates is
+    arbitrary here: signed zeros, subnormals and normal parts on every entry.
+    numpy's vectorised complex product fuses its multiply and add, so a
+    subnormal part times the frame's cos(pi/2) ~ 6e-17 can leave -0 where
+    the rounded product and a separate add leave +0: the example below
+    closes to Re r01 = Re r10 = -0, and without the + 0 sigma_x reads -0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.25, -0.25, 1.0, -1.0]),
+        min_size=16, max_size=16))
+    @example(parts=[-5e-324, -5e-324] + [0.0] * 14)  # real parts first, then imaginary
+    @example(parts=[0.0] * 16)
+    @example(parts=[-0.0] * 16)
+    def test_no_polarization_is_negative_zero(self, parts):
+        block = np.empty((2, 2, 2), dtype=complex)
+        block.real, block.imag = np.reshape(parts, (2, 2, 2, 2))
+        rho = np.eye(2, dtype=complex) / 2
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scattering, "_mapped_diagonals", lambda *args: block.copy())
+            res = _probe_readout(rho, [], 2, (np.arange(2), np.ones(2, dtype=complex)))
+        for value in (res.sigma_z, res.sigma_x):
+            assert not (value == 0 and np.signbit(value))
 
 
 class TestMappedBlock:

@@ -240,6 +240,26 @@ class TestSpectralDensity:
             with pytest.raises(QubitBudgetError, match="counter"):
                 route(np.eye(2), n1)
 
+    @pytest.mark.parametrize("route", [
+        lambda u: trace_powers(u, 3),
+        lambda u: spectral_density(u, 2),
+        lambda u: structure_function(u, 2),
+    ], ids=["trace_powers", "spectral_density", "structure_function"])
+    def test_system_is_held_to_the_budget(self, route, monkeypatch):
+        # Shape-only views: a side of 2**12 reaches the unitarity check, one
+        # more is refused before it.
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(spectrometer, "assert_unitary", reached)
+        with pytest.raises(Reached):
+            route(np.broadcast_to(np.complex128(0), (1 << QUBIT_BUDGET,) * 2))
+        with pytest.raises(QubitBudgetError, match=r"\(13 system\)"):
+            route(np.broadcast_to(np.complex128(0), ((1 << QUBIT_BUDGET) + 1,) * 2))
+
 
 class TestPeakRecovery:
     def test_well_separated_phases_land_within_one_bin(self):
