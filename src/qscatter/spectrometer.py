@@ -29,11 +29,12 @@ steps U^(am), about m + t_max/m matrix products instead of t_max (Paterson
 and Stockmeyer, SIAM J. Comput. 2, 60, 1973). m is about sqrt(t_max), capped
 by a 4 MiB stack of baby steps: 35 products at N=256 and t_max=127 (m = 4),
 and m = 1, so t_max products, for N >= 512. The circuit route simulates the
-three registers with ``np.fft`` as the counter Fourier gate and one batched
-product as the power map, label by label. Every route holds the counter to
-the qubit budget, so n1 <= 12 (and t_max < 2**12), and the system too, so
-N <= 2**12, before any work starts; the Fourier routes budget each alone,
-the circuit route all three registers together.
+three registers label by label, with ``np.fft`` as the counter Fourier gate
+and one elementwise scale of the stack of powers U^t as the power map.
+Every route holds the counter to the qubit budget, so n1 <= 12 (and
+t_max < 2**12), and the system too, so N <= 2**12, before any work starts;
+the Fourier routes budget each alone, the circuit route all three registers
+together.
 """
 
 import math
@@ -196,16 +197,15 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
     are evolved as state vectors in one batch, one (D, N, N) array per label;
     the probe z polarization is read off the final amplitudes. On the probe-1
     branch the counter Fourier gate is an orthonormal FFT over the counter
-    axis and the power map |t>|n> -> |t> U^t |n> one batched matrix product.
-    The first Fourier gate meets the basis state |E>, scaled by the probe
-    Hadamard, on every diagonal of the N x N slab, so it is one transform of
-    length D written onto those diagonals; every 1-D transform rounds the
-    same in or out of a batch. Off slice E the probe-0 branch is zero, so
-    both closing-Hadamard branches have the weights |f / sqrt 2|^2 of the
+    axis. The first meets the basis state |E>, scaled by the probe Hadamard,
+    and leaves slice t as c_t I, so the power map |t>|n> -> |t> U^t |n> is
+    one elementwise scale, c_t U^t. Off slice E the probe-0 branch is zero,
+    so both closing-Hadamard branches have the weights |f / sqrt 2|^2 of the
     probe-1 amplitudes f there, and one weight array serves both sums, slice
-    E written in turn for each. These steps keep the bits of the gates
-    applied one by one to the full register. The joint register (probe +
-    counter + system) must fit the 12-qubit budget.
+    E written in turn for each. The scale rounds apart from a product with
+    c_t I: the bins meet the gates applied one by one to the full register
+    within 2e-15, not bit for bit. The joint register (probe + counter +
+    system) must fit the 12-qubit budget.
     """
     n1 = check_int(n1, "counter register n1", 2)
     check_qubit_budget(probe=1, counter=n1, system=wire_count(largest_side(u)))
@@ -223,10 +223,8 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
     bins = np.empty(d)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     label = np.zeros(d, dtype=complex)  # the probe-1 half of the counter input
-    psi1 = np.zeros((d, n, n), dtype=complex)  # off-diagonal entries stay zero
-    diagonals = psi1.reshape(d, n * n)[:, :: n + 1]
-    powered = np.empty_like(psi1)
-    final = np.empty_like(psi1)
+    powered = np.empty_like(upow)
+    final = np.empty_like(upow)
     psi0 = np.eye(n, dtype=complex) * inv_sqrt2  # the probe-0 branch, slice E only
     slice_e = np.empty((2, n, n), dtype=complex)  # slice E of both closing branches
     weights = np.empty((d, n, n))
@@ -234,10 +232,10 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
         # Probe Hadamard, then the counter Fourier gate on the probe-1 branch,
         # with the analysis kernel sign exp(-2 pi i E k / D) / sqrt(D).
         label[energy] = inv_sqrt2
-        diagonals[...] = np.fft.fft(label, norm="ortho")[:, None]
+        coeff = np.fft.fft(label, norm="ortho")
         label[energy] = 0
-        # Columns track the N pure-state components of the mixed system input.
-        np.matmul(upow, psi1, out=powered)
+        # The power map takes slice t, coeff[t] I, to coeff[t] U^t.
+        np.multiply(upow, coeff[:, None, None], out=powered)
         np.fft.fft(powered, axis=0, norm="ortho", out=final)  # out= from numpy 2.0
         # Closing probe Hadamard, then <sigma_z> from the branch norms,
         # averaged over the mixture.

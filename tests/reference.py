@@ -133,8 +133,8 @@ def spectral_density_via_circuit_loop(u: np.ndarray, n1: int) -> np.ndarray:
     applied to the full (D, N, N) register of each label in turn: both probe
     branches, the Fourier gate as an FFT over all N x N columns and the
     closing Hadamard on both branches, read out by two full-array sums. The
-    bins ``spectrometer.spectral_density_via_circuit`` must match bit for
-    bit."""
+    bins ``spectrometer.spectral_density_via_circuit`` must meet to rounding:
+    it scales the powers where this loop multiplies them by a matrix."""
     n = u.shape[0]
     d = 1 << n1
     upow = np.empty((d, n, n), dtype=complex)

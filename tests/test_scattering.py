@@ -119,9 +119,15 @@ class TestGateListRoute:
             scattering_circuit_gates(maximally_mixed(4), [], 3.0)
 
 
-def sparse_state(n: int, rng, real: bool, signed: bool) -> np.ndarray:
+# Subnormal and signed-zero parts for the off-diagonals a sparse state leaves zero.
+TINY = np.array([5e-324, -5e-324, 1e-320, -1e-320, -3e-310, 0.0, -0.0])
+
+
+def sparse_state(n: int, rng, real: bool, signed: bool, tiny: bool = False) -> np.ndarray:
     """A state on a random set of basis labels, real or complex; if
-    ``signed``, its zero entries carry a random sign on either part."""
+    ``signed``, its zero entries carry a random sign on either part; if
+    ``tiny``, about half its zero off-diagonals take Hermitian pairs of TINY
+    parts, the imaginary part only for a complex state."""
     support = np.flatnonzero(rng.random(n) < 0.5)
     if support.size == 0:
         support = rng.integers(n, size=1)
@@ -131,6 +137,14 @@ def sparse_state(n: int, rng, real: bool, signed: bool) -> np.ndarray:
     rho[np.ix_(support, support)] = g @ g.conj().T / np.sum(np.abs(g) ** 2)
     for part in (rho.real, rho.imag) if signed else ():
         part[(part == 0) & (rng.random((n, n)) < 0.5)] = -0.0
+    if tiny:
+        i, j = np.triu_indices(n, 1)
+        free = (rho[i, j] == 0) & (rng.random(i.size) < 0.5)
+        i, j = i[free], j[free]
+        rho.real[i, j] = rho.real[j, i] = rng.choice(TINY, i.size)
+        if not real:
+            rho.imag[i, j] = rng.choice(TINY, i.size)
+            rho.imag[j, i] = -rho.imag[i, j]
     return rho
 
 
@@ -180,40 +194,50 @@ class TestReadoutBits:
         work=st.integers(0, 2),
         real=st.booleans(),
         zeros=st.booleans(),
+        tiny=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     # N = 1, and N = 2, where the whole-state circuit applies the dense U by
     # the elementwise update; a real state and U make Im Tr(U rho) vanish.
-    @example(route="dense", k=0, work=0, real=True, zeros=False, seed=1)
-    @example(route="dense", k=1, work=0, real=True, zeros=True, seed=2)
-    @example(route="dense", k=1, work=0, real=False, zeros=False, seed=3)
-    @example(route="dense", k=3, work=0, real=True, zeros=True, seed=4)
-    @example(route="dense", k=8, work=0, real=False, zeros=True, seed=5)
-    @example(route="map", k=4, work=0, real=True, zeros=True, seed=6)
-    @example(route="map", k=1, work=0, real=True, zeros=False, seed=9)
-    @example(route="synth", k=1, work=0, real=True, zeros=True, seed=10)  # no work wire
-    @example(route="synth", k=3, work=0, real=False, zeros=True, seed=7)  # one work wire
-    @example(route="synth", k=5, work=0, real=False, zeros=False, seed=11)
-    @example(route="idle", k=1, work=0, real=False, zeros=True, seed=12)
-    @example(route="idle", k=2, work=0, real=True, zeros=True, seed=8)  # two idle work wires
-    @example(route="mapped", k=0, work=0, real=True, zeros=True, seed=13)
-    @example(route="mapped", k=4, work=0, real=False, zeros=True, seed=14)
+    @example(route="dense", k=0, work=0, real=True, zeros=False, tiny=False, seed=1)
+    @example(route="dense", k=1, work=0, real=True, zeros=True, tiny=False, seed=2)
+    @example(route="dense", k=1, work=0, real=False, zeros=False, tiny=False, seed=3)
+    @example(route="dense", k=3, work=0, real=True, zeros=True, tiny=False, seed=4)
+    @example(route="dense", k=8, work=0, real=False, zeros=True, tiny=False, seed=5)
+    @example(route="map", k=4, work=0, real=True, zeros=True, tiny=False, seed=6)
+    @example(route="map", k=1, work=0, real=True, zeros=False, tiny=False, seed=9)
+    # A point circuit with no work wire, then with one.
+    @example(route="synth", k=1, work=0, real=True, zeros=True, tiny=False, seed=10)
+    @example(route="synth", k=3, work=0, real=False, zeros=True, tiny=False, seed=7)
+    @example(route="synth", k=5, work=0, real=False, zeros=False, tiny=False, seed=11)
+    @example(route="idle", k=1, work=0, real=False, zeros=True, tiny=False, seed=12)
+    # Two idle work wires.
+    @example(route="idle", k=2, work=0, real=True, zeros=True, tiny=False, seed=8)
+    @example(route="mapped", k=0, work=0, real=True, zeros=True, tiny=False, seed=13)
+    @example(route="mapped", k=4, work=0, real=False, zeros=True, tiny=False, seed=14)
     # The states of TestPreparation's signed-zero cases, whose prepared joints
     # keep none of the kernel Hadamard's zero signs.
-    @example(route="hadamard", k=1, work=0, real=False, zeros=True, seed=10)
-    @example(route="hadamard", k=2, work=0, real=False, zeros=True, seed=20)
-    @example(route="hadamard", k=4, work=0, real=False, zeros=True, seed=40)
-    @example(route="hadamard", k=2, work=1, real=False, zeros=True, seed=21)
-    @example(route="hadamard", k=4, work=1, real=False, zeros=True, seed=41)
+    @example(route="hadamard", k=1, work=0, real=False, zeros=True, tiny=False, seed=10)
+    @example(route="hadamard", k=2, work=0, real=False, zeros=True, tiny=False, seed=20)
+    @example(route="hadamard", k=4, work=0, real=False, zeros=True, tiny=False, seed=40)
+    @example(route="hadamard", k=2, work=1, real=False, zeros=True, tiny=False, seed=21)
+    @example(route="hadamard", k=4, work=1, real=False, zeros=True, tiny=False, seed=41)
+    # Off-diagonals of +-5e-324, +-1e-320, -3e-310 and +-0 on every route.
+    @example(route="dense", k=3, work=0, real=False, zeros=True, tiny=True, seed=50)
+    @example(route="map", k=4, work=0, real=False, zeros=True, tiny=True, seed=51)
+    @example(route="synth", k=3, work=0, real=False, zeros=False, tiny=True, seed=52)
+    @example(route="idle", k=2, work=0, real=True, zeros=True, tiny=True, seed=53)
+    @example(route="mapped", k=3, work=0, real=False, zeros=True, tiny=True, seed=54)
+    @example(route="hadamard", k=3, work=1, real=False, zeros=False, tiny=True, seed=55)
     def test_polarization_matches_the_whole_state_circuit(
-            self, route, k, work, real, zeros, seed):
+            self, route, k, work, real, zeros, tiny, seed):
         if route != "dense":  # a phase point needs N >= 2; gate lists stay at N <= 32
             lo = 1 if route in ("map", "synth", "idle") else 0
             k = min(max(k, lo), 8 if route == "map" else 5)
         n = 1 << k
         rng = np.random.default_rng(seed)
-        if real or zeros:
-            rho = sparse_state(n, rng, real, zeros)
+        if real or zeros or tiny:
+            rho = sparse_state(n, rng, real, zeros, tiny)
         else:
             rho = random_density_matrix(n, rng)
         if route == "dense":

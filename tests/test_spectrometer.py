@@ -342,10 +342,16 @@ class TestCircuitEquivalence:
         assert np.abs(s.bins - spectral_density(u, 8).bins).max() < 1e-9
 
 
-class TestCircuitBitForBit:
-    """The label loop writes the first Fourier gate onto the slab diagonals and
-    reads both probe branches from one weight array, bit for bit the gates
-    applied to the whole register."""
+# How far the circuit's bins may sit from the gate-by-gate loop's.
+CIRCUIT_TOL = 2e-15
+
+
+class TestCircuitGateByGate:
+    """The label loop applies the power map as one scale of the powers by the
+    first Fourier gate's output and reads both probe branches from one weight
+    array. The scale rounds apart from the loop's matrix product, so the bins
+    are held to the gates applied to the whole register within CIRCUIT_TOL
+    (4.4e-16 measured, n1 = 2 ... 11, N = 1 ... 64)."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -363,7 +369,7 @@ class TestCircuitBitForBit:
     @example(shape=(5, 6), kind="haar", seed=3)
     @example(shape=(2, 6), kind="labels", seed=4)
     @example(shape=(7, 4), kind="labels", seed=5)
-    def test_bins_equal_the_gate_by_gate_loop(self, shape, kind, seed):
+    def test_bins_meet_the_gate_by_gate_loop_within_tolerance(self, shape, kind, seed):
         n1, wires = shape
         n, d = 1 << wires, 1 << n1
         rng = np.random.default_rng(seed)
@@ -375,12 +381,12 @@ class TestCircuitBitForBit:
             u = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=n)))
         got = spectral_density_via_circuit(u, n1).bins
         want = spectral_density_via_circuit_loop(u, n1)
-        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert np.abs(got - want).max() < CIRCUIT_TOL
 
     @pytest.mark.parametrize("n1,n", [(6, 32), (7, 16), (4, 64)])
-    def test_peak_memory_under_five_and_a_quarter_arrays(self, n1, n):
-        # Counted in (D, N, N) complex arrays: the powers, the three stages of
-        # the probe-1 branch and half an array of real weights make 4.5; the
+    def test_peak_memory_under_four_and_a_quarter_arrays(self, n1, n):
+        # Counted in (D, N, N) complex arrays: the powers, the two stages of
+        # the probe-1 branch and half an array of real weights make 3.5; the
         # gate-by-gate loop peaks at 6.0.
         u = random_unitary(n, np.random.default_rng(n1))
         spectral_density_via_circuit(u, n1)  # first-call allocations, before the baseline
@@ -391,7 +397,7 @@ class TestCircuitBitForBit:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 5.25 * (16 << n1) * n * n
+        assert peak < 4.25 * (16 << n1) * n * n
 
 
 class TestStructureFunction:
