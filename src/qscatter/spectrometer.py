@@ -19,22 +19,14 @@ t = 0).
 The structure function applies the single-turn kernel exp(-2 pi i E t / D)
 to |Tr(U^t)|^2 / N^2 instead, measuring correlations between eigenphases.
 
-Both Fourier routes read Tr(U^t) = sum(lam**t) from the eigenvalues lam of
-U. Rows t < 100 take numpy's power, which multiplies repeatedly there; from
-t = 100 on numpy calls libm's cpow, which glibc computes as
-cexp(t * clog(lam)), so those rows are exp(t * log(lam)) with the log taken
-once, the same bits at a small part of the cost. The series is checked at
-every t against products of U itself: baby steps U^0 .. U^(m-1) and giant
-steps U^(am), about m + t_max/m matrix products instead of t_max (Paterson
-and Stockmeyer, SIAM J. Comput. 2, 60, 1973). m is about sqrt(t_max), capped
-by a 4 MiB stack of baby steps: 35 products at N=256 and t_max=127 (m = 4),
-and m = 1, so t_max products, for N >= 512. The circuit route simulates the
-three registers label by label, with ``np.fft`` as the counter Fourier gate
-and one elementwise scale of the stack of powers U^t as the power map.
-Every route holds the counter to the qubit budget, so n1 <= 12 (and
-t_max < 2**12), and the system too, so N <= 2**12, before any work starts;
-the Fourier routes budget each alone, the circuit route all three registers
-together.
+Both Fourier routes read Tr(U^t) from ``trace_powers``, which evaluates it
+from the eigenvalues of U and checks it against products of U. The circuit
+route simulates the three registers label by label, with ``np.fft`` as the
+counter Fourier gate and one elementwise scale of the stack of powers U^t as
+the power map. Every route holds the counter to the qubit budget, so
+n1 <= 12 (and t_max < 2**12), and the system too, so N <= 2**12, before any
+work starts; the Fourier routes budget each alone, the circuit route all
+three registers together.
 """
 
 import math
@@ -116,7 +108,11 @@ def trace_powers(u: np.ndarray, t_max: int) -> TraceSeries:
     the bits of its own np.sum(lam**t). The series is cross-checked at every
     t against matrix products of U: with m baby-step powers B_b = U^b and
     giant steps G_a = U^(am), Tr(U^(am+b)) = sum(G_a * B_b^T), one
-    matrix-vector product per giant step. Disagreement beyond 1e-9 at any t
+    matrix-vector product per giant step, so about m + t_max/m matrix
+    products instead of t_max (Paterson and Stockmeyer, SIAM J. Comput. 2,
+    60, 1973). m is about sqrt(t_max), capped by a 4 MiB stack of baby
+    steps: 35 products at N=256 and t_max=127 (m = 4), and m = 1, so t_max
+    products, for N >= 512. Disagreement beyond 1e-9 at any t
     aborts, naming the first such t, rather than returning a silently wrong
     series.
     """
@@ -199,13 +195,14 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
     branch the counter Fourier gate is an orthonormal FFT over the counter
     axis. The first meets the basis state |E>, scaled by the probe Hadamard,
     and leaves slice t as c_t I, so the power map |t>|n> -> |t> U^t |n> is
-    one elementwise scale, c_t U^t. Off slice E the probe-0 branch is zero,
-    so both closing-Hadamard branches have the weights |f / sqrt 2|^2 of the
-    probe-1 amplitudes f there, and one weight array serves both sums, slice
-    E written in turn for each. The scale rounds apart from a product with
-    c_t I: the bins meet the gates applied one by one to the full register
-    within 2e-15, not bit for bit. The joint register (probe + counter +
-    system) must fit the 12-qubit budget.
+    one elementwise scale, c_t U^t, and the second gate runs in place. Off
+    slice E the probe-0 branch is zero, so both closing-Hadamard branches
+    have the weight |f|^2 / 2 of the probe-1 amplitudes f there: half the
+    squared norm of the register before and after slice E, one dot product
+    each; each branch adds the squared norm of its own slice E. The scale
+    rounds apart from a product with c_t I: the bins meet the gates applied
+    one by one to the full register within 2e-15, not bit for bit. The joint
+    register (probe + counter + system) must fit the 12-qubit budget.
     """
     n1 = check_int(n1, "counter register n1", 2)
     check_qubit_budget(probe=1, counter=n1, system=wire_count(largest_side(u)))
@@ -223,11 +220,9 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
     bins = np.empty(d)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     label = np.zeros(d, dtype=complex)  # the probe-1 half of the counter input
-    powered = np.empty_like(upow)
     final = np.empty_like(upow)
     psi0 = np.eye(n, dtype=complex) * inv_sqrt2  # the probe-0 branch, slice E only
     slice_e = np.empty((2, n, n), dtype=complex)  # slice E of both closing branches
-    weights = np.empty((d, n, n))
     for energy in range(d):
         # Probe Hadamard, then the counter Fourier gate on the probe-1 branch,
         # with the analysis kernel sign exp(-2 pi i E k / D) / sqrt(D).
@@ -235,20 +230,16 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
         coeff = np.fft.fft(label, norm="ortho")
         label[energy] = 0
         # The power map takes slice t, coeff[t] I, to coeff[t] U^t.
-        np.multiply(upow, coeff[:, None, None], out=powered)
-        np.fft.fft(powered, axis=0, norm="ortho", out=final)  # out= from numpy 2.0
+        np.multiply(upow, coeff[:, None, None], out=final)
+        np.fft.fft(final, axis=0, norm="ortho", out=final)  # out= from numpy 2.0
         # Closing probe Hadamard, then <sigma_z> from the branch norms,
         # averaged over the mixture.
+        before, after = final[:energy], final[energy + 1:]
+        rest = (np.vdot(before, before).real + np.vdot(after, after).real) / 2
         np.add(psi0, final[energy], out=slice_e[0])
         np.subtract(psi0, final[energy], out=slice_e[1])
         slice_e *= inv_sqrt2
-        slice_e_weights = np.abs(slice_e)
-        np.square(slice_e_weights, out=slice_e_weights)
-        final *= inv_sqrt2
-        np.abs(final, out=weights)
-        np.square(weights, out=weights)
-        weights[energy] = slice_e_weights[0]
-        top = np.sum(weights)
-        weights[energy] = slice_e_weights[1]
-        bins[energy] = (top - np.sum(weights)) / n
+        top = rest + np.vdot(slice_e[0], slice_e[0]).real
+        bottom = rest + np.vdot(slice_e[1], slice_e[1]).real
+        bins[energy] = (top - bottom) / n
     return SpectralSeries(n1=n1, bins=bins, phase_multiple=2)

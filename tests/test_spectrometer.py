@@ -216,10 +216,15 @@ class TestSpectralDensity:
         d = s.num_labels
         assert np.allclose(s.bins, np.roll(s.bins, d // 2), atol=1e-12)
 
-    @pytest.mark.parametrize("dim,n1", [(2, 3), (4, 3), (4, 4), (8, 2)])
-    def test_sum_rule(self, dim, n1):
+    @pytest.mark.parametrize("route,dim,n1", [
+        pytest.param(route, dim, n1, id=f"{prefix}{dim}-{n1}")
+        for route, prefix in (
+            (spectral_density, ""), (spectral_density_via_circuit, "via_circuit-"))
+        for dim, n1 in ((2, 3), (4, 3), (4, 4), (8, 2))
+    ])
+    def test_sum_rule(self, route, dim, n1):
         u = random_unitary(dim, np.random.default_rng(dim * n1))
-        s = spectral_density(u, n1)
+        s = route(u, n1)
         d = s.num_labels
         half_power = np.linalg.matrix_power(u, d // 2)
         expected = 1.0 + np.trace(half_power).real / dim
@@ -331,6 +336,17 @@ class TestCircuitEquivalence:
         assert np.allclose(np.fft.fft(x, axis=0, norm="ortho"), dft_matrix(8).conj() @ x,
                            rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(4, 1, 1), (128, 16, 16), (16, 64, 64)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_in_place_counter_fourier_transform_equals_out_of_place(self, shape):
+        # The counter circuit writes its Fourier gate over its own register.
+        rng = np.random.default_rng(shape[0])
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = np.fft.fft(x, axis=0, norm="ortho")
+        got = np.fft.fft(x, axis=0, norm="ortho", out=x)
+        assert got is x
+        assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
+
     def test_budget_enforced(self):
         with pytest.raises(QubitBudgetError, match="1 probe"):
             spectral_density_via_circuit(np.eye(2), 11)  # 1 + 11 + 1 = 13
@@ -348,8 +364,8 @@ CIRCUIT_TOL = 2e-15
 
 class TestCircuitGateByGate:
     """The label loop applies the power map as one scale of the powers by the
-    first Fourier gate's output and reads both probe branches from one weight
-    array. The scale rounds apart from the loop's matrix product, so the bins
+    first Fourier gate's output and reads both probe branches from register
+    norms, one dot product per contiguous part of the register. The scale rounds apart from the loop's matrix product, so the bins
     are held to the gates applied to the whole register within CIRCUIT_TOL
     (4.4e-16 measured, n1 = 2 ... 11, N = 1 ... 64)."""
 
@@ -384,10 +400,10 @@ class TestCircuitGateByGate:
         assert np.abs(got - want).max() < CIRCUIT_TOL
 
     @pytest.mark.parametrize("n1,n", [(6, 32), (7, 16), (4, 64)])
-    def test_peak_memory_under_four_and_a_quarter_arrays(self, n1, n):
-        # Counted in (D, N, N) complex arrays: the powers, the two stages of
-        # the probe-1 branch and half an array of real weights make 3.5; the
-        # gate-by-gate loop peaks at 6.0.
+    def test_peak_memory_under_three_arrays(self, n1, n):
+        # Counted in (D, N, N) complex arrays: the powers and one register,
+        # with no weight array, make 2.0 (2.2-2.3 measured with slice E and
+        # the FFT's buffers); the gate-by-gate loop peaks at 6.0.
         u = random_unitary(n, np.random.default_rng(n1))
         spectral_density_via_circuit(u, n1)  # first-call allocations, before the baseline
         tracemalloc.start()
@@ -397,7 +413,7 @@ class TestCircuitGateByGate:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 4.25 * (16 << n1) * n * n
+        assert peak < 3.0 * (16 << n1) * n * n
 
 
 class TestStructureFunction:
