@@ -399,11 +399,9 @@ class TestCircuitGateByGate:
         want = spectral_density_via_circuit_loop(u, n1)
         assert np.abs(got - want).max() < CIRCUIT_TOL
 
-    @pytest.mark.parametrize("n1,n", [(6, 32), (7, 16), (4, 64)])
-    def test_peak_memory_under_three_arrays(self, n1, n):
-        # Counted in (D, N, N) complex arrays: the powers and one register,
-        # with no weight array, make 2.0 (2.2-2.3 measured with slice E and
-        # the FFT's buffers); the gate-by-gate loop peaks at 6.0.
+    @staticmethod
+    def _peak_in_arrays(n1, n):
+        """The route's traced peak, counted in (D, N, N) complex arrays."""
         u = random_unitary(n, np.random.default_rng(n1))
         spectral_density_via_circuit(u, n1)  # first-call allocations, before the baseline
         tracemalloc.start()
@@ -413,7 +411,20 @@ class TestCircuitGateByGate:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 3.0 * (16 << n1) * n * n
+        return peak / ((16 << n1) * n * n)
+
+    @pytest.mark.parametrize("n1,n", [(6, 32), (7, 16), (4, 64)])
+    def test_peak_memory_under_three_arrays(self, n1, n):
+        # The powers and one register, with no weight array, make 2.0
+        # (2.2-2.3 measured with slice E and the FFT's buffers); the
+        # gate-by-gate loop peaks at 6.0.
+        assert self._peak_in_arrays(n1, n) < 3.0
+
+    @pytest.mark.parametrize("n1,n", [(6, 32), (7, 16), (4, 64)])
+    def test_peak_memory_under_four_and_a_quarter_arrays(self, n1, n):
+        # The ceiling the route kept while it still built a weight array
+        # (3.7-3.9 measured then); the pin above is the tighter one.
+        assert self._peak_in_arrays(n1, n) < 4.25
 
 
 class TestStructureFunction:
