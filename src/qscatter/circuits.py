@@ -17,16 +17,9 @@ al., Sci. Rep. 9, 10736, 2019). A gate costs O(4^n); a ket, viewed as a
 is a permutation times a phase, as the kinds table records. On a density
 matrix, each run of two or more such gates is composed into one map over the
 2^n basis labels, G|i> = phase[i] |label[i]>, and applied in one O(4^n)
-pass: rho'[label[i], label[j]] = phase[i] conj(phase[j]) rho[i, j]. The
-composition holds each wire's bits of all 2^n image labels as one Python int,
-so a gate's controls and flip are a few bitwise operations on 2^n-bit ints;
-only a phase factor other than 1 makes a pass over the 2^n phases. Hadamard, a
-lone gate and every ket gate keep the slice kernel, whose one-wire update
-takes one of three branches by the 2x2 matrix: a diagonal one scales the two
-slices, an anti-diagonal one swaps them, and the only other one, a
-Hadamard row or column pass, updates both slices in place, bit for bit as
-the elementwise update; it forms c s0 once for both slices, so it holds one
-half-state temporary.
+pass: rho'[label[i], label[j]] = phase[i] conj(phase[j]) rho[i, j]. Hadamard,
+a lone gate and every ket gate keep the slice kernel, which updates the two
+slices of the target axis in place.
 Dense 2^n x 2^n operators come from the same kernel: ``compose_sequence``
 runs the gates on the identity, viewed as a ket on 2n wires.
 """

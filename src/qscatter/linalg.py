@@ -153,10 +153,10 @@ def is_unitary(a) -> bool:
     return _is_unitary(as_square_matrix(a))
 
 
-def is_density_matrix(a, trace_tol: float = TRACE_TOL) -> bool:
+def is_density_matrix(a) -> bool:
     """Hermitian, unit trace, and no eigenvalue below the small negative floor;
     ``a`` is coerced as ``as_square_matrix`` does."""
-    return _state_defect(as_square_matrix(a), trace_tol) is None
+    return _state_defect(as_square_matrix(a), TRACE_TOL) is None
 
 
 def assert_unitary(a) -> np.ndarray:

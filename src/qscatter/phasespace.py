@@ -157,7 +157,7 @@ def wigner_via_circuit(rho: np.ndarray, alpha: PhasePoint) -> float:
     rho = assert_density_matrix(rho)
     _check_size(rho, n)
     wires = qubit_count(n) + 1
-    return _probe_readout(rho, [], wires, _point_operator(alpha)).sigma_z / (2 * n)
+    return _probe_readout(rho, wires, _point_operator(alpha)).sigma_z / (2 * n)
 
 
 @dataclass(frozen=True)

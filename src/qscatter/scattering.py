@@ -11,38 +11,17 @@ frame the x component holds minus the imaginary part, so
 exactly. Both components are read from the probe's reduced 2x2 state, summed
 once from the evolved density matrix, so no sampling noise enters.
 
-The controlled block is a gate list (``scattering_circuit_gates``), an index
-map (label, phase), U|x> = phase[x] |label[x]>, or a dense U.
-
-The probe gates around that block make no whole-state pass. The opening
-Hadamard is a state preparation: the readout writes |+><+| (x) rho out by
-value, each entry (rho h) h with h = 1/sqrt(2), the two products the
-kernel's Hadamard forms on |0><0| (x) rho, so the values are the kernel's bit
-for bit. The signs of zeros are not kept inside the readout; its final + 0
-clears them from the output. The closing Hadamard and frame rotation act on
-the probe alone, so on the 4 D block-diagonal entries joint[i D + y, j D + y]
-(D the dimension of system and work wires) they need no other entry, and
-those are all the probe's reduced state sums; they run there alone, through
-the kernel's one-wire update.
-
-A block that is one map over the joint labels forms no joint at all: an
-index map, and a list of two or more permutation-times-phase gates, which
-the kernel would run as one composed map. After a map, each block-diagonal
-entry is one prepared entry, at the preimages of its row and column, times
-their phases, so the readout forms the 4 D entries from O(D) prepared ones,
-with the products of the preparation and of the kernel's map pass in their
-order, so the readout is bit for bit the whole-state circuit's. A dense U
-forms no joint either: the diagonals of R, R U^dagger, U R and U R U^dagger,
-R the prepared quadrant, take one N x N product and row sums, and agree
-with the whole-state circuit to rounding. A lone gate and a list with a
-Hadamard evolve the whole 2D x 2D joint in place through the kernel.
+The controlled block is a dense U, an index map (label, phase),
+U|x> = phase[x] |label[x]>, or a gate list (``scattering_circuit_gates``).
+Only a gate list with a Hadamard evolves the whole joint state; the readout
+forms just the entries it sums from any other block (``_probe_readout``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import _KINDS, HADAMARD, GateOp, _apply_sequence
+from .circuits import _KINDS, HADAMARD, _apply_sequence
 from .circuits import _check_gates, _compose_map, _contract, phase_gate
 from .errors import DimensionMismatchError
 from .linalg import as_square_matrix, assert_density_matrix, assert_unitary, check_int
@@ -120,37 +99,39 @@ def _mapped_diagonals(rho: np.ndarray, num_qubits: int, label: np.ndarray,
     return entries
 
 
-def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int,
-                   u: np.ndarray | tuple | None = None) -> ScatteringResult:
-    # Unchecked core: rho is a valid state, every gate fits the wires probe,
-    # system, work, and u, if given, comes with no gates and is a unitary on
-    # the system with no work wires, dense or as its index map (label, phase).
-    # The circuit starts from the probe's |+><+|. A block that is one map
-    # (an index map, or gates that ``_apply_sequence`` would run as one
-    # composed map) gives the block diagonals from O(half) prepared entries,
-    # a dense U from one N x N product; any other block evolves the whole
-    # joint state in place.
+def _probe_readout(rho: np.ndarray, num_qubits: int, controlled) -> ScatteringResult:
+    # Unchecked core: rho is a valid state, and the controlled block is a
+    # unitary on the system with no work wires, dense or as its index map
+    # (label, phase), or a list of gates that fit the wires probe, system,
+    # work. The circuit starts from the probe's |+><+|. A dense U gives the
+    # block diagonals from one N x N product. A block that is one map, an
+    # index map or a list with no Hadamard (empty and one-gate lists too),
+    # gives them from O(half) prepared entries. Only a list with a Hadamard
+    # evolves the whole joint state in place.
     d = rho.shape[0]
-    if isinstance(u, tuple):  # controlled map: the identity on the probe-0 labels
-        label, phase = u
-        block = _mapped_diagonals(rho, num_qubits, np.concatenate((np.arange(d), d + label)),
-                                  np.concatenate((np.ones(d), phase)))
-    elif u is not None:  # controlled-U: the quadrants R, R U^dagger, U R, U R U^dagger
+    if isinstance(controlled, np.ndarray):  # quadrants R, R U^dagger, U R, U R U^dagger
         # R = (rho h) h as prepared, X = U R, and diag(A U^dagger) as the row
-        # sums of A times conj U, for A = R and X.
+        # sums of A times conj U, for A = R and X. Those sums run in their own
+        # order, so they meet the whole-state circuit to rounding.
         h = HADAMARD[0, 0]
         r = rho * h * h
-        x = u @ r
+        x = controlled @ r
         block = np.empty((2, 2, d), dtype=complex)
         block[:, 0] = r.diagonal(), x.diagonal()
-        r *= u.conj()
-        x *= u.conj()
+        r *= controlled.conj()
+        x *= controlled.conj()
         block[:, 1] = r.sum(axis=1), x.sum(axis=1)
-    elif len(gates) > 1 and all(_KINDS[g.kind][2] for g in gates):  # one composed run
-        block = _mapped_diagonals(rho, num_qubits, *_compose_map(gates, num_qubits))
+    elif isinstance(controlled, tuple) or all(_KINDS[g.kind][2] for g in controlled):
+        if isinstance(controlled, tuple):  # controlled: the identity on the probe-0 labels
+            label, phase = controlled
+            label = np.concatenate((np.arange(d), d + label))
+            phase = np.concatenate((np.ones(d), phase))
+        else:
+            label, phase = _compose_map(controlled, num_qubits)
+        block = _mapped_diagonals(rho, num_qubits, label, phase)
     else:
         joint = _plus_joint(rho, num_qubits)
-        _apply_sequence(joint, gates, num_qubits)
+        _apply_sequence(joint, controlled, num_qubits)
         half = 1 << (num_qubits - 1)
         block = np.einsum("iyjy->ijy", joint.reshape(2, half, 2, half)).copy()
     # The probe's reduced state sums only the block diagonals
@@ -171,7 +152,7 @@ def _probe_readout(rho: np.ndarray, gates: list[GateOp], num_qubits: int,
 def scattering_circuit(rho: np.ndarray, u: np.ndarray) -> ScatteringResult:
     """Run the probe circuit with a dense controlled-U block; U is checked once, here."""
     rho, u = _check_operands(rho, u)
-    return _probe_readout(rho, [], qubit_count(u.shape[0]) + 1, assert_unitary(u))
+    return _probe_readout(rho, qubit_count(u.shape[0]) + 1, assert_unitary(u))
 
 
 def scattering_circuit_gates(
@@ -187,4 +168,4 @@ def scattering_circuit_gates(
     check_qubit_budget(probe=1, system=k, work=max(0, n - 1 - k))
     rho = assert_density_matrix(rho)
     n = check_int(n, "number of wires", qubit_count(rho.shape[0]) + 1)
-    return _probe_readout(rho, _check_gates(gates, n), n)
+    return _probe_readout(rho, n, _check_gates(gates, n))

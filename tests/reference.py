@@ -157,11 +157,11 @@ def spectral_density_via_circuit_loop(u: np.ndarray, n1: int) -> np.ndarray:
     return bins
 
 
-def probe_readout_full(rho: np.ndarray, gates, num_qubits: int, u=None) -> ScatteringResult:
+def probe_readout_full(rho: np.ndarray, num_qubits: int, controlled) -> ScatteringResult:
     """The probe circuit with every probe gate run on the whole joint state by
     the gate kernel: |0><0| (x) rho (rho at every w-th row and column), a
-    Hadamard, the gates, the controlled block (a dense U or its index map
-    (label, phase)), a Hadamard and the frame PhaseShift(-pi/2), then the z
+    Hadamard, the controlled block (a dense U, its index map (label, phase),
+    or a gate list), a Hadamard and the frame PhaseShift(-pi/2), then the z
     and x readout. The polarization ``scattering._probe_readout`` must match,
     bit for bit but for a dense U, which it meets to rounding; it takes the
     same unchecked arguments."""
@@ -170,11 +170,13 @@ def probe_readout_full(rho: np.ndarray, gates, num_qubits: int, u=None) -> Scatt
     hadamard = GateOp("Hadamard", (0,))
     joint = np.zeros((2 * d * w, 2 * d * w), dtype=complex)
     joint[: d * w : w, : d * w : w] = rho
+    gates = controlled if isinstance(controlled, list) else []
     _apply_sequence(joint, [hadamard, *gates], num_qubits)
-    if isinstance(u, tuple):
-        label, phase = u
+    if isinstance(controlled, tuple):
+        label, phase = controlled
         _apply_map(joint, np.r_[np.arange(d), d + label], np.r_[np.ones(d), phase])
-    elif u is not None:
+    elif isinstance(controlled, np.ndarray):
+        u = controlled
         if d == 2:
             contract_elementwise(joint[d:], 0, u)
             contract_elementwise(joint[:, d:], 1, u.conj())

@@ -4,8 +4,8 @@ The circuit route (Hadamard, controlled-U, Hadamard, frame rotation, Pauli
 readout) must reproduce Tr(U rho) computed directly, for every state and
 unitary, to near machine precision. The readout prepares the probe's
 |+><+| directly and runs the closing probe gates only on the entries it
-reads; a block that is one map (an index map, or a gate list that composes
-to one) or a dense U forms only those entries. Its polarization is held to
+reads; a block that is one map (an index map, or a gate list with no
+Hadamard) or a dense U forms only those entries. Its polarization is held to
 the circuit run gate by gate on the whole joint state
 (``reference.probe_readout_full``): bit for bit, and for a dense U, whose
 sums run in another order, to rounding.
@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qscatter import phasespace, scattering
-from qscatter.circuits import HADAMARD, PAULI_Y, GateOp, _apply_map, _apply_sequence
+from qscatter.circuits import _KINDS, HADAMARD, PAULI_Y, GateOp, _apply_map, _apply_sequence
 from qscatter.circuits import _compose_map
 from qscatter.errors import DimensionMismatchError, InvalidValueError, QubitBudgetError
 from qscatter.phasespace import PhasePoint, _point_operator, phase_point_operator
@@ -179,13 +179,14 @@ def polarization_bits(res: ScatteringResult) -> list[int]:
 class TestReadoutBits:
     """The readout starts from |+><+| (x) rho and runs the closing Hadamard
     and frame on the block diagonals alone; under a map (an index map, a
-    synthesized point circuit with or without idle work wires, any list of
-    two or more permutation-times-phase gates) it forms only those, and a
-    list with a Hadamard runs through the kernel on the whole joint. sigma_z
-    and sigma_x are bit for bit those of the whole-state circuit, signed
-    zeros included. A dense U forms its block diagonals from one N x N
-    product and row sums, whose order moves last bits: it is held to the
-    whole-state circuit within DENSE_TOL (2.8e-16 measured, N = 1 ... 256)."""
+    synthesized point circuit with or without idle work wires, any list
+    with no Hadamard, empty and one-gate lists included) it forms only
+    those, and a list with a Hadamard runs through the kernel on the whole
+    joint. sigma_z and sigma_x are bit for bit those of the whole-state
+    circuit, which runs a lone gate by the slice kernel, signed zeros
+    included. A dense U forms its block diagonals from one N x N product and
+    row sums, whose order moves last bits: it is held to the whole-state
+    circuit within DENSE_TOL (2.8e-16 measured, N = 1 ... 256)."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -242,30 +243,52 @@ class TestReadoutBits:
             rho = random_density_matrix(n, rng)
         if route == "dense":
             u = real_orthogonal(n, rng) if real else random_unitary(n, rng)
-            args = ([], k + 1, u)
+            args = (k + 1, u)
         elif route == "mapped":  # any wires, the probe's too, and up to two work wires
             wires = k + 1 + int(rng.integers(3))
-            args = (mapped_gates(wires, int(rng.integers(2, 40)), rng), wires)
+            args = (wires, mapped_gates(wires, int(rng.integers(0, 40)), rng))
         elif route == "hadamard":  # 1-3 Hadamards among map gates on any wire, 0-2 work wires
             wires = k + 1 + work
             gates = mapped_gates(wires, int(rng.integers(0, 12)), rng)
             for _ in range(int(rng.integers(1, 4))):
                 at = int(rng.integers(len(gates) + 1))
                 gates.insert(at, GateOp("Hadamard", (int(rng.integers(wires)),)))
-            args = (gates, wires)
+            args = (wires, gates)
         else:
             q, p = (int(v) for v in rng.integers(2 * n, size=2))
             alpha = PhasePoint(q=q, p=0 if real else p, n=n)
             if route == "map":
-                args = ([], k + 1, _point_operator(alpha))
+                args = (k + 1, _point_operator(alpha))
             else:
                 seq = synth_phase_point_circuit(alpha)
-                args = (list(seq.gates), seq.num_qubits + 2 * (route == "idle"))
+                args = (seq.num_qubits + 2 * (route == "idle"), list(seq.gates))
         got, want = _probe_readout(rho, *args), probe_readout_full(rho, *args)
         if route == "dense":
             assert abs(got.sigma_z - want.sigma_z) < DENSE_TOL
             assert abs(got.sigma_x - want.sigma_x) < DENSE_TOL
         else:
+            assert polarization_bits(got) == polarization_bits(want)
+
+    @pytest.mark.parametrize("kind", [None, "PauliX", "PauliY", "PauliZ", "PhaseShift", "CNOT",
+                                      "ControlledPhase", "Toffoli"])
+    def test_empty_and_one_gate_lists(self, kind):
+        # No gate, or one of each permutation-times-phase kind on any wires,
+        # on 3 to 6 wires with 0-2 work wires; the whole-state circuit runs
+        # the lone gate by the slice kernel.
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            k, work = int(rng.integers(1, 4)), int(rng.integers(3))
+            wires, n = max(k + 1 + work, 3), 1 << k
+            if seed % 4:
+                rho = sparse_state(n, rng, bool(seed % 2), True, seed % 3 == 0)
+            else:
+                rho = random_density_matrix(n, rng)
+            gates = []
+            if kind is not None:
+                targets = tuple(int(v) for v in rng.choice(wires, _KINDS[kind][0], replace=False))
+                theta = float(rng.uniform(-7, 7)) if "Phase" in kind else None
+                gates = [GateOp(kind, targets, theta=theta)]
+            got, want = _probe_readout(rho, wires, gates), probe_readout_full(rho, wires, gates)
             assert polarization_bits(got) == polarization_bits(want)
 
     @pytest.mark.parametrize("n", [2, 8, 64, 512, 2048])
@@ -274,7 +297,7 @@ class TestReadoutBits:
         rng = np.random.default_rng(n)
         rho = random_density_matrix(n, rng) if n <= 512 else sparse_state(n, rng, False, True)
         alpha = PhasePoint(*(int(v) for v in rng.integers(2 * n, size=2)), n=n)
-        args = ([], n.bit_length(), _point_operator(alpha))
+        args = (n.bit_length(), _point_operator(alpha))
         got = _probe_readout(rho, *args)
         if n <= 512:
             assert polarization_bits(got) == polarization_bits(probe_readout_full(rho, *args))
@@ -288,7 +311,7 @@ class TestReadoutBits:
         # circuit would take a 2N x 2N joint, so Tr(U rho) is the judge.
         rng = np.random.default_rng(n)
         rho, u = random_density_matrix(n, rng), random_unitary(n, rng)
-        args = ([], n.bit_length(), u)
+        args = (n.bit_length(), u)
         got = _probe_readout(rho, *args)
         if n <= 512:
             want = probe_readout_full(rho, *args)
@@ -341,7 +364,7 @@ class TestNoNegativeZero:
         rho = np.eye(2, dtype=complex) / 2
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(scattering, "_mapped_diagonals", lambda *args: block.copy())
-            res = _probe_readout(rho, [], 2, (np.arange(2), np.ones(2, dtype=complex)))
+            res = _probe_readout(rho, 2, (np.arange(2), np.ones(2, dtype=complex)))
         for value in (res.sigma_z, res.sigma_x):
             assert not (value == 0 and np.signbit(value))
 
@@ -369,17 +392,19 @@ class TestMappedBlock:
 
 
 class TestMappedRoutes:
-    """Which blocks skip the joint: an index map, a list the kernel would run
-    as one composed map and a dense U do; a lone gate and a list with a
-    Hadamard build it."""
+    """Which blocks skip the joint: an index map, a list with no Hadamard
+    (empty, one gate, or a synthesized point circuit) and a dense U do; only
+    a list with a Hadamard builds it."""
 
-    @pytest.mark.parametrize("build", ["map", "synth", "idle"])
+    @pytest.mark.parametrize("build", ["map", "synth", "idle", "lone", "empty"])
     def test_one_map_forms_no_joint(self, monkeypatch, build):
         rho = random_density_matrix(8, np.random.default_rng(3))
         alpha = PhasePoint(q=11, p=5, n=8)
         calls = record_calls(monkeypatch, scattering, "_plus_joint")
         if build == "map":
             phasespace.wigner_via_circuit(rho, alpha)
+        elif build in ("lone", "empty"):
+            scattering_circuit_gates(rho, [GateOp("PauliX", (1,))] * (build == "lone"), 4)
         else:
             seq = synth_phase_point_circuit(alpha)
             scattering_circuit_gates(rho, seq.gates, seq.num_qubits + (build == "idle"))
@@ -392,7 +417,7 @@ class TestMappedRoutes:
         scattering_circuit(random_density_matrix(n, rng), random_unitary(n, rng))
         assert calls == []
 
-    @pytest.mark.parametrize("gates", [[GateOp("PauliX", (1,))],
+    @pytest.mark.parametrize("gates", [[GateOp("Hadamard", (2,))],
                                        [GateOp("CNOT", (0, 1)), GateOp("Hadamard", (2,))]])
     def test_other_blocks_build_the_joint(self, monkeypatch, gates):
         rho = random_density_matrix(4, np.random.default_rng(4))
@@ -421,14 +446,14 @@ class TestReadoutMemory:
         # the joint alone would be 4.
         rng = np.random.default_rng(128)
         rho, u = random_density_matrix(128, rng), random_unitary(128, rng)
-        assert self.peak_bytes(rho, [], 8, u) / (128 * 128 * 16) < 4
+        assert self.peak_bytes(rho, 8, u) / (128 * 128 * 16) < 4
 
     def test_index_map(self):
         # A few (2, 2, N) arrays: 0.24 states. The joint and the map's spare
         # took 2.01 joints, 8.04 states.
         rho = random_density_matrix(128, np.random.default_rng(129))
         u = _point_operator(PhasePoint(q=77, p=201, n=128))
-        assert self.peak_bytes(rho, [], 8, u) / (128 * 128 * 16) < 0.5
+        assert self.peak_bytes(rho, 8, u) / (128 * 128 * 16) < 0.5
 
     def test_synthesized_list(self):
         # 426 gates on 9 wires, whose joint would be 16 states: the composed
@@ -436,7 +461,14 @@ class TestReadoutMemory:
         rho = random_density_matrix(128, np.random.default_rng(130))
         seq = synth_phase_point_circuit(PhasePoint(q=77, p=201, n=128))
         assert seq.num_qubits == 9
-        assert self.peak_bytes(rho, list(seq.gates), 9) / (128 * 128 * 16) < 1.0
+        assert self.peak_bytes(rho, 9, list(seq.gates)) / (128 * 128 * 16) < 1.0
+
+    @pytest.mark.parametrize("gate", [GateOp("CNOT", (0, 1)), GateOp("PauliX", (3,))])
+    def test_one_gate(self, gate):
+        # The composed map of one gate and the block diagonals: 0.20 states.
+        # Run on the joint, the gate held 6.0-8.0.
+        rho = random_density_matrix(128, np.random.default_rng(131))
+        assert self.peak_bytes(rho, 8, [gate]) / (128 * 128 * 16) < 0.5
 
 
 class TestValidation:
