@@ -16,7 +16,7 @@ from .errors import (
     QscatterError,
     QubitBudgetError,
 )
-from .linalg import is_density_matrix, is_unitary, qubit_count
+from .linalg import is_density_matrix, qubit_count
 from .phasespace import (
     PhasePoint,
     WignerGrid,
@@ -75,7 +75,6 @@ __all__ = [
     "direct_trace",
     "gate_matrix",
     "is_density_matrix",
-    "is_unitary",
     "line_sum",
     "maximally_mixed",
     "overlap_from_grids",

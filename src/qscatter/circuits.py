@@ -56,7 +56,6 @@ _KINDS = {
     "ControlledPhase": (2, phase_gate, True),
     "Toffoli": (3, PAULI_X, True),
 }
-GATE_KINDS = frozenset(_KINDS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,13 +215,14 @@ def _contract(view: np.ndarray, axis: int, m: np.ndarray) -> None:
     # and j on ``axis``, by updating its two slices directly. The trailing
     # Ellipsis here and in the caller keeps each slice a writable view even
     # when no axis is left (a ket gate whose other wires all control).
-    # Branches by m: a diagonal m scales; an anti-diagonal m swaps; any other
-    # m is a Hadamard row or column pass, c [[1, 1], [1, -1]] with c = 1/sqrt(2)
-    # (``_KINDS`` holds no other matrix that is neither), and runs the
-    # elementwise update s0 <- c s0 + c s1, s1 <- -c s1 + c s0 with its
-    # products and sums in order, so it rounds the same, signed zeros
-    # included. For a real c above 1/2 the scaled s0, s0 c, is c s0 bit for
-    # bit, so it serves both slices and a Hadamard holds one half-state
+    # Branches by m: a diagonal m scales s1 (every one here, PauliZ, a phase
+    # gate, the probe frame or a conjugate, has m00 = 1); an anti-diagonal m
+    # swaps; any other m is a Hadamard row or column pass, c [[1, 1], [1, -1]]
+    # with c = 1/sqrt(2) (``_KINDS`` holds no other matrix that is neither),
+    # and runs the elementwise update s0 <- c s0 + c s1, s1 <- -c s1 + c s0
+    # with its products and sums in order, so it rounds the same, signed
+    # zeros included. For a real c above 1/2 the scaled s0, s0 c, is c s0 bit
+    # for bit, so it serves both slices and a Hadamard holds one half-state
     # temporary, m01 s1.
     # m01 s1 is not written into s0 by ``out=``: on an inner axis s0 and s1
     # interleave, numpy then buffers the operands, and a buffered complex
@@ -230,8 +230,6 @@ def _contract(view: np.ndarray, axis: int, m: np.ndarray) -> None:
     lead = (slice(None),) * axis
     s0, s1 = view[lead + (0, ...)], view[lead + (1, ...)]
     if m[0, 1] == 0 and m[1, 0] == 0:
-        if m[0, 0] != 1:
-            s0 *= m[0, 0]
         if m[1, 1] != 1:
             s1 *= m[1, 1]
     elif m[0, 0] == 0 and m[1, 1] == 0:

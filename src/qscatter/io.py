@@ -38,29 +38,19 @@ def matrix_to_payload(m: np.ndarray) -> dict:
 _JSON_NUMBERS = (int, float)
 
 
-def json_int(value, what: str) -> int:
-    """A decoded JSON integer; floats, strings and booleans are rejected."""
-    if type(value) is not int:
-        raise InputFormatError(f"{what} must be an integer, got {brief(value)}")
-    return value
-
-
-def json_list(value, what: str) -> list:
-    if type(value) is not list:
-        raise InputFormatError(f"{what} must be a list, got {type(value).__name__}")
-    return value
-
-
 def matrix_from_payload(payload) -> np.ndarray:
     """Decode {"dim": n, "entries": [[re, im], ...]} (row-major) to an array."""
     if not isinstance(payload, dict):
         raise InputFormatError("matrix payload must be a JSON object")
     if "dim" not in payload or "entries" not in payload:
         raise InputFormatError("matrix payload needs 'dim' and 'entries'")
-    dim = json_int(payload["dim"], "matrix 'dim'")
+    dim, entries = payload["dim"], payload["entries"]
+    if type(dim) is not int:
+        raise InputFormatError(f"matrix 'dim' must be an integer, got {brief(dim)}")
     if dim < 1:
         raise InputFormatError(f"matrix 'dim' must be positive, got {brief(dim)}")
-    entries = json_list(payload["entries"], "matrix 'entries'")
+    if type(entries) is not list:
+        raise InputFormatError(f"matrix 'entries' must be a list, got {type(entries).__name__}")
     if len(entries) != dim * dim:
         shown, need = brief(dim), brief(dim * dim)
         raise InputFormatError(f"matrix of dim {shown} needs {need} entries, got {len(entries)}")

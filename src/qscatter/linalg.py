@@ -4,9 +4,9 @@ Matrices are plain numpy arrays of dtype complex128. Every public function
 checks each matrix its caller passes exactly once, through
 ``assert_density_matrix`` / ``assert_unitary``, and never re-checks arrays
 the library builds itself; private cores take raw, already-checked arrays.
-The predicates ``is_unitary`` / ``is_density_matrix`` coerce their argument
-the same way. The check arithmetic runs with numpy's overflow warnings off:
-an overflow leaves inf or nan, which every check refuses.
+The predicate ``is_density_matrix`` coerces its argument the same way. The
+check arithmetic runs with numpy's overflow warnings off: an overflow leaves
+inf or nan, which every check refuses.
 Real grids and series coerce through ``as_real_array``, which refuses a
 nonzero imaginary part rather than drop it.
 
@@ -146,11 +146,6 @@ def _state_defect(a: np.ndarray, trace_tol: float) -> str | None:
         diagonal[:] = unshifted
     lowest = np.linalg.eigvalsh(h).min()
     return f"state has negative eigenvalue {lowest:.3e}" if lowest < EIGENVALUE_FLOOR else None
-
-
-def is_unitary(a) -> bool:
-    """U U^dagger = I within UNITARY_TOL; ``a`` is coerced as ``as_square_matrix`` does."""
-    return _is_unitary(as_square_matrix(a))
 
 
 def is_density_matrix(a) -> bool:

@@ -19,14 +19,8 @@ t = 0).
 The structure function applies the single-turn kernel exp(-2 pi i E t / D)
 to |Tr(U^t)|^2 / N^2 instead, measuring correlations between eigenphases.
 
-Both Fourier routes read Tr(U^t) from ``trace_powers``, which evaluates it
-from the eigenvalues of U and checks it against products of U. The circuit
-route simulates the three registers label by label, with ``np.fft`` as the
-counter Fourier gate and one elementwise scale of the stack of powers U^t as
-the power map. Every route holds the counter to the qubit budget, so
-n1 <= 12 (and t_max < 2**12), and the system too, so N <= 2**12, before any
-work starts; the Fourier routes budget each alone, the circuit route all
-three registers together.
+The Fourier routes transform the series ``trace_powers`` returns;
+``spectral_density_via_circuit`` simulates the circuit itself.
 """
 
 import math
@@ -160,30 +154,28 @@ def trace_powers(u: np.ndarray, t_max: int) -> TraceSeries:
     return TraceSeries(dim=n, values=values)
 
 
-def _check_n1(n1) -> int:
+def _fourier_series(u: np.ndarray, n1, multiple: int) -> SpectralSeries:
+    # The FFT of the trace series, read at k = multiple * E: Tr(U^t) / N for
+    # the density (multiple 2), |Tr(U^t)|^2 / N^2 for the structure function
+    # (multiple 1), normalized after the transform.
     n1 = check_int(n1, "counter register n1", 2)
     check_qubit_budget(counter=n1)
-    return n1
+    d = 1 << n1
+    ts = trace_powers(u, d - 1)  # checks u
+    series, norm = (ts.values, ts.dim) if multiple == 2 else (np.abs(ts.values) ** 2, ts.dim**2)
+    f = np.fft.fft(series)  # f[k] = sum_t series[t] exp(-2 pi i k t / D)
+    bins = f[(multiple * np.arange(d)) % d].real / (norm * d)
+    return SpectralSeries(n1=n1, bins=bins, phase_multiple=multiple)
 
 
 def spectral_density(u: np.ndarray, n1: int) -> SpectralSeries:
     """Eigenphase density bins from the Fourier transform of the trace series."""
-    n1 = _check_n1(n1)
-    d = 1 << n1
-    ts = trace_powers(u, d - 1)  # checks u
-    f = np.fft.fft(ts.values)  # f[k] = sum_t values[t] exp(-2 pi i k t / D)
-    bins = f[(2 * np.arange(d)) % d].real / (ts.dim * d)
-    return SpectralSeries(n1=n1, bins=bins, phase_multiple=2)
+    return _fourier_series(u, n1, 2)
 
 
 def structure_function(u: np.ndarray, n1: int) -> SpectralSeries:
     """Fourier transform of |Tr(U^t)|^2 / N^2 over the counter labels."""
-    n1 = _check_n1(n1)
-    d = 1 << n1
-    ts = trace_powers(u, d - 1)  # checks u
-    f = np.fft.fft(np.abs(ts.values) ** 2)
-    bins = f.real / (ts.dim**2 * d)
-    return SpectralSeries(n1=n1, bins=bins, phase_multiple=1)
+    return _fourier_series(u, n1, 1)
 
 
 def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:

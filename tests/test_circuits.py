@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from qscatter import circuits
 from qscatter.circuits import (
     _KINDS,
-    GATE_KINDS,
     GateOp,
     HADAMARD,
     PAULI_X,
@@ -31,7 +30,7 @@ from qscatter.circuits import (
 from qscatter.errors import InvalidValueError, QubitBudgetError
 from qscatter.linalg import QUBIT_BUDGET
 from qscatter.phasespace import PhasePoint
-from qscatter.scattering import scattering_circuit_gates
+from qscatter.scattering import _PROBE_FRAME, scattering_circuit_gates
 from qscatter.states import basis_state, maximally_mixed, pseudo_pure
 from qscatter.synthesis import GateSequence, sequence_to_json, synth_phase_point_circuit
 from reference import compose_map_bool_planes, controlled, dense_gate, dense_product
@@ -125,7 +124,7 @@ def _gate(draw, kind, n):
 @st.composite
 def gate_on_register(draw):
     """A state and a ket on 1..6 qubits, and one gate of any kind on random wires."""
-    kind = draw(st.sampled_from(sorted(GATE_KINDS)))
+    kind = draw(st.sampled_from(sorted(_KINDS)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(_KINDS[kind][0], 6))
     gate = _gate(draw, kind, n)
@@ -138,7 +137,7 @@ def gate_on_register(draw):
 def gate_list(draw):
     """A register of 1..5 qubits and up to six gates of any kind that fits it."""
     n = draw(st.integers(1, 5))
-    kinds = draw(st.lists(st.sampled_from(sorted(GATE_KINDS)), max_size=6))
+    kinds = draw(st.lists(st.sampled_from(sorted(_KINDS)), max_size=6))
     return [_gate(draw, kind, n) for kind in kinds if _KINDS[kind][0] <= n], n
 
 
@@ -226,7 +225,7 @@ def density_gate_list(draw):
     """A state on 1..5 qubits and up to ten gates, mostly permutation-times-phase kinds."""
     n = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = draw(st.lists(st.sampled_from(MAPPED_KINDS * 3 + sorted(GATE_KINDS)), max_size=10))
+    kinds = draw(st.lists(st.sampled_from(MAPPED_KINDS * 3 + sorted(_KINDS)), max_size=10))
     gates = [_gate(draw, kind, n) for kind in kinds if _KINDS[kind][0] <= n]
     return random_density_matrix(1 << n, rng), gates, n
 
@@ -236,7 +235,7 @@ class TestIndexMap:
     acts as one index map; the dense product is the judge."""
 
     def test_the_table_marks_every_fixed_kind_but_hadamard(self):
-        assert set(MAPPED_KINDS) == GATE_KINDS - {"Hadamard"}
+        assert set(MAPPED_KINDS) == set(_KINDS) - {"Hadamard"}
         for kind in MAPPED_KINDS:
             wires, matrix, _ = _KINDS[kind]
             m = matrix(0.7) if callable(matrix) else matrix
@@ -417,6 +416,23 @@ class TestInPlaceBranch:
         # Half a state plus numpy's ufunc buffers and iterators (about
         # 0.52 states); two half-state temporaries would read over one state.
         assert peak < 0.75 * rho.nbytes
+
+
+class TestDiagonalTargets:
+    """The kernel scales only s1 by a diagonal target matrix, which is exact
+    because every diagonal matrix it can receive has m00 == 1."""
+
+    def test_every_diagonal_target_has_unit_m00(self):
+        thetas = [0, np.pi, -np.pi, 1e-300, -1e-300, 1e300, -1e300]
+        targets = [_PROBE_FRAME]
+        for kind, (wires, matrix, _) in _KINDS.items():
+            for theta in thetas if callable(matrix) else [None]:
+                targets.append(GateOp(kind, tuple(range(wires)), theta).matrix)
+        targets += [m.conj() for m in targets]
+        diagonal = [m for m in targets if m[0, 1] == 0 and m[1, 0] == 0]
+        # The probe frame, PauliZ, and both phase kinds at every theta; and their conjugates.
+        assert len(diagonal) == 2 * (2 + 2 * len(thetas))
+        assert all(m[0, 0] == 1 for m in diagonal)
 
 
 class TestValidation:

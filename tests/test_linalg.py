@@ -21,7 +21,6 @@ from qscatter.linalg import (
     assert_density_matrix,
     assert_unitary,
     is_density_matrix,
-    is_unitary,
     qubit_count,
 )
 from qscatter.phasespace import PhasePoint
@@ -91,8 +90,9 @@ class TestPredicates:
         assert not is_density_matrix(np.array([[0.5, 0.1j], [0.1j, 0.5]]))
 
     def test_unitary(self):
-        assert is_unitary(np.eye(3))
-        assert not is_unitary(2 * np.eye(3))
+        assert np.array_equal(assert_unitary(np.eye(3)), np.eye(3))
+        with pytest.raises(InvalidValueError, match="not unitary"):
+            assert_unitary(2 * np.eye(3))
 
     def test_density_matrix_accepts_valid(self):
         assert is_density_matrix(np.diag([0.25, 0.75]).astype(complex))
@@ -120,12 +120,12 @@ class TestPredicates:
             assert_density_matrix(np.diag([1.5, -0.5]))
 
     def test_predicates_coerce_their_argument(self):
-        assert is_unitary([[1, 0], [0, 1]])
+        assert np.array_equal(assert_unitary([[1, 0], [0, 1]]), np.eye(2))
         assert is_density_matrix([[1, 0], [0, 0]])
         with pytest.raises(InvalidValueError, match="numbers"):
             is_density_matrix("x")
         with pytest.raises(DimensionMismatchError):
-            is_unitary([[1, 0]])
+            assert_unitary([[1, 0]])
 
 
 class TestHugeEntries:
@@ -153,7 +153,6 @@ class TestHugeEntries:
             assert_density_matrix(np.diag([1e308, 1e308]))
 
     def test_overflowing_product_is_not_unitary(self):
-        assert not is_unitary(np.full((2, 2), 1e200))
         with pytest.raises(InvalidValueError, match="not unitary"):
             assert_unitary(np.full((2, 2), 1e200))
 
@@ -163,7 +162,8 @@ class TestRandomEnsembles:
     def test_random_unitary_is_unitary(self, dim):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            assert is_unitary(random_unitary(dim, rng))
+            u = random_unitary(dim, rng)
+            assert np.array_equal(assert_unitary(u), u)
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_random_density_matrix_is_state(self, dim):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from qscatter import phasespace, scattering
 from qscatter.errors import DimensionMismatchError, InvalidValueError, PowerOfTwoError
 from qscatter.errors import QubitBudgetError
-from qscatter.linalg import is_unitary
+from qscatter.linalg import assert_unitary
 from qscatter.phasespace import (
     PhasePoint,
     WignerGrid,
@@ -266,7 +266,8 @@ class TestCircuitRoute:
         rho = random_density_matrix(n, np.random.default_rng(128))
         points = [(3, 77), (128, 64), (64, 200)]
         for q, p in points:
-            assert is_unitary(2 * n * phase_point_operator(PhasePoint(q=q, p=p, n=n)))
+            scaled = 2 * n * phase_point_operator(PhasePoint(q=q, p=p, n=n))
+            assert np.array_equal(assert_unitary(scaled), scaled)
         via = [wigner_via_circuit(rho, PhasePoint(q=q, p=p, n=n)) for q, p in points]
         w = wigner_direct(rho).values
         for (q, p), value in zip(points, via):

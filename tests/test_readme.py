@@ -1,4 +1,4 @@
-"""The README's library example runs, and its budget table names only real routes."""
+"""The README's library example runs, and it names every export and only real routes."""
 
 import fnmatch
 import re
@@ -28,3 +28,15 @@ def test_budget_table_names_resolve_on_the_package():
     names = re.findall(r"`([^`]+)`", " ".join(row.split("|")[1].split(";")[0] for row in rows))
     assert "phase_point_operator" in names and "synth_*" in names
     assert [name for name in names if not fnmatch.filter(dir(qscatter), name)] == []
+
+
+def test_every_exported_name_is_documented():
+    # A name counts when the README writes it out or names it by a glob, such
+    # as the budget table's synth_*.
+    globs = [span for span in re.findall(r"`([\w*]+)`", README) if "*" in span]
+    missing = [
+        name for name in qscatter.__all__
+        if not re.search(rf"\b{name}\b", README)
+        and not any(fnmatch.fnmatch(name, glob) for glob in globs)
+    ]
+    assert missing == []

@@ -451,6 +451,31 @@ class TestStructureFunction:
         assert s.bins.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+class TestFourierFormulas:
+    """Each Fourier route's bins are its formula applied to the trace series,
+    normalized after the transform, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 32),
+        n1=st.integers(2, 8),
+        haar=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bins_equal_the_formula_bit_for_bit(self, n, n1, haar, seed):
+        rng = np.random.default_rng(seed)
+        if haar:
+            u = random_unitary(n, rng)
+        else:
+            u = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=n)))
+        d = 1 << n1
+        values = trace_powers(u, d - 1).values
+        density = np.fft.fft(values)[(2 * np.arange(d)) % d].real / (n * d)
+        structure = np.fft.fft(np.abs(values) ** 2).real / (n**2 * d)
+        for got, want in ((spectral_density(u, n1), density), (structure_function(u, n1), structure)):
+            assert got.bins.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 class TestSeriesTypes:
     def test_trace_series_t_max(self):
         ts = TraceSeries(dim=2, values=np.array([2.0, 0.0, 2.0]))
