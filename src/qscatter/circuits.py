@@ -8,20 +8,17 @@ when it is made, against one table of fixed kinds, and stores its 2x2
 target matrix; a gate list is held only to the register width where it is
 used.
 
-States evolve through one local kernel: rho is viewed as a (2,)*2n tensor
-(row wires, then column wires), and each gate's 2x2 target matrix acts on
-its target's row axis and, conjugated, on its column axis, only where every
-control wire is 1 (the one-target density-matrix kernels of QuEST, Jones et
-al., Sci. Rep. 9, 10736, 2019). A gate costs O(4^n); a ket, viewed as a
-(2,)*n tensor, takes the row pass alone at O(2^n). Every kind but Hadamard
-is a permutation times a phase, as the kinds table records. On a density
-matrix, each run of two or more such gates is composed into one map over the
-2^n basis labels, G|i> = phase[i] |label[i]>, and applied in one O(4^n)
-pass: rho'[label[i], label[j]] = phase[i] conj(phase[j]) rho[i, j]. Hadamard,
-a lone gate and every ket gate keep the slice kernel, which updates the two
-slices of the target axis in place.
-Dense 2^n x 2^n operators come from the same kernel: ``compose_sequence``
-runs the gates on the identity, viewed as a ket on 2n wires.
+States evolve by two rules. A Hadamard acts on a density matrix viewed as a
+(2,)*2n tensor (row wires, then column wires): on its target's row axis and,
+conjugated, on its column axis, updating the two slices in place (the
+one-target density-matrix kernels of QuEST, Jones et al., Sci. Rep. 9, 10736,
+2019), at O(4^n); a ket takes the row pass alone, at O(2^n). Every other kind
+is a permutation times a phase, as the kinds table records, and each run of
+them is composed into one map over the 2^n basis labels,
+G|i> = phase[i] |label[i]>, applied in one pass: rho'[label[i], label[j]] =
+phase[i] conj(phase[j]) rho[i, j] on a density matrix, v'[label[i]] =
+phase[i] v[i] on kets. Kets lie along the first axis of any array that is not
+2-D, so ``compose_sequence`` runs the gates on the columns of the identity.
 """
 
 import sys
@@ -130,44 +127,43 @@ def apply_sequence(rho: np.ndarray, gates) -> np.ndarray:
 
 
 def _apply_sequence(state: np.ndarray, gates, num_qubits: int) -> np.ndarray:
-    # Unchecked core: state is a C-ordered complex density matrix or ket on
-    # num_qubits wires that the caller owns, and every gate fits that register.
-    # Evolves it in place, viewed as a tensor with row wires on axes 0..n-1
-    # and, for a density matrix, column wires on n..2n-1, and returns it.
-    # G rho G^dagger is (G rho) G^dagger: the target matrix u acts on the
-    # target's row axis, then conj(u) on its column axis, where the controls
-    # are 1; a ket takes the row pass only. On a density matrix, a run of two
-    # or more permutation-times-phase gates acts as the one map it composes to.
+    # Unchecked core: state is a C-ordered complex density matrix on
+    # num_qubits wires, or kets along the first axis of any other array, that
+    # the caller owns, and every gate fits that register. Evolves it in place,
+    # viewed as a tensor with row wires on axes 0..n-1 and, for a density
+    # matrix, column wires on n..2n-1, and returns it. On kets the amplitudes
+    # are the map's starting phases, so each is multiplied by the same factors
+    # in the same order as gate by gate.
     n = num_qubits
-    tensor = state.reshape((2,) * (state.ndim * n))
-    for mapped, run in groupby(gates, key=lambda g: state.ndim == 2 and _KINDS[g.kind][2]):
-        run = list(run)
-        if mapped and len(run) > 1:
-            _apply_map(state, *_compose_map(run, n))
-            continue
-        for g in run:
-            *controls, t = g.targets
-            for offset, m in ((0, g.matrix), (n, g.matrix.conj()))[: state.ndim]:
-                index = [slice(None)] * tensor.ndim
-                for c in controls:
-                    index[offset + c] = 1
-                # Integer indices drop their axes, shifting the later ones down.
-                _contract(tensor[(*index, ...)], offset + t - sum(c < t for c in controls), m)
+    density = state.ndim == 2
+    tensor = state.reshape((2,) * (2 * n) if density else (2,) * n + state.shape[1:])
+    for mapped, run in groupby(gates, key=lambda g: _KINDS[g.kind][2]):
+        if mapped and density:
+            _apply_map(state, *_compose_map(run, n, np.ones(1 << n, dtype=complex)))
+        elif mapped:
+            label, phase = _compose_map(run, n, state)
+            state[label] = phase
+        else:
+            for g in run:
+                (t,) = g.targets
+                for axis, m in ((t, HADAMARD), (n + t, HADAMARD.conj()))[: 1 + density]:
+                    _contract(tensor, axis, m)
     return state
 
 
-def _compose_map(gates, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _compose_map(gates, n: int, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The run as G|i> = phase[i] |label[i]>, composed on wire planes: bit i
     # of the Python int planes[w] is wire w of label[i]. Each gate's one-wire
     # target matrix u is diagonal or anti-diagonal, so where its controls are
     # all 1 it sends target bit b to b ^ flip with the factor u[b ^ flip, b],
-    # which multiplies the phases where a mask unpacked from the planes is
-    # set. The labels are read from the planes once, at the end.
+    # which multiplies the phases in place where a mask unpacked from the
+    # planes is set. ``phase`` holds the starting phases, one per label along
+    # its first axis. The labels are read from the planes once, at the end.
     size = 1 << n
     place = 1 << np.arange(n - 1, -1, -1)
     planes = [_pack(row) for row in np.arange(size) & place[:, None] != 0]
     every = (1 << size) - 1
-    phase = np.ones(size, dtype=complex)
+    lead = (size,) + (1,) * (phase.ndim - 1)
     for g in gates:
         *controls, t = g.targets
         on = every
@@ -178,7 +174,7 @@ def _compose_map(gates, n: int) -> tuple[np.ndarray, np.ndarray]:
         for b, factor in enumerate((u10, u01) if flip else (u00, u11)):
             if factor != 1:
                 where = on & planes[t] if b else on & ~planes[t]
-                np.multiply(phase, factor, out=phase, where=_unpack(where, size))
+                np.multiply(phase, factor, out=phase, where=_unpack(where, size).reshape(lead))
         if flip:
             planes[t] ^= on
     return place @ np.array([_unpack(p, size) for p in planes]), phase
@@ -212,51 +208,38 @@ def _apply_map(rho: np.ndarray, label: np.ndarray, phase: np.ndarray) -> None:
 
 def _contract(view: np.ndarray, axis: int, m: np.ndarray) -> None:
     # In place: view[..., i, ...] <- sum_j m[i, j] view[..., j, ...], with i
-    # and j on ``axis``, by updating its two slices directly. The trailing
-    # Ellipsis here and in the caller keeps each slice a writable view even
-    # when no axis is left (a ket gate whose other wires all control).
-    # Branches by m: a diagonal m scales s1 (every one here, PauliZ, a phase
-    # gate, the probe frame or a conjugate, has m00 = 1); an anti-diagonal m
-    # swaps; any other m is a Hadamard row or column pass, c [[1, 1], [1, -1]]
-    # with c = 1/sqrt(2) (``_KINDS`` holds no other matrix that is neither),
-    # and runs the elementwise update s0 <- c s0 + c s1, s1 <- -c s1 + c s0
-    # with its products and sums in order, so it rounds the same, signed
-    # zeros included. For a real c above 1/2 the scaled s0, s0 c, is c s0 bit
-    # for bit, so it serves both slices and a Hadamard holds one half-state
-    # temporary, m01 s1.
+    # and j on ``axis``, for a Hadamard or its conjugate, c [[1, 1], [1, -1]]
+    # with c = 1/sqrt(2), by updating its two slices directly. The trailing
+    # Ellipsis keeps each slice a writable view even when no axis is left (a
+    # Hadamard on a one-wire ket). The update s0 <- c s0 + c s1,
+    # s1 <- -c s1 + c s0 runs elementwise with its products and sums in order,
+    # so it rounds the same, signed zeros included. For a real c above 1/2 the
+    # scaled s0, s0 c, is c s0 bit for bit, so it serves both slices and one
+    # half-state temporary is held, m01 s1.
     # m01 s1 is not written into s0 by ``out=``: on an inner axis s0 and s1
     # interleave, numpy then buffers the operands, and a buffered complex
     # product can round differently.
     lead = (slice(None),) * axis
     s0, s1 = view[lead + (0, ...)], view[lead + (1, ...)]
-    if m[0, 1] == 0 and m[1, 0] == 0:
-        if m[1, 1] != 1:
-            s1 *= m[1, 1]
-    elif m[0, 0] == 0 and m[1, 1] == 0:
-        old0 = s0.copy()
-        s0[...] = s1 if m[0, 1] == 1 else m[0, 1] * s1
-        s1[...] = old0 if m[1, 0] == 1 else m[1, 0] * old0
-    else:
-        s0 *= m[0, 0]
-        m01_s1 = m[0, 1] * s1
-        s1 *= m[1, 1]
-        s1 += s0
-        s0 += m01_s1
+    s0 *= m[0, 0]
+    m01_s1 = m[0, 1] * s1
+    s1 *= m[1, 1]
+    s1 += s0
+    s0 += m01_s1
 
 
 def compose_sequence(gates, num_qubits: int) -> np.ndarray:
     """Dense product of a gate list, gates[0] applied first.
 
     Budgets the register and checks the gates once, then runs them on the
-    identity as a ket on 2n wires: the row wires come first, so the gates
-    act on the rows alone.
+    columns of the identity, as kets on n wires.
     """
     num_qubits = check_int(num_qubits, "number of qubits", 0)
     check_qubit_budget(system=num_qubits)
     gates = _check_gates(gates, num_qubits)
     dim = 1 << num_qubits
-    identity = np.eye(dim, dtype=complex).ravel()
-    return _apply_sequence(identity, gates, 2 * num_qubits).reshape(dim, dim)
+    identity = np.eye(dim, dtype=complex)[..., None]
+    return _apply_sequence(identity, gates, num_qubits).reshape(dim, dim)
 
 
 def gate_matrix(g: GateOp, num_qubits: int) -> np.ndarray:

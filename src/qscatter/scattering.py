@@ -127,7 +127,8 @@ def _probe_readout(rho: np.ndarray, num_qubits: int, controlled) -> ScatteringRe
             label = np.concatenate((np.arange(d), d + label))
             phase = np.concatenate((np.ones(d), phase))
         else:
-            label, phase = _compose_map(controlled, num_qubits)
+            label, phase = _compose_map(controlled, num_qubits,
+                                        np.ones(1 << num_qubits, dtype=complex))
         block = _mapped_diagonals(rho, num_qubits, label, phase)
     else:
         joint = _plus_joint(rho, num_qubits)
@@ -141,10 +142,13 @@ def _probe_readout(rho: np.ndarray, num_qubits: int, controlled) -> ScatteringRe
     # state. The reduction adds them one at a time in y, the order in which
     # einsum sums the whole state's strided diagonals (``pauli_expectation``
     # on wire 0; a contiguous einsum sums pairwise and moves last bits), and
-    # + 0 turns a -0 total into the +0 that einsum's zero start leaves.
-    for m in (HADAMARD, _PROBE_FRAME):
-        _contract(block, 0, m)
-        _contract(block, 1, m.conj())
+    # + 0 turns a -0 total into the +0 that einsum's zero start leaves. The
+    # frame is diagonal with m00 = 1, so it scales the probe's 1 slices only.
+    _contract(block, 0, HADAMARD)
+    _contract(block, 1, HADAMARD.conj())
+    frame = _PROBE_FRAME[1, 1]
+    block[1] *= frame
+    block[:, 1] *= np.conj(frame)
     (r00, r01), (r10, r11) = np.cumsum(block, axis=2)[..., -1] + 0
     return ScatteringResult(sigma_z=float((r00 - r11).real), sigma_x=float((r01 + r10).real))
 

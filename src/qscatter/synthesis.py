@@ -26,9 +26,8 @@ Constructions, each verified against the dense operator in the tests:
 * the scalar phase of a point operator rides on the probe as a local
   PhaseShift (phase kickback).
 
-``point_circuit_error`` checks a point circuit on two kets through the gate
-kernel, in O(gates * 2^n) with no dense matrix: its target 2N * A(alpha)
-acts by its index map.
+``point_circuit_error`` checks a point circuit on two kets with no dense
+matrix: the gates and the target 2N * A(alpha) each act as an index map.
 """
 
 from dataclasses import dataclass
@@ -168,7 +167,9 @@ def point_circuit_error(seq: GateSequence, alpha: PhasePoint) -> float:
 
     v runs over two kets, all ones and the labels 1..2^n. Permutation-times-phase
     operators that agree on both are equal: with a shared permutation the result
-    is the largest entry of |G - T|, and otherwise it is at least 2^-n.
+    is the largest entry of |G - T|, and otherwise it is at least 2^-n. The
+    gates run on each ket as the one map they compose to, its amplitudes the
+    starting phases, in O(gates * 2^n).
     """
     _expect(PhasePoint, alpha)
     _expect(GateSequence, seq)

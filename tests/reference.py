@@ -2,7 +2,8 @@
 the dense gate oracle the gate kernel is held to, seeded random states and
 unitaries, the reading of the gate records the library writes, the
 elementwise one-wire update the kernel's in-place branch is held to bit for
-bit, the per-t trace series the spectrometer's power sum is held to bit for
+bit, the per-gate slice kernel the ket path's composed maps are held to, the
+per-t trace series the spectrometer's power sum is held to bit for
 bit, the gate-by-gate counter circuit its circuit route is held to bit for
 bit, the whole-state probe readout the scattering readout is held to, the
 composition of a gate run on boolean bit planes its composition on integer
@@ -118,6 +119,39 @@ def hadamards_elementwise(state: np.ndarray, n: int) -> np.ndarray:
     for wire in range(n):
         for offset, m in ((0, HADAMARD), (n, HADAMARD.conj()))[: state.ndim]:
             contract_elementwise(tensor, offset + wire, m)
+    return state
+
+
+def kets_gate_by_gate(state: np.ndarray, gates, n: int) -> np.ndarray:
+    """Kets along the first axis of ``state``, a (2^n, ...) array, taken
+    through each gate in turn by the per-gate controlled slice kernel: where
+    every control wire is 1, a diagonal target matrix (m00 = 1 for every
+    kind) scales the target axis's 1 slice, an anti-diagonal one swaps the
+    two slices with their factors, and a Hadamard runs
+    ``contract_elementwise``. Evolves ``state`` in place and returns it: the
+    amplitudes the ket path of ``circuits._apply_sequence`` must match."""
+    tensor = state.reshape((2,) * n + state.shape[1:])
+    for g in gates:
+        *controls, t = g.targets
+        index = [slice(None)] * tensor.ndim
+        for c in controls:
+            index[c] = 1
+        # Integer indices drop their axes, shifting the later ones down; the
+        # trailing Ellipsis keeps a 0-d slice a writable view.
+        view = tensor[(*index, ...)]
+        axis = t - sum(c < t for c in controls)
+        lead = (slice(None),) * axis
+        s0, s1 = view[lead + (0, ...)], view[lead + (1, ...)]
+        m = g.matrix
+        if m[0, 1] == 0 and m[1, 0] == 0:
+            if m[1, 1] != 1:
+                s1 *= m[1, 1]
+        elif m[0, 0] == 0 and m[1, 1] == 0:
+            old0 = s0.copy()
+            s0[...] = s1 if m[0, 1] == 1 else m[0, 1] * s1
+            s1[...] = old0 if m[1, 0] == 1 else m[1, 0] * old0
+        else:
+            contract_elementwise(view, axis, m)
     return state
 
 

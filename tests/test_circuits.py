@@ -2,8 +2,10 @@
 
 import itertools
 import json
+import re
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,12 +36,27 @@ from qscatter.scattering import _PROBE_FRAME, scattering_circuit_gates
 from qscatter.states import basis_state, maximally_mixed, pseudo_pure
 from qscatter.synthesis import GateSequence, sequence_to_json, synth_phase_point_circuit
 from reference import compose_map_bool_planes, controlled, dense_gate, dense_product
-from reference import gate_from_record, hadamards_elementwise, random_density_matrix
-from reference import random_unitary, record_calls
+from reference import gate_from_record, hadamards_elementwise, kets_gate_by_gate
+from reference import random_density_matrix, random_unitary, record_calls
 
 
 def bit(index, wire, n):
     return (index >> (n - 1 - wire)) & 1
+
+
+def peak_bytes(call):
+    """Peak bytes ``tracemalloc`` sees during ``call()``, what it returns
+    included, after one untraced call for first-call allocations."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
 
 
 class TestEmbedding:
@@ -181,7 +198,8 @@ class TestLocalKernel:
         ],
     )
     def test_ket_gate_with_every_other_wire_a_control(self, gate, n):
-        # The target slice is then a 0-d view; it must still be written.
+        # Every wire but the target controls it: the map still moves and
+        # scales the amplitudes where all of them are 1.
         ket = np.arange(1, (1 << n) + 1, dtype=complex)
         got = _apply_sequence(ket.copy(), [gate], n)
         assert np.abs(got - dense_gate(gate, n) @ ket).max() < 1e-12
@@ -231,8 +249,9 @@ def density_gate_list(draw):
 
 
 class TestIndexMap:
-    """On a density matrix a run of two or more permutation-times-phase gates
-    acts as one index map; the dense product is the judge."""
+    """Every run of permutation-times-phase gates, of any length, on a
+    density matrix or on kets, acts as one index map; the dense product is
+    the judge."""
 
     def test_the_table_marks_every_fixed_kind_but_hadamard(self):
         assert set(MAPPED_KINDS) == set(_KINDS) - {"Hadamard"}
@@ -285,17 +304,35 @@ class TestIndexMap:
         rho = random_density_matrix(1 << n, rng)
         m = dense_product(gates, n)
         assert np.abs(apply_sequence(rho, gates) - m @ rho @ m.conj().T).max() < 1e-13
-        # Four Hadamards and the lone PauliX keep the slice kernel, a row and
-        # a column pass each; the three runs are maps.
-        assert len(contracts) == 2 * 5
+        # Only the four Hadamards run the slice kernel, a row and a column
+        # pass each; the four runs, the lone PauliX among them, are maps.
+        assert len(contracts) == 2 * 4
 
-    def test_a_ket_keeps_the_slice_kernel(self, monkeypatch):
+    def test_a_kets_run_makes_no_contract_call(self, monkeypatch):
         contracts = record_calls(monkeypatch, circuits, "_contract")
         gates = [GateOp("CNOT", (0, 1)), GateOp("PauliY", (1,)), GateOp("Toffoli", (1, 2, 0))]
         ket = np.arange(1, 9, dtype=complex)
         got = _apply_sequence(ket.copy(), gates, 3)
         assert np.abs(got - dense_product(gates, 3) @ ket).max() < 1e-13
-        assert len(contracts) == len(gates)
+        assert contracts == []
+
+    def test_a_lone_cnot_holds_one_spare_state(self):
+        # The map gathers the rows into one spare state and the columns back.
+        rho = maximally_mixed(1 << 10)
+        gates = [GateOp("CNOT", (2, 6))]
+        assert peak_bytes(lambda: _apply_sequence(rho, gates, 10)) < 1.25 * rho.nbytes
+
+    def test_compose_sequence_holds_the_result_and_one_spare_state(self):
+        # Hadamards and mapped runs on the columns of the identity, kets on 10
+        # wires: the result and the map's out-of-place permutation. Composing
+        # on a 20-wire ket would hold a (20, 4^10) int64 array of wire bits,
+        # more than 10 states.
+        n = 10
+        gates = [GateOp("Hadamard", (0,)), GateOp("CNOT", (0, 5)), GateOp("Toffoli", (5, 0, 9)),
+                 GateOp("PhaseShift", (3,), theta=0.4), GateOp("Hadamard", (7,)),
+                 GateOp("PauliY", (7,)), GateOp("ControlledPhase", (9, 2), theta=1.3)]
+        state = (1 << (2 * n)) * np.dtype(complex).itemsize
+        assert peak_bytes(lambda: compose_sequence(gates, n)) < 2.75 * state
 
     @settings(max_examples=300, deadline=None)
     @given(density_gate_list())
@@ -327,7 +364,7 @@ class TestComposedMapBits:
 
     @staticmethod
     def assert_same_map(gates, n):
-        label, phase = _compose_map(gates, n)
+        label, phase = _compose_map(gates, n, np.ones(1 << n, dtype=complex))
         want_label, want_phase = compose_map_bool_planes(gates, n)
         assert label.dtype == want_label.dtype and np.array_equal(label, want_label)
         assert same_bits(phase, want_phase)
@@ -369,6 +406,45 @@ class TestComposedMapBits:
             self.assert_same_map(list(seq.gates), seq.num_qubits + idle)
 
 
+SYNTH_VERIFY_POINTS = [
+    tuple(int(x) for x in re.fullmatch(r"n(\d+)_q(\d+)_p(\d+)", key).groups())
+    for key in json.loads((Path(__file__).parent / "fixtures" / "synth_verify.json").read_text())
+]
+_POINTS = np.random.default_rng(30)
+RANDOM_POINTS = [(n, *(int(x) for x in _POINTS.integers(0, 2 * n, 2)))
+                 for n in (1 << k for k in range(1, 9)) for _ in range(5)]
+
+
+class TestKetPath:
+    """Kets take a run of permutation-times-phase gates as the map it
+    composes to, with their amplitudes as the starting phases. The per-gate
+    slice kernel (``reference.kets_gate_by_gate``) is the judge: bit for bit
+    on the synthesized point circuits ``point_circuit_error`` checks, to
+    rounding on random lists."""
+
+    @pytest.mark.parametrize("n,q,p", SYNTH_VERIFY_POINTS + RANDOM_POINTS)
+    def test_point_circuits_on_the_verify_kets(self, n, q, p):
+        seq = synth_phase_point_circuit(PhasePoint(q=q, p=p, n=n))
+        size = 1 << seq.num_qubits
+        for v in (np.ones(size, dtype=complex), np.arange(1, size + 1, dtype=complex)):
+            got = _apply_sequence(v.copy(), seq.gates, seq.num_qubits)
+            assert same_bits(got, kets_gate_by_gate(v.copy(), seq.gates, seq.num_qubits))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_mapped_lists_on_gaussian_kets(self, data):
+        # One ket, or kets along the first axis of a 3-D array (a 2-D array
+        # is a density matrix).
+        n = data.draw(st.integers(1, 6))
+        kinds = data.draw(st.lists(st.sampled_from(MAPPED_KINDS), max_size=20))
+        gates = [_gate(data.draw, kind, n) for kind in kinds if _KINDS[kind][0] <= n]
+        shape = (1 << n, *data.draw(st.sampled_from([(), (3, 1), (2, 2)])))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kets = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = _apply_sequence(kets.copy(), gates, n)
+        assert np.abs(got - kets_gate_by_gate(kets.copy(), gates, n)).max() < 1e-15
+
+
 @st.composite
 def complex_array(draw, shape):
     """A complex array whose parts are normal draws, with a drawn share of
@@ -388,10 +464,9 @@ def same_bits(a, b):
 
 
 class TestInPlaceBranch:
-    """Past the diagonal and anti-diagonal cases, which leave only a Hadamard,
-    the kernel updates both slices in place, forming c s0 once for both; it
-    must round exactly as the elementwise update does, signed zeros
-    included."""
+    """The slice kernel runs only Hadamards: it updates both slices in place,
+    forming c s0 once for both, and must round exactly as the elementwise
+    update does, signed zeros included."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 6), st.sampled_from([1, 2]), st.data())
@@ -405,34 +480,20 @@ class TestInPlaceBranch:
         n = 10
         rho = random_density_matrix(1 << n, np.random.default_rng(n))
         gates = [GateOp("Hadamard", (3,))]  # an inner wire: strided slices on both passes
-        _apply_sequence(rho, gates, n)  # first-call allocations, before the baseline
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            _apply_sequence(rho, gates, n)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
         # Half a state plus numpy's ufunc buffers and iterators (about
         # 0.52 states); two half-state temporaries would read over one state.
-        assert peak < 0.75 * rho.nbytes
+        assert peak_bytes(lambda: _apply_sequence(rho, gates, n)) < 0.75 * rho.nbytes
 
 
 class TestDiagonalTargets:
-    """The kernel scales only s1 by a diagonal target matrix, which is exact
-    because every diagonal matrix it can receive has m00 == 1."""
+    """The readout scales only the probe's 1 slices by the frame, the one
+    diagonal matrix still scaled slice-wise, which is exact because the frame
+    and its conjugate are diagonal with m00 == 1."""
 
     def test_every_diagonal_target_has_unit_m00(self):
-        thetas = [0, np.pi, -np.pi, 1e-300, -1e-300, 1e300, -1e300]
-        targets = [_PROBE_FRAME]
-        for kind, (wires, matrix, _) in _KINDS.items():
-            for theta in thetas if callable(matrix) else [None]:
-                targets.append(GateOp(kind, tuple(range(wires)), theta).matrix)
-        targets += [m.conj() for m in targets]
-        diagonal = [m for m in targets if m[0, 1] == 0 and m[1, 0] == 0]
-        # The probe frame, PauliZ, and both phase kinds at every theta; and their conjugates.
-        assert len(diagonal) == 2 * (2 + 2 * len(thetas))
-        assert all(m[0, 0] == 1 for m in diagonal)
+        for m in (_PROBE_FRAME, _PROBE_FRAME.conj()):
+            assert m[0, 1] == 0 and m[1, 0] == 0
+            assert m[0, 0] == 1 and m[1, 1] != 1
 
 
 class TestValidation:

@@ -183,10 +183,11 @@ class TestReadoutBits:
     with no Hadamard, empty and one-gate lists included) it forms only
     those, and a list with a Hadamard runs through the kernel on the whole
     joint. sigma_z and sigma_x are bit for bit those of the whole-state
-    circuit, which runs a lone gate by the slice kernel, signed zeros
-    included. A dense U forms its block diagonals from one N x N product and
-    row sums, whose order moves last bits: it is held to the whole-state
-    circuit within DENSE_TOL (2.8e-16 measured, N = 1 ... 256)."""
+    circuit, which runs a lone gate and the frame as maps on the whole
+    joint, signed zeros included. A dense U forms its block diagonals from
+    one N x N product and row sums, whose order moves last bits: it is held
+    to the whole-state circuit within DENSE_TOL (2.8e-16 measured,
+    N = 1 ... 256)."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -274,7 +275,7 @@ class TestReadoutBits:
     def test_empty_and_one_gate_lists(self, kind):
         # No gate, or one of each permutation-times-phase kind on any wires,
         # on 3 to 6 wires with 0-2 work wires; the whole-state circuit runs
-        # the lone gate by the slice kernel.
+        # the lone gate as its map on the whole joint.
         for seed in range(24):
             rng = np.random.default_rng(seed)
             k, work = int(rng.integers(1, 4)), int(rng.integers(3))
@@ -382,7 +383,8 @@ class TestMappedBlock:
         n, wires = 1 << k, k + 1 + work
         rng = np.random.default_rng(100 * k + 10 * work + seed)
         rho = sparse_state(n, rng, bool(seed % 2), True)
-        label, phase = _compose_map(mapped_gates(wires, 30, rng), wires)
+        label, phase = _compose_map(mapped_gates(wires, 30, rng), wires,
+                                    np.ones(1 << wires, dtype=complex))
         joint = _plus_joint(rho, wires)
         _apply_map(joint, label, phase)
         half = 1 << (wires - 1)
