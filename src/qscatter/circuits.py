@@ -142,7 +142,8 @@ def _apply_sequence(state: np.ndarray, gates, num_qubits: int) -> np.ndarray:
             _apply_map(state, *_compose_map(run, n, np.ones(1 << n, dtype=complex)))
         elif mapped:
             label, phase = _compose_map(run, n, state)
-            state[label] = phase
+            if (label != np.arange(label.size)).any():
+                state[label] = phase
         else:
             for g in run:
                 (t,) = g.targets

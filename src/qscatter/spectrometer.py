@@ -34,6 +34,7 @@ from .linalg import check_qubit_budget, largest_side, qubit_count, wire_count
 
 _SERIES_SELF_CHECK_TOL = 1e-9
 _BABY_STACK_BYTES = 4 << 20  # caps the self-check's baby-step stack and each block of powers
+_SCALE_ROW = 256  # the counter circuit scales its powers in rows of about this many entries
 _CPOW_FROM = 100  # numpy's complex power multiplies repeatedly below this |t|, calls cpow from it
 
 
@@ -182,19 +183,26 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
     """Simulate the three-register circuit for every counter label.
 
     The system enters as I/N, decomposed into computational basis states that
-    are evolved as state vectors in one batch, one (D, N, N) array per label;
-    the probe z polarization is read off the final amplitudes. On the probe-1
-    branch the counter Fourier gate is an orthonormal FFT over the counter
+    are evolved as state vectors in one batch: each label's register is one
+    (N, N, D) array, indexed by system row, basis state and counter, with the
+    counter axis innermost so that every Fourier line is contiguous. The
+    probe z polarization is read off the final amplitudes. On the probe-1
+    branch the counter Fourier gate is an orthonormal FFT along the counter
     axis. The first meets the basis state |E>, scaled by the probe Hadamard,
-    and leaves slice t as c_t I, so the power map |t>|n> -> |t> U^t |n> is
-    one elementwise scale, c_t U^t, and the second gate runs in place. Off
-    slice E the probe-0 branch is zero, so both closing-Hadamard branches
-    have the weight |f|^2 / 2 of the probe-1 amplitudes f there: half the
-    squared norm of the register before and after slice E, one dot product
-    each; each branch adds the squared norm of its own slice E. The scale
-    rounds apart from a product with c_t I: the bins meet the gates applied
-    one by one to the full register within 2e-15, not bit for bit. The joint
-    register (probe + counter + system) must fit the 12-qubit budget.
+    and leaves counter t as c_t I, so the power map |t>|n> -> |t> U^t |n> is
+    one elementwise scale, c_t U^t, and the second gate runs in place, giving
+    the probe-1 amplitudes f. The probe-0 branch is psi0 = I / sqrt(2) on
+    slice E, so the closing Hadamard's branches (psi0 +- f) / sqrt(2) differ
+    from +-f / sqrt(2) only on slice E's diagonal f_d. Their weights are
+
+        (|f|^2 + N/2 +- g) / 2,   g = (|1/sqrt(2) + f_d|^2 - |1/sqrt(2) - f_d|^2) / 2,
+
+    |f|^2 one dot product over the whole register. Only the N entries of
+    f_d enter g, so the bins do not carry the rounding of a sum over N^2 D
+    amplitudes, which cancels between the branches. The scale rounds apart
+    from a product with c_t I: the bins meet the gates applied one by one to
+    the full register within 2e-15, not bit for bit. The joint register
+    (probe + counter + system) must fit the 12-qubit budget.
     """
     n1 = check_int(n1, "counter register n1", 2)
     check_qubit_budget(probe=1, counter=n1, system=wire_count(largest_side(u)))
@@ -208,30 +216,35 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
     upow[0] = np.eye(n)
     for t in range(1, d):
         upow[t] = u @ upow[t - 1]
+    powers = upow.transpose(1, 2, 0).copy()  # powers[i, j, t] = (U^t)[i, j]
+    del upow  # the peak then holds two arrays, the powers and the register
+    register = np.empty_like(powers)
+    # Scale several counter lines per row, so numpy's inner loop stays long for small D.
+    per_row = max(1, min(n * n, _SCALE_ROW // d))
+    rows, scaled = powers.reshape(-1, per_row * d), register.reshape(-1, per_row * d)
+    lines = register.reshape(-1, d)
+    diagonals = lines[:: n + 1]  # the counter lines of the system's diagonal entries
 
     bins = np.empty(d)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    label = np.zeros(d, dtype=complex)  # the probe-1 half of the counter input
-    final = np.empty_like(upow)
-    psi0 = np.eye(n, dtype=complex) * inv_sqrt2  # the probe-0 branch, slice E only
-    slice_e = np.empty((2, n, n), dtype=complex)  # slice E of both closing branches
+    label = np.zeros((per_row, d), dtype=complex)  # the probe-1 counter input, once per line
+    plus, minus = np.empty((2, n), dtype=complex)  # psi0 + f and psi0 - f on slice E's diagonal
     for energy in range(d):
         # Probe Hadamard, then the counter Fourier gate on the probe-1 branch,
         # with the analysis kernel sign exp(-2 pi i E k / D) / sqrt(D).
-        label[energy] = inv_sqrt2
+        label[:, energy] = inv_sqrt2
         coeff = np.fft.fft(label, norm="ortho")
-        label[energy] = 0
-        # The power map takes slice t, coeff[t] I, to coeff[t] U^t.
-        np.multiply(upow, coeff[:, None, None], out=final)
-        np.fft.fft(final, axis=0, norm="ortho", out=final)  # out= from numpy 2.0
-        # Closing probe Hadamard, then <sigma_z> from the branch norms,
+        label[:, energy] = 0
+        # The power map takes counter t, coeff[t] I, to coeff[t] U^t.
+        np.multiply(rows, coeff.reshape(-1), out=scaled)
+        np.fft.fft(lines, axis=-1, norm="ortho", out=lines)  # out= from numpy 2.0
+        # Closing probe Hadamard, then <sigma_z> from the branch weights,
         # averaged over the mixture.
-        before, after = final[:energy], final[energy + 1:]
-        rest = (np.vdot(before, before).real + np.vdot(after, after).real) / 2
-        np.add(psi0, final[energy], out=slice_e[0])
-        np.subtract(psi0, final[energy], out=slice_e[1])
-        slice_e *= inv_sqrt2
-        top = rest + np.vdot(slice_e[0], slice_e[0]).real
-        bottom = rest + np.vdot(slice_e[1], slice_e[1]).real
+        f_d = diagonals[:, energy]
+        np.add(f_d, inv_sqrt2, out=plus)
+        np.subtract(inv_sqrt2, f_d, out=minus)
+        total = np.vdot(register, register).real + n / 2  # both branches' weight
+        gap = (np.vdot(plus, plus).real - np.vdot(minus, minus).real) / 2
+        top, bottom = (total + gap) / 2, (total - gap) / 2
         bins[energy] = (top - bottom) / n
     return SpectralSeries(n1=n1, bins=bins, phase_multiple=2)

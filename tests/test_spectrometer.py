@@ -336,14 +336,19 @@ class TestCircuitEquivalence:
         assert np.allclose(np.fft.fft(x, axis=0, norm="ortho"), dft_matrix(8).conj() @ x,
                            rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("shape", [(4, 1, 1), (128, 16, 16), (16, 64, 64)],
-                             ids=lambda shape: "x".join(map(str, shape)))
-    def test_in_place_counter_fourier_transform_equals_out_of_place(self, shape):
-        # The counter circuit writes its Fourier gate over its own register.
-        rng = np.random.default_rng(shape[0])
+    @pytest.mark.parametrize(
+        "shape,axis",
+        [((4, 1, 1), 0), ((128, 16, 16), 0), ((16, 64, 64), 0),
+         ((16, 16, 128), -1), ((64, 64, 16), -1), ((512, 512, 4), -1)],
+        ids=lambda case: "x".join(map(str, case)) if isinstance(case, tuple) else f"axis{case}",
+    )
+    def test_in_place_counter_fourier_transform_equals_out_of_place(self, shape, axis):
+        # The counter circuit writes its Fourier gate over its own register,
+        # along the counter axis, innermost (-1); axis 0 is the strided case.
+        rng = np.random.default_rng(shape[axis])
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        want = np.fft.fft(x, axis=0, norm="ortho")
-        got = np.fft.fft(x, axis=0, norm="ortho", out=x)
+        want = np.fft.fft(x, axis=axis, norm="ortho")
+        got = np.fft.fft(x, axis=axis, norm="ortho", out=x)
         assert got is x
         assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
 
@@ -364,10 +369,12 @@ CIRCUIT_TOL = 2e-15
 
 class TestCircuitGateByGate:
     """The label loop applies the power map as one scale of the powers by the
-    first Fourier gate's output and reads both probe branches from register
-    norms, one dot product per contiguous part of the register. The scale rounds apart from the loop's matrix product, so the bins
-    are held to the gates applied to the whole register within CIRCUIT_TOL
-    (4.4e-16 measured, n1 = 2 ... 11, N = 1 ... 64)."""
+    first Fourier gate's output and reads both probe branches from the
+    register's squared norm, one dot product over the whole register, and
+    from the diagonal of slice E, where the probe-0 branch lies. The scale
+    rounds apart from the loop's matrix product, so the bins are held to the
+    gates applied to the whole register within CIRCUIT_TOL (6.7e-16
+    measured, n1 = 2 ... 11, N = 1 ... 512)."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -399,9 +406,17 @@ class TestCircuitGateByGate:
         want = spectral_density_via_circuit_loop(u, n1)
         assert np.abs(got - want).max() < CIRCUIT_TOL
 
+    @pytest.mark.parametrize("n1,n", [(2, 512), (3, 256), (4, 128)])
+    def test_large_system_budget_edges_meet_the_loop(self, n1, n):
+        # 12 qubits with the largest systems, which the property above never
+        # draws: one dot product then sums N^2 D amplitudes.
+        u = random_unitary(n, np.random.default_rng(n1))
+        got = spectral_density_via_circuit(u, n1).bins
+        assert np.abs(got - spectral_density_via_circuit_loop(u, n1)).max() < CIRCUIT_TOL
+
     @staticmethod
     def _peak_in_arrays(n1, n):
-        """The route's traced peak, counted in (D, N, N) complex arrays."""
+        """The route's traced peak, counted in arrays of D * N^2 complex entries."""
         u = random_unitary(n, np.random.default_rng(n1))
         spectral_density_via_circuit(u, n1)  # first-call allocations, before the baseline
         tracemalloc.start()
@@ -413,11 +428,11 @@ class TestCircuitGateByGate:
             tracemalloc.stop()
         return peak / ((16 << n1) * n * n)
 
-    @pytest.mark.parametrize("n1,n", [(6, 32), (7, 16), (4, 64)])
+    @pytest.mark.parametrize("n1,n", [(6, 32), (7, 16), (4, 64), (2, 512), (3, 256)])
     def test_peak_memory_under_three_arrays(self, n1, n):
         # The powers and one register, with no weight array, make 2.0
-        # (2.2-2.3 measured with slice E and the FFT's buffers); the
-        # gate-by-gate loop peaks at 6.0.
+        # (2.0-2.3 measured with the FFT's buffers); the gate-by-gate loop
+        # peaks at 6.0.
         assert self._peak_in_arrays(n1, n) < 3.0
 
     @pytest.mark.parametrize("n1,n", [(6, 32), (7, 16), (4, 64)])
