@@ -22,6 +22,7 @@ phase[i] v[i] on kets. Kets lie along the first axis of any array that is not
 """
 
 import sys
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -101,8 +102,11 @@ class GateOp:
 
 def _check_gates(gates, num_qubits: int) -> list[GateOp]:
     # The caller's gates as a list of GateOp records, each held to a
-    # num_qubits register: the one check a gate gets after construction.
+    # num_qubits register: the one check a gate gets after construction. A
+    # set or mapping is refused too: its order, so the circuit, may vary by run.
     try:
+        if isinstance(gates, (Set, Mapping)):
+            raise TypeError
         gates = list(gates)
     except TypeError:
         raise InvalidValueError(f"expected a list of GateOp records, got {brief(gates)}") from None

@@ -11,19 +11,19 @@ frame the x component holds minus the imaginary part, so
 exactly. Both components are read from the probe's reduced 2x2 state, summed
 once from the evolved density matrix, so no sampling noise enters.
 
-The controlled block is a dense U, an index map (label, phase),
-U|x> = phase[x] |label[x]>, or a gate list (``scattering_circuit_gates``).
-Only a gate list with a Hadamard evolves the whole joint state; the readout
-forms just the entries it sums from any other block (``_probe_readout``).
+The controlled block is a dense U or one map over the basis labels,
+U|x> = phase[x] |label[x]>: an index map (label, phase), or a list of
+permutation-times-phase gates (``scattering_circuit_gates``) composed into
+one. Either way the readout forms just the entries it sums
+(``_probe_readout``), never the whole joint state.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import _KINDS, HADAMARD, _apply_sequence
-from .circuits import _check_gates, _compose_map, _contract, phase_gate
-from .errors import DimensionMismatchError
+from .circuits import _KINDS, HADAMARD, _check_gates, _compose_map, _contract, phase_gate
+from .errors import DimensionMismatchError, InvalidValueError
 from .linalg import as_square_matrix, assert_density_matrix, assert_unitary, check_int
 from .linalg import check_qubit_budget, largest_side, qubit_count, wire_count
 
@@ -64,28 +64,15 @@ def direct_trace(rho: np.ndarray, u: np.ndarray) -> complex:
     return complex(np.einsum("ij,ji->", assert_unitary(u), rho))
 
 
-def _plus_joint(rho: np.ndarray, num_qubits: int) -> np.ndarray:
-    # |+><+| (x) R on num_qubits wires, R being rho at every w-th row and
-    # column (the work wires in |0>): each quadrant holds (R h) h at those
-    # entries, with h = HADAMARD[0, 0], the two products the kernel's probe
-    # Hadamard forms on |0><0| (x) R, so every value is the kernel's bit for
-    # bit; the signs of its zeros are not kept.
-    half = 1 << (num_qubits - 1)
-    w = half // rho.shape[0]
-    h = HADAMARD[0, 0]
-    joint = np.zeros((2 * half, 2 * half), dtype=complex)
-    joint.reshape(2, half, 2, half)[:, ::w, :, ::w] = (rho * h * h)[:, None]
-    return joint
-
-
 def _mapped_diagonals(rho: np.ndarray, num_qubits: int, label: np.ndarray,
                       phase: np.ndarray) -> np.ndarray:
     # The block diagonals joint[i half + y, j half + y], as a (2, 2, half)
     # array, of the prepared joint after the map G|s> = phase[s] |label[s]>
     # over all its labels. Each is the prepared entry at the preimages (s, t),
-    # (R h) h as ``_plus_joint`` writes it, times phase[s] conj(phase[t]), the
-    # products of ``_apply_map`` in its order, so no other entry of the joint
-    # is formed.
+    # (R h) h, the value the kernel's probe Hadamard leaves on |0><0| (x) R
+    # (R being rho at every w-th row and column: the work wires in |0>),
+    # times phase[s] conj(phase[t]), the products of ``_apply_map`` in its
+    # order, so no other entry of the joint is formed.
     half = 1 << (num_qubits - 1)
     w = half // rho.shape[0]
     h = HADAMARD[0, 0]
@@ -101,13 +88,11 @@ def _mapped_diagonals(rho: np.ndarray, num_qubits: int, label: np.ndarray,
 
 def _probe_readout(rho: np.ndarray, num_qubits: int, controlled) -> ScatteringResult:
     # Unchecked core: rho is a valid state, and the controlled block is a
-    # unitary on the system with no work wires, dense or as its index map
-    # (label, phase), or a list of gates that fit the wires probe, system,
-    # work. The circuit starts from the probe's |+><+|. A dense U gives the
-    # block diagonals from one N x N product. A block that is one map, an
-    # index map or a list with no Hadamard (empty and one-gate lists too),
-    # gives them from O(half) prepared entries. Only a list with a Hadamard
-    # evolves the whole joint state in place.
+    # dense unitary on the system with no work wires, or one map: the system's
+    # index map (label, phase), or a list of permutation-times-phase gates,
+    # empty and one-gate lists too, on the wires probe, system, work. The
+    # circuit starts from the probe's |+><+|. A dense U gives the block
+    # diagonals from one N x N product, a map from O(half) prepared entries.
     d = rho.shape[0]
     if isinstance(controlled, np.ndarray):  # quadrants R, R U^dagger, U R, U R U^dagger
         # R = (rho h) h as prepared, X = U R, and diag(A U^dagger) as the row
@@ -121,7 +106,7 @@ def _probe_readout(rho: np.ndarray, num_qubits: int, controlled) -> ScatteringRe
         r *= controlled.conj()
         x *= controlled.conj()
         block[:, 1] = r.sum(axis=1), x.sum(axis=1)
-    elif isinstance(controlled, tuple) or all(_KINDS[g.kind][2] for g in controlled):
+    else:
         if isinstance(controlled, tuple):  # controlled: the identity on the probe-0 labels
             label, phase = controlled
             label = np.concatenate((np.arange(d), d + label))
@@ -130,11 +115,6 @@ def _probe_readout(rho: np.ndarray, num_qubits: int, controlled) -> ScatteringRe
             label, phase = _compose_map(controlled, num_qubits,
                                         np.ones(1 << num_qubits, dtype=complex))
         block = _mapped_diagonals(rho, num_qubits, label, phase)
-    else:
-        joint = _plus_joint(rho, num_qubits)
-        _apply_sequence(joint, controlled, num_qubits)
-        half = 1 << (num_qubits - 1)
-        block = np.einsum("iyjy->ijy", joint.reshape(2, half, 2, half)).copy()
     # The probe's reduced state sums only the block diagonals
     # joint[i*half + y, j*half + y], and the closing gates act on the probe
     # alone, so they run on those 4*half entries only, a contiguous array
@@ -166,10 +146,16 @@ def scattering_circuit_gates(
 
     ``gates`` act on ``num_qubits`` wires laid out as probe (wire 0), system
     (wires 1..k), then any work wires, which start in |0> and must be
-    returned clean by the sequence. The budget comes before any check.
+    returned clean by the sequence. Each gate is a permutation times a phase
+    (no Hadamard); the budget comes first, then the state, wire and kind checks.
     """
     n, k = check_int(num_qubits, "number of wires", 0), wire_count(largest_side(rho))
     check_qubit_budget(probe=1, system=k, work=max(0, n - 1 - k))
     rho = assert_density_matrix(rho)
     n = check_int(n, "number of wires", qubit_count(rho.shape[0]) + 1)
-    return _probe_readout(rho, n, _check_gates(gates, n))
+    gates = _check_gates(gates, n)
+    if not all(_KINDS[g.kind][2] for g in gates):
+        raise InvalidValueError("scattering_circuit_gates refuses a Hadamard: measure such a"
+                                " block by passing the probe-1 quadrant of compose_sequence("
+                                "gates, num_qubits) to scattering_circuit")
+    return _probe_readout(rho, n, gates)

@@ -5,7 +5,8 @@ elementwise one-wire update the kernel's in-place branch is held to bit for
 bit, the per-gate slice kernel the ket path's composed maps are held to, the
 per-t trace series the spectrometer's power sum is held to bit for
 bit, the gate-by-gate counter circuit its circuit route is held to bit for
-bit, the whole-state probe readout the scattering readout is held to, the
+bit, the whole-state probe readout the scattering readout is held to and
+the prepared whole joint state its mapped block diagonals are held to, the
 composition of a gate run on boolean bit planes its composition on integer
 wire planes is held to bit for bit, and a call recorder for the tests that
 count checks."""
@@ -191,14 +192,29 @@ def spectral_density_via_circuit_loop(u: np.ndarray, n1: int) -> np.ndarray:
     return bins
 
 
+def plus_joint(rho: np.ndarray, num_qubits: int) -> np.ndarray:
+    """|+><+| (x) R on ``num_qubits`` wires, R being rho at every w-th row and
+    column (the work wires in |0>): each quadrant holds (R h) h at those
+    entries, with h = HADAMARD[0, 0], the two products the kernel's probe
+    Hadamard forms on |0><0| (x) R, so every value is the kernel's bit for
+    bit; the signs of its zeros are not kept."""
+    half = 1 << (num_qubits - 1)
+    w = half // rho.shape[0]
+    h = HADAMARD[0, 0]
+    joint = np.zeros((2 * half, 2 * half), dtype=complex)
+    joint.reshape(2, half, 2, half)[:, ::w, :, ::w] = (rho * h * h)[:, None]
+    return joint
+
+
 def probe_readout_full(rho: np.ndarray, num_qubits: int, controlled) -> ScatteringResult:
     """The probe circuit with every probe gate run on the whole joint state by
     the gate kernel: |0><0| (x) rho (rho at every w-th row and column), a
     Hadamard, the controlled block (a dense U, its index map (label, phase),
-    or a gate list), a Hadamard and the frame PhaseShift(-pi/2), then the z
-    and x readout. The polarization ``scattering._probe_readout`` must match,
-    bit for bit but for a dense U, which it meets to rounding; it takes the
-    same unchecked arguments."""
+    or any gate list, Hadamards included), a Hadamard and the frame
+    PhaseShift(-pi/2), then the z and x readout. The polarization
+    ``scattering._probe_readout`` must match, bit for bit but for a dense U,
+    which it meets to rounding; it takes the same unchecked arguments, and a
+    gate list there holds no Hadamard."""
     d = rho.shape[0]
     w = (1 << num_qubits) // (2 * d)
     hadamard = GateOp("Hadamard", (0,))

@@ -567,21 +567,30 @@ class TestValidation:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda g: apply_sequence(maximally_mixed(2), [g]),
-            lambda g: compose_sequence([g], 1),
-            lambda g: scattering_circuit_gates(maximally_mixed(2), [g], 2),
-            lambda g: GateSequence(num_qubits=2, gates=(g,)),
+            lambda gates: apply_sequence(maximally_mixed(2), gates),
+            lambda gates: compose_sequence(gates, 1),
+            lambda gates: scattering_circuit_gates(maximally_mixed(2), gates, 2),
+            lambda gates: GateSequence(num_qubits=2, gates=gates),
         ],
         ids=["apply_sequence", "compose_sequence", "scattering_circuit_gates", "GateSequence"],
     )
-    @pytest.mark.parametrize("entry", [object(), "Hadamard", ("Hadamard", (0,))])
+    # A non-gate entry, or a set or mapping of gates, whose order, and so the
+    # circuit, could differ from run to run.
+    @pytest.mark.parametrize("entry", [object(), "Hadamard", ("Hadamard", (0,)),
+                                       {GateOp("PauliX", (0,))}, {GateOp("PauliX", (0,)): 1}])
     def test_gate_lists_refuse_non_gates(self, call, entry):
         with pytest.raises(InvalidValueError, match="GateOp"):
-            call(entry)
+            call(entry if isinstance(entry, (set, dict)) else [entry])
 
     def test_gate_list_must_be_iterable(self):
         with pytest.raises(InvalidValueError, match="GateOp"):
             apply_sequence(maximally_mixed(2), GateOp("Hadamard", (0,)))
+
+    def test_tuples_and_generators_pass_in_order(self):
+        gates = [GateOp("Hadamard", (1,)), GateOp("CNOT", (0, 1)), GateOp("PauliZ", (1,))]
+        want = compose_sequence(gates, 2)
+        for ordered in (tuple(gates), (g for g in gates)):
+            assert np.array_equal(compose_sequence(ordered, 2), want)
 
 
 class TestQubitBudget:

@@ -4,11 +4,11 @@ The circuit route (Hadamard, controlled-U, Hadamard, frame rotation, Pauli
 readout) must reproduce Tr(U rho) computed directly, for every state and
 unitary, to near machine precision. The readout prepares the probe's
 |+><+| directly and runs the closing probe gates only on the entries it
-reads; a block that is one map (an index map, or a gate list with no
-Hadamard) or a dense U forms only those entries. Its polarization is held to
-the circuit run gate by gate on the whole joint state
-(``reference.probe_readout_full``): bit for bit, and for a dense U, whose
-sums run in another order, to rounding.
+reads; its block, a dense U or one map (an index map, or a list of
+permutation-times-phase gates), forms only those entries, and a gate list
+with a Hadamard is refused. Its polarization is held to the circuit run gate
+by gate on the whole joint state (``reference.probe_readout_full``): bit for
+bit, and for a dense U, whose sums run in another order, to rounding.
 """
 
 import tracemalloc
@@ -20,13 +20,12 @@ from hypothesis import strategies as st
 
 from qscatter import phasespace, scattering
 from qscatter.circuits import _KINDS, HADAMARD, PAULI_Y, GateOp, _apply_map, _apply_sequence
-from qscatter.circuits import _compose_map
+from qscatter.circuits import PAULI_Z, _compose_map, compose_sequence
 from qscatter.errors import DimensionMismatchError, InvalidValueError, QubitBudgetError
 from qscatter.phasespace import PhasePoint, _point_operator, phase_point_operator
 from qscatter.scattering import (
     ScatteringResult,
     _mapped_diagonals,
-    _plus_joint,
     _probe_readout,
     direct_trace,
     scattering_circuit,
@@ -34,7 +33,8 @@ from qscatter.scattering import (
 )
 from qscatter.states import basis_state, maximally_mixed
 from qscatter.synthesis import synth_phase_point_circuit
-from reference import probe_readout_full, random_density_matrix, random_unitary, record_calls
+from reference import plus_joint, probe_readout_full, random_density_matrix, random_unitary
+from reference import record_calls
 
 
 class TestKnownTraces:
@@ -179,19 +179,18 @@ def polarization_bits(res: ScatteringResult) -> list[int]:
 class TestReadoutBits:
     """The readout starts from |+><+| (x) rho and runs the closing Hadamard
     and frame on the block diagonals alone; under a map (an index map, a
-    synthesized point circuit with or without idle work wires, any list
-    with no Hadamard, empty and one-gate lists included) it forms only
-    those, and a list with a Hadamard runs through the kernel on the whole
-    joint. sigma_z and sigma_x are bit for bit those of the whole-state
-    circuit, which runs a lone gate and the frame as maps on the whole
-    joint, signed zeros included. A dense U forms its block diagonals from
-    one N x N product and row sums, whose order moves last bits: it is held
-    to the whole-state circuit within DENSE_TOL (2.8e-16 measured,
+    synthesized point circuit with or without idle work wires, any list of
+    permutation-times-phase gates, empty and one-gate lists included) it
+    forms only those. sigma_z and sigma_x are bit for bit those of the
+    whole-state circuit, which runs a lone gate and the frame as maps on the
+    whole joint, signed zeros included. A dense U forms its block diagonals
+    from one N x N product and row sums, whose order moves last bits: it is
+    held to the whole-state circuit within DENSE_TOL (2.8e-16 measured,
     N = 1 ... 256)."""
 
     @settings(max_examples=200, deadline=None)
     @given(
-        route=st.sampled_from(["dense", "map", "synth", "idle", "mapped", "hadamard"]),
+        route=st.sampled_from(["dense", "map", "synth", "idle", "mapped"]),
         k=st.integers(0, 8),
         work=st.integers(0, 2),
         real=st.booleans(),
@@ -219,18 +218,18 @@ class TestReadoutBits:
     @example(route="mapped", k=4, work=0, real=False, zeros=True, tiny=False, seed=14)
     # The states of TestPreparation's signed-zero cases, whose prepared joints
     # keep none of the kernel Hadamard's zero signs.
-    @example(route="hadamard", k=1, work=0, real=False, zeros=True, tiny=False, seed=10)
-    @example(route="hadamard", k=2, work=0, real=False, zeros=True, tiny=False, seed=20)
-    @example(route="hadamard", k=4, work=0, real=False, zeros=True, tiny=False, seed=40)
-    @example(route="hadamard", k=2, work=1, real=False, zeros=True, tiny=False, seed=21)
-    @example(route="hadamard", k=4, work=1, real=False, zeros=True, tiny=False, seed=41)
+    @example(route="mapped", k=1, work=0, real=False, zeros=True, tiny=False, seed=10)
+    @example(route="mapped", k=2, work=0, real=False, zeros=True, tiny=False, seed=20)
+    @example(route="mapped", k=4, work=0, real=False, zeros=True, tiny=False, seed=40)
+    @example(route="mapped", k=2, work=1, real=False, zeros=True, tiny=False, seed=21)
+    @example(route="mapped", k=4, work=1, real=False, zeros=True, tiny=False, seed=41)
     # Off-diagonals of +-5e-324, +-1e-320, -3e-310 and +-0 on every route.
     @example(route="dense", k=3, work=0, real=False, zeros=True, tiny=True, seed=50)
     @example(route="map", k=4, work=0, real=False, zeros=True, tiny=True, seed=51)
     @example(route="synth", k=3, work=0, real=False, zeros=False, tiny=True, seed=52)
     @example(route="idle", k=2, work=0, real=True, zeros=True, tiny=True, seed=53)
     @example(route="mapped", k=3, work=0, real=False, zeros=True, tiny=True, seed=54)
-    @example(route="hadamard", k=3, work=1, real=False, zeros=False, tiny=True, seed=55)
+    @example(route="mapped", k=3, work=1, real=False, zeros=False, tiny=True, seed=55)
     def test_polarization_matches_the_whole_state_circuit(
             self, route, k, work, real, zeros, tiny, seed):
         if route != "dense":  # a phase point needs N >= 2; gate lists stay at N <= 32
@@ -245,16 +244,9 @@ class TestReadoutBits:
         if route == "dense":
             u = real_orthogonal(n, rng) if real else random_unitary(n, rng)
             args = (k + 1, u)
-        elif route == "mapped":  # any wires, the probe's too, and up to two work wires
-            wires = k + 1 + int(rng.integers(3))
-            args = (wires, mapped_gates(wires, int(rng.integers(0, 40)), rng))
-        elif route == "hadamard":  # 1-3 Hadamards among map gates on any wire, 0-2 work wires
+        elif route == "mapped":  # any wires, the probe's too, and 0-2 work wires
             wires = k + 1 + work
-            gates = mapped_gates(wires, int(rng.integers(0, 12)), rng)
-            for _ in range(int(rng.integers(1, 4))):
-                at = int(rng.integers(len(gates) + 1))
-                gates.insert(at, GateOp("Hadamard", (int(rng.integers(wires)),)))
-            args = (wires, gates)
+            args = (wires, mapped_gates(wires, int(rng.integers(0, 40)), rng))
         else:
             q, p = (int(v) for v in rng.integers(2 * n, size=2))
             alpha = PhasePoint(q=q, p=0 if real else p, n=n)
@@ -323,10 +315,12 @@ class TestReadoutBits:
 
 
 class TestPreparation:
-    """The prepared |+><+| (x) R is the kernel's probe Hadamard on |0><0| (x) R,
-    entry by entry, work wires included: equal values, so every nonzero entry
-    bit for bit. The signs of zeros are not kept; the readout's + 0 clears
-    them from the polarization (TestReadoutBits, TestNoNegativeZero)."""
+    """The prepared |+><+| (x) R (``reference.plus_joint``, whose entries the
+    readout's map route forms) is the kernel's probe Hadamard on
+    |0><0| (x) R, entry by entry, work wires included: equal values, so
+    every nonzero entry bit for bit. The signs of zeros are not kept; the
+    readout's + 0 clears them from the polarization (TestReadoutBits,
+    TestNoNegativeZero)."""
 
     @pytest.mark.parametrize("k", [0, 1, 2, 4])
     @pytest.mark.parametrize("work", [0, 1])
@@ -340,7 +334,7 @@ class TestPreparation:
         joint = np.zeros((1 << wires, 1 << wires), dtype=complex)
         joint[: n * w : w, : n * w : w] = rho
         want = _apply_sequence(joint, [GateOp("Hadamard", (0,))], wires)
-        assert np.array_equal(_plus_joint(rho, wires), want)
+        assert np.array_equal(plus_joint(rho, wires), want)
 
 
 class TestNoNegativeZero:
@@ -372,9 +366,9 @@ class TestNoNegativeZero:
 
 class TestMappedBlock:
     """Under a map, the (2, 2, half) block diagonals are the whole joint's
-    after ``_plus_joint`` and ``_apply_map``, entry by entry and bit for bit;
-    the sums that follow can hide a zero's sign, so the entries are compared
-    here."""
+    after ``reference.plus_joint`` and ``_apply_map``, entry by entry and bit
+    for bit; the sums that follow can hide a zero's sign, so the entries are
+    compared here."""
 
     @pytest.mark.parametrize("k", [0, 1, 3, 5])
     @pytest.mark.parametrize("work", [0, 2])
@@ -385,7 +379,7 @@ class TestMappedBlock:
         rho = sparse_state(n, rng, bool(seed % 2), True)
         label, phase = _compose_map(mapped_gates(wires, 30, rng), wires,
                                     np.ones(1 << wires, dtype=complex))
-        joint = _plus_joint(rho, wires)
+        joint = plus_joint(rho, wires)
         _apply_map(joint, label, phase)
         half = 1 << (wires - 1)
         want = np.einsum("iyjy->ijy", joint.reshape(2, half, 2, half)).copy()
@@ -394,15 +388,19 @@ class TestMappedBlock:
 
 
 class TestMappedRoutes:
-    """Which blocks skip the joint: an index map, a list with no Hadamard
-    (empty, one gate, or a synthesized point circuit) and a dense U do; only
-    a list with a Hadamard builds it."""
+    """Each block takes one of the readout's two forms. An index map and
+    every gate list (empty, one gate, or a synthesized point circuit, with or
+    without an idle work wire) are one map, whose block diagonals come from
+    one ``_mapped_diagonals`` call, a list's map from one ``_compose_map``
+    call; a dense U takes neither. TestReadoutMemory bounds each form's
+    peak well below the joint's."""
 
     @pytest.mark.parametrize("build", ["map", "synth", "idle", "lone", "empty"])
     def test_one_map_forms_no_joint(self, monkeypatch, build):
         rho = random_density_matrix(8, np.random.default_rng(3))
         alpha = PhasePoint(q=11, p=5, n=8)
-        calls = record_calls(monkeypatch, scattering, "_plus_joint")
+        calls = record_calls(monkeypatch, scattering, "_compose_map")
+        record_calls(monkeypatch, scattering, "_mapped_diagonals", calls)
         if build == "map":
             phasespace.wigner_via_circuit(rho, alpha)
         elif build in ("lone", "empty"):
@@ -410,22 +408,52 @@ class TestMappedRoutes:
         else:
             seq = synth_phase_point_circuit(alpha)
             scattering_circuit_gates(rho, seq.gates, seq.num_qubits + (build == "idle"))
-        assert calls == []
+        assert calls == ["_compose_map"] * (build != "map") + ["_mapped_diagonals"]
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_a_dense_u_forms_no_joint(self, monkeypatch, n):
         rng = np.random.default_rng(n)
-        calls = record_calls(monkeypatch, scattering, "_plus_joint")
+        calls = record_calls(monkeypatch, scattering, "_compose_map")
+        record_calls(monkeypatch, scattering, "_mapped_diagonals", calls)
         scattering_circuit(random_density_matrix(n, rng), random_unitary(n, rng))
         assert calls == []
 
-    @pytest.mark.parametrize("gates", [[GateOp("Hadamard", (2,))],
-                                       [GateOp("CNOT", (0, 1)), GateOp("Hadamard", (2,))]])
-    def test_other_blocks_build_the_joint(self, monkeypatch, gates):
-        rho = random_density_matrix(4, np.random.default_rng(4))
-        calls = record_calls(monkeypatch, scattering, "_plus_joint")
-        scattering_circuit_gates(rho, gates, 3)
-        assert calls == ["_plus_joint"]
+
+class TestHadamardRefusal:
+    """``scattering_circuit_gates`` takes permutation-times-phase gates only:
+    a list with a Hadamard anywhere is refused after the budget, state and
+    wire checks and before any composition. A block built with Hadamards is
+    measured through its dense product instead."""
+
+    @pytest.mark.parametrize("at", ["first", "between", "last"])
+    @pytest.mark.parametrize("wire", [0, 1, 3], ids=["probe", "system", "work"])
+    def test_a_hadamard_anywhere_is_refused(self, monkeypatch, at, wire):
+        mapped = [GateOp("CNOT", (0, 1)), GateOp("Toffoli", (0, 2, 3)), GateOp("PauliZ", (2,))]
+        at = {"first": 0, "between": 2, "last": len(mapped)}[at]
+        gates = mapped[:at] + [GateOp("Hadamard", (wire,))] + mapped[at:]
+        calls = record_calls(monkeypatch, scattering, "_compose_map")
+        with pytest.raises(InvalidValueError, match="refuses a Hadamard.*compose_sequence"):
+            scattering_circuit_gates(maximally_mixed(4), gates, 4)
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["state", "wire", "width"])
+    def test_state_and_wires_are_checked_before_the_kind(self, case):
+        rho, gates, wires = maximally_mixed(4), [GateOp("Hadamard", (1,))], 4
+        if case == "state":
+            rho, match = np.eye(4), "trace"
+        elif case == "wire":
+            gates, match = gates + [GateOp("CNOT", (0, 4))], "CNOT wire index"
+        else:
+            wires, match = 2, "number of wires"
+        with pytest.raises(InvalidValueError, match=match):
+            scattering_circuit_gates(rho, gates, wires)
+
+    def test_a_block_with_hadamards_is_measured_through_its_dense_product(self):
+        # H(1) CNOT(0, 1) H(1) is the probe-controlled H X H = Z.
+        rho = random_density_matrix(2, np.random.default_rng(7))
+        gates = [GateOp("Hadamard", (1,)), GateOp("CNOT", (0, 1)), GateOp("Hadamard", (1,))]
+        res = scattering_circuit(rho, compose_sequence(gates, 2)[2:, 2:])
+        assert abs(res.trace_estimate - direct_trace(rho, PAULI_Z)) < 1e-12
 
 
 class TestReadoutMemory:
@@ -464,6 +492,18 @@ class TestReadoutMemory:
         seq = synth_phase_point_circuit(PhasePoint(q=77, p=201, n=128))
         assert seq.num_qubits == 9
         assert self.peak_bytes(rho, 9, list(seq.gates)) / (128 * 128 * 16) < 1.0
+
+    def test_synthesized_list_with_an_idle_work_wire(self):
+        # The same circuit on 10 wires, whose joint would be 64 states: 0.91
+        # states, the composed map's bit planes and labels over 1,024 labels.
+        rho = random_density_matrix(128, np.random.default_rng(132))
+        seq = synth_phase_point_circuit(PhasePoint(q=77, p=201, n=128))
+        assert self.peak_bytes(rho, 10, list(seq.gates)) / (128 * 128 * 16) < 1.0
+
+    def test_empty_list(self):
+        # The identity map and the block diagonals: 0.22 states.
+        rho = random_density_matrix(128, np.random.default_rng(133))
+        assert self.peak_bytes(rho, 8, []) / (128 * 128 * 16) < 1.0
 
     @pytest.mark.parametrize("gate", [GateOp("CNOT", (0, 1)), GateOp("PauliX", (3,))])
     def test_one_gate(self, gate):
