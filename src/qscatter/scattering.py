@@ -103,8 +103,9 @@ def _probe_readout(rho: np.ndarray, num_qubits: int, controlled) -> ScatteringRe
         x = controlled @ r
         block = np.empty((2, 2, d), dtype=complex)
         block[:, 0] = r.diagonal(), x.diagonal()
-        r *= controlled.conj()
-        x *= controlled.conj()
+        conj_u = controlled.conj()
+        r *= conj_u
+        x *= conj_u
         block[:, 1] = r.sum(axis=1), x.sum(axis=1)
     else:
         if isinstance(controlled, tuple):  # controlled: the identity on the probe-0 labels

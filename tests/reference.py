@@ -8,8 +8,9 @@ bit, the gate-by-gate counter circuit its circuit route is held to bit for
 bit, the whole-state probe readout the scattering readout is held to and
 the prepared whole joint state its mapped block diagonals are held to, the
 composition of a gate run on boolean bit planes its composition on integer
-wire planes is held to bit for bit, and a call recorder for the tests that
-count checks."""
+wire planes is held to bit for bit, the complex-product unitarity check the
+real Gram check is held to verdict for verdict, and a call recorder for the
+tests that count checks."""
 
 from functools import reduce
 
@@ -259,6 +260,17 @@ def compose_map_bool_planes(gates, n: int) -> tuple[np.ndarray, np.ndarray]:
         if flip:
             bits[t] ^= on
     return place @ bits, phase
+
+
+def is_unitary_complex(m: np.ndarray) -> bool:
+    """Every entry of U U^dagger - I within 1e-12 in modulus, from the full
+    complex product m @ m^dagger and the moduli of its entries: the verdict
+    ``linalg._is_unitary`` must give. An overflow leaves inf or nan, which
+    the comparison refuses."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = m @ m.conj().T
+        g -= np.eye(m.shape[0])
+        return bool(np.abs(g).max() <= 1e-12)
 
 
 def gate_from_record(rec: dict) -> GateOp:

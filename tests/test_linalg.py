@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qscatter import phasespace, states
+from qscatter import linalg, phasespace, states
 from qscatter.circuits import PAULI_X
 from qscatter.errors import (
     DimensionMismatchError,
@@ -25,7 +25,7 @@ from qscatter.linalg import (
 )
 from qscatter.phasespace import PhasePoint
 from qscatter.scattering import scattering_circuit
-from reference import dft_matrix, random_density_matrix, random_unitary
+from reference import dft_matrix, is_unitary_complex, random_density_matrix, random_unitary
 
 
 class TestBasics:
@@ -175,6 +175,101 @@ class TestRandomEnsembles:
         u1 = random_unitary(4, np.random.default_rng(99))
         u2 = random_unitary(4, np.random.default_rng(99))
         assert np.array_equal(u1, u2)
+
+
+def _imaginary_defect(n, eps, rng):
+    # (I + i eps A) U for a Haar U and a real antisymmetric A with max |A_ij| = 1:
+    # U' U'^dagger = (I + i eps A)^2, so its defect is 2 i eps A in the
+    # imaginary part, and the real part only moves by eps^2 A^2.
+    b = rng.standard_normal((n, n))
+    a = b - b.T
+    a /= np.abs(a).max()
+    return (np.eye(n) + 1j * eps * a) @ random_unitary(n, rng)
+
+
+def _verdict_cases():
+    # (name, matrix): the families the real Gram check must decide as the
+    # complex product does.
+    rng = np.random.default_rng(33)
+    for n in range(1, 257):
+        yield f"haar{n}", random_unitary(n, rng)
+    for n in (2, 16, 64):
+        u = random_unitary(n, rng)
+        # The diagonal of c^2 U U^dagger - I is c^2 - 1, on either side of 1e-12.
+        for t in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0):
+            yield f"scaled{n}-{t}", np.sqrt(1 + t * 1e-12) * u
+        for size in (1e-13, 3e-13, 3e-12, 1e-11):
+            for _ in range(3):
+                i, j = rng.integers(n, size=2)
+                bumped = u.copy()
+                bumped[i, j] += size * np.exp(2j * np.pi * rng.uniform())
+                yield f"entry{n}-{size}", bumped
+        for eps in (1e-13, 2e-13, 4e-13, 6e-13, 2e-12, 1e-11):
+            yield f"imag{n}-{eps}", _imaginary_defect(n, eps, rng)
+        # (I + E) U with E Hermitian: a defect 2E of modulus `size` at one
+        # entry pair, its real and imaginary parts each size / sqrt(2), so the
+        # larger part alone would pass every one of them.
+        for size in (0.8e-12, 1.1e-12, 1.3e-12):
+            e = np.zeros((n, n), dtype=complex)
+            if n > 1:
+                e[0, 1] = size / 2 * np.exp(0.25j * np.pi)
+                e += e.conj().T
+            yield f"modulus{n}-{size}", (np.eye(n) + e) @ u
+    for value in (1e200, -1e200, 1e200j):
+        yield f"huge{value}", np.full((3, 3), value)
+        u = random_unitary(4, rng)
+        u[1, 2] = value
+        yield f"huge-entry{value}", u
+    for value in (np.nan, np.inf, -np.inf, 1j * np.inf):
+        bad = np.eye(3, dtype=complex)
+        bad[0, 1] = value
+        yield f"non-finite{value}", bad
+    tiny = 5e-324
+    yield "subnormal-bump", np.eye(4) + tiny * (1 + 1j)
+    yield "subnormal-all", np.full((4, 4), tiny * 3)
+    yield "subnormal-unit", np.diag([1, 1j, -1, 1]) + np.diag([tiny, tiny], 2)
+
+
+class TestUnitaryVerdicts:
+    """The real Gram check decides as the complex product it replaced, reads
+    the imaginary part of U U^dagger, and holds at most two complex N x N
+    arrays at its peak."""
+
+    @pytest.mark.parametrize("eps, unitary", [(2e-12, False), (2e-13, True)])
+    def test_imaginary_only_defect(self, eps, unitary):
+        # The defect 2 eps A lies in Im(U U^dagger) alone; Re stays within
+        # rounding of I, far below the tolerance.
+        u = _imaginary_defect(64, eps, np.random.default_rng(5))
+        g = u @ u.conj().T - np.eye(64)
+        assert np.abs(g.real).max() < 1e-14
+        assert np.abs(g.imag).max() == pytest.approx(2 * eps, rel=1e-3)
+        if unitary:
+            assert assert_unitary(u) is u
+        else:
+            with pytest.raises(InvalidValueError, match="^operator is not unitary"):
+                assert_unitary(u)
+
+    def test_verdicts_match_the_complex_product(self):
+        verdicts = {True: 0, False: 0}
+        for name, m in _verdict_cases():
+            want = is_unitary_complex(m)
+            assert linalg._is_unitary(m) == want, name
+            verdicts[want] += 1
+        assert min(verdicts.values()) > 30  # both verdicts, many times
+
+    def test_peak_is_at_most_two_complex_arrays(self):
+        # Two now; a variant that kept v alive through the last passes read 2.5.
+        n = 256
+        u = random_unitary(n, np.random.default_rng(6))
+        linalg._is_unitary(u)  # first-call allocations, before the baseline
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert linalg._is_unitary(u)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / (16 * n * n) < 2.25
 
 
 def _reference_defect(a, trace_tol):
