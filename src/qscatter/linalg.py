@@ -145,10 +145,15 @@ def _state_defect(a: np.ndarray, trace_tol: float) -> str | None:
     # Hermiticity step holds two, and its spare takes a/2, so that h sums two
     # halves and stays finite for any finite a. A sum that overflows elsewhere
     # leaves inf or nan, which the checks refuse.
+    # a^H is read once, transposed, into a C-ordered h, and the gap is
+    # C-ordered too, so the later passes run on contiguous arrays when a is
+    # C-ordered; the factorization takes that same h.
     with np.errstate(over="ignore", invalid="ignore"):
-        h = a.conj().T
-        gap = np.subtract(a, h, order="F")  # in h's layout, for the sum below
-        if np.abs(gap, out=gap).real.max() > HERMITIAN_TOL:  # in place: no third array
+        h = np.conjugate(a.T, out=np.empty_like(a, order="C"))
+        gap = np.subtract(a, h, order="C")
+        # |gap| in place, so no third array, and its max over the float view:
+        # every imaginary part is then 0, and the real parts are contiguous.
+        if np.abs(gap, out=gap).view(float).max() > HERMITIAN_TOL:
             return "state is not Hermitian within tolerance 1e-12"
         trace = np.trace(a)
         if not abs(trace - 1.0) <= trace_tol:

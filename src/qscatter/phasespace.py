@@ -49,6 +49,15 @@ from .linalg import _state_defect, largest_side, qubit_count, wire_count
 from .scattering import _check_size, _probe_readout
 
 IMAG_RESIDUE_TOL = 1e-12
+# The largest |W| a grid may hold, B. Every grid route sums at most the
+# (2N)^2 cells of one grid or of a product of two: a line sum reaches
+# (2N)^2 B, each FFT of ``reconstruct`` (its butterflies add unit-modulus
+# multiples of one row) 2N B, and ``overlap_from_grids`` N (2N)^2 B^2, which
+# at N = 2048 is 2^35 B^2, about 3.4e210 for B = 1e100 and far below the
+# float maximum of 1.8e308; the product of two cells is at most B^2 = 1e200.
+# That pairing stays finite up to N of about 7e35, far past any grid that
+# fits in memory, so no route needs its own overflow guard.
+GRID_VALUE_BOUND = 1e100
 _PHASE_BLOCK_BYTES = 4 << 20  # phase scratch per block of grid rows, not per whole grid
 
 
@@ -100,7 +109,8 @@ def phase_point_operator(alpha: PhasePoint) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WignerGrid:
-    """Real 2n x 2n grid of quasi-probability values, indexed [q, p]."""
+    """Real 2n x 2n grid of quasi-probability values, indexed [q, p], each
+    finite and at most GRID_VALUE_BOUND = 1e100 in magnitude."""
 
     n: int
     values: np.ndarray
@@ -112,6 +122,11 @@ class WignerGrid:
             side = brief(2 * self.n)
             raise DimensionMismatchError(
                 f"grid for dimension {brief(self.n)} must be {side}x{side}, got {v.shape}"
+            )
+        peak = max(float(v.max()), -float(v.min()))  # two reductions, no temporary
+        if peak > GRID_VALUE_BOUND:
+            raise InvalidValueError(
+                f"grid values must be at most {GRID_VALUE_BOUND:g} in magnitude, got {brief(peak)}"
             )
         object.__setattr__(self, "values", v)
 

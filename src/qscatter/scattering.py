@@ -96,17 +96,17 @@ def _probe_readout(rho: np.ndarray, num_qubits: int, controlled) -> ScatteringRe
     d = rho.shape[0]
     if isinstance(controlled, np.ndarray):  # quadrants R, R U^dagger, U R, U R U^dagger
         # R = (rho h) h as prepared, X = U R, and diag(A U^dagger) as the row
-        # sums of A times conj U, for A = R and X. Those sums run in their own
-        # order, so they meet the whole-state circuit to rounding.
+        # dot products of conj U with A, for A = R and X: ``vecdot``
+        # conjugates its first operand as it goes, so no conj(U) copy is
+        # formed and the peak is R and X, two states. Those sums run in their
+        # own order, so they meet the whole-state circuit to rounding.
         h = HADAMARD[0, 0]
-        r = rho * h * h
+        r = rho * h
+        r *= h
         x = controlled @ r
         block = np.empty((2, 2, d), dtype=complex)
         block[:, 0] = r.diagonal(), x.diagonal()
-        conj_u = controlled.conj()
-        r *= conj_u
-        x *= conj_u
-        block[:, 1] = r.sum(axis=1), x.sum(axis=1)
+        block[:, 1] = np.vecdot(controlled, r), np.vecdot(controlled, x)
     else:
         if isinstance(controlled, tuple):  # controlled: the identity on the probe-0 labels
             label, phase = controlled

@@ -12,7 +12,8 @@ import traceback
 
 import numpy as np
 
-from qscatter import GateOp, PhasePoint, compose_sequence, io, phase_point_operator
+from qscatter import GateOp, compose_sequence, io
+from reference import point_operator
 
 QSCATTER = [sys.executable, "-m", "qscatter"]
 
@@ -128,11 +129,13 @@ def scatter():
 
 def wigner():
     """One Wigner value on the same states: the probe readout applies the
-    controlled 2N A(alpha) as its index map; the oracle is Re Tr(A rho)."""
+    controlled 2N A(alpha) as its index map; the oracle is Re Tr(A rho), with
+    A from the paper's closed form as a dense product (``reference``), which
+    shares nothing with that map."""
     gaps = []
     for n in (512, 1024):
         out = cli_json("wigner", "--rho", f"rho{n}.json", "--point", "301,77", "--format", "json")
-        a = phase_point_operator(PhasePoint(q=out["q"], p=out["p"], n=n))
+        a = point_operator(out["q"], out["p"], n)
         gaps.append(abs(out["w"] - np.trace(a @ io.load_matrix(f"rho{n}.json")).real))
     return max(gaps) < 1e-10, f"gap {gaps[0]:.3e} at N=512, {gaps[1]:.3e} at N=1024"
 

@@ -1,12 +1,14 @@
 """Dense reference operators the tests hold the library's fast routes to,
-the dense gate oracle the gate kernel is held to, seeded random states and
-unitaries, the reading of the gate records the library writes, the
-elementwise one-wire update the kernel's in-place branch is held to bit for
-bit, the per-gate slice kernel the ket path's composed maps are held to, the
-per-t trace series the spectrometer's power sum is held to bit for
-bit, the gate-by-gate counter circuit its circuit route is held to bit for
-bit, the whole-state probe readout the scattering readout is held to and
-the prepared whole joint state its mapped block diagonals are held to, the
+the paper's closed form of the phase-point operator built from them, the
+dense gate oracle the gate kernel is held to, seeded random states and
+unitaries, sparse states with signed-zero and subnormal entries, a matrix in
+three memory layouts, the reading of the gate records the library writes,
+the elementwise one-wire update the kernel's in-place branch is held to bit
+for bit, the per-gate slice kernel the ket path's composed maps are held to,
+the per-t trace series the spectrometer's power sum is held to bit for bit,
+the gate-by-gate counter circuit its circuit route is held to bit for bit,
+the whole-state probe readout the scattering readout is held to and the
+prepared whole joint state its mapped block diagonals are held to, the
 composition of a gate run on boolean bit planes its composition on integer
 wire planes is held to bit for bit, the complex-product unitarity check the
 real Gram check is held to verdict for verdict, and a call recorder for the
@@ -49,6 +51,53 @@ def shift_v(n: int) -> np.ndarray:
 def reflection(n: int) -> np.ndarray:
     """Position reflection |q> -> |-q mod n>; fixes |0> and squares to I."""
     return np.eye(n, dtype=complex)[(-np.arange(n)) % n]
+
+
+def point_operator(q: int, p: int, n: int) -> np.ndarray:
+    """A(q, p) = (1/2N) U^q R V^(-p) exp(i pi p q / N), the paper's closed
+    form, as the dense product of the shift, reflection and momentum-shift
+    matrices above; p q is reduced mod 2N before the exponential."""
+    power = np.linalg.matrix_power
+    product = power(shift_u(n), q) @ reflection(n) @ power(shift_v(n).conj().T, p)
+    return product * (np.exp(1j * np.pi * ((p * q) % (2 * n)) / n) / (2 * n))
+
+
+# Subnormal and signed-zero parts for the off-diagonals a sparse state leaves zero.
+TINY = np.array([5e-324, -5e-324, 1e-320, -1e-320, -3e-310, 0.0, -0.0])
+
+
+def sparse_state(n: int, rng, real: bool, signed: bool, tiny: bool = False) -> np.ndarray:
+    """A state on a random set of basis labels, real or complex; if
+    ``signed``, its zero entries carry a random sign on either part; if
+    ``tiny``, about half its zero off-diagonals take Hermitian pairs of TINY
+    parts, the imaginary part only for a complex state."""
+    support = np.flatnonzero(rng.random(n) < 0.5)
+    if support.size == 0:
+        support = rng.integers(n, size=1)
+    k = support.size
+    g = rng.standard_normal((k, k)) + (0 if real else 1j) * rng.standard_normal((k, k))
+    rho = np.zeros((n, n), dtype=complex)
+    rho[np.ix_(support, support)] = g @ g.conj().T / np.sum(np.abs(g) ** 2)
+    for part in (rho.real, rho.imag) if signed else ():
+        part[(part == 0) & (rng.random((n, n)) < 0.5)] = -0.0
+    if tiny:
+        i, j = np.triu_indices(n, 1)
+        free = (rho[i, j] == 0) & (rng.random(i.size) < 0.5)
+        i, j = i[free], j[free]
+        rho.real[i, j] = rho.real[j, i] = rng.choice(TINY, i.size)
+        if not real:
+            rho.imag[i, j] = rng.choice(TINY, i.size)
+            rho.imag[j, i] = -rho.imag[i, j]
+    return rho
+
+
+def layouts(m: np.ndarray) -> dict:
+    """``m`` C-ordered, F-ordered and as a strided view, every other row and
+    column of a zero-padded copy."""
+    n = m.shape[0]
+    big = np.zeros((2 * n, 2 * n), dtype=m.dtype)
+    big[::2, ::2] = m
+    return {"C": np.ascontiguousarray(m), "F": np.asfortranarray(m), "strided": big[::2, ::2]}
 
 
 def random_unitary(dim: int, rng=None) -> np.ndarray:

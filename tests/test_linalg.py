@@ -26,6 +26,7 @@ from qscatter.linalg import (
 from qscatter.phasespace import PhasePoint
 from qscatter.scattering import scattering_circuit
 from reference import dft_matrix, is_unitary_complex, random_density_matrix, random_unitary
+from reference import layouts, sparse_state
 
 
 class TestBasics:
@@ -380,3 +381,55 @@ class TestStateVerdicts:
         assert cp.returncode == 0, cp.stderr
         state = 1024**2 * 16
         assert int(cp.stdout) * 1024 < 3.5 * state
+
+
+class TestStateCheckLayout:
+    """The check reads a^H once into a C-ordered h, runs its passes there and
+    hands that h to the factorization."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 64, 256, 1024])
+    def test_factorization_gets_the_two_halves_bit_for_bit(self, n, monkeypatch):
+        # The matrix handed to Cholesky is a^H / 2 + a / 2 less the floor on
+        # the diagonal, as uint64, signed zeros and subnormal parts included,
+        # whether the factorization then succeeds or fails.
+        handed = []
+        cholesky = np.linalg.cholesky
+
+        def spy(h):
+            handed.append(h.copy())
+            return cholesky(h)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        rng = np.random.default_rng(n)
+        cases = [random_density_matrix(n, rng), sparse_state(n, rng, True, True, True)]
+        if n <= 256:  # and states whose factorization may fail, so that eigvalsh runs
+            cases += [sparse_state(n, rng, False, True, True), _near_floor(n, rng),
+                      _near_floor(n, rng)]
+        if n <= 64:
+            cases = [m for a in cases for m in layouts(a).values()]
+        for a in cases:
+            handed.clear()
+            linalg._state_defect(a, 1e-12)
+            want = a.conj().T * 0.5 + a * 0.5
+            want[np.diag_indices(n)] -= linalg.EIGENVALUE_FLOOR
+            assert len(handed) == 1
+            assert np.array_equal(handed[0].view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))
+
+    def test_verdicts_and_messages_do_not_depend_on_the_layout(self):
+        rng = np.random.default_rng(19)
+        n = 16
+        rho = random_density_matrix(n, rng)
+        bump = np.zeros((n, n), dtype=complex)
+        bump[2, 5] = 1e-9j
+        cases = [rho, _near_floor(n, rng), _near_floor(n, rng), _pure(n, rng),
+                 sparse_state(n, rng, False, True, True), rho + bump, 2 * rho,
+                 np.diag(np.r_[1.1, np.full(n - 1, -0.1 / (n - 1))])]
+        met = set()
+        for a in cases:
+            want = _reference_defect(a, 1e-12)
+            for layout, m in layouts(a).items():
+                assert linalg._state_defect(m, 1e-12) == want, layout
+                assert is_density_matrix(m) == (want is None)
+            met.add(want and next(k for k in ("Hermitian", "trace", "negative") if k in want))
+        assert met == {None, "Hermitian", "trace", "negative"}  # every verdict is met

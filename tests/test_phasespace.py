@@ -34,8 +34,8 @@ from qscatter.phasespace import (
     wigner_via_circuit,
 )
 from qscatter.states import basis_state, maximally_mixed, pseudo_pure
-from reference import dft_matrix, random_density_matrix, record_calls, reflection, shift_u
-from reference import shift_v
+from reference import dft_matrix, point_operator, random_density_matrix, record_calls
+from reference import reflection, shift_u, shift_v
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -141,14 +141,7 @@ class TestExplicitSumOracle:
 
     @staticmethod
     def dense_operators(n):
-        vdag = shift_v(n).conj().T
-        return {
-            (q, p): np.linalg.matrix_power(shift_u(n), q)
-            @ reflection(n)
-            @ np.linalg.matrix_power(vdag, p)
-            * (np.exp(1j * np.pi * ((p * q) % (2 * n)) / n) / (2 * n))
-            for q, p in full_grid_points(n)
-        }
+        return {(q, p): point_operator(q, p, n) for q, p in full_grid_points(n)}
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
     def test_operator_is_the_dense_product(self, n):
@@ -558,3 +551,31 @@ class TestValidation:
         bad[0, 0] = np.inf
         with pytest.raises(InvalidValueError):
             WignerGrid(n=2, values=bad)
+
+    @pytest.mark.parametrize("value", [1e308, -1e308, np.nextafter(1e100, np.inf), -2e100])
+    def test_grid_values_beyond_the_bound_are_refused(self, value):
+        # Finite, but a pairing, line sum or reconstruction of such a grid
+        # would overflow to inf.
+        bad = np.zeros((4, 4))
+        bad[1, 2] = value
+        with pytest.raises(InvalidValueError, match=r"at most 1e\+100 in magnitude, got "):
+            WignerGrid(n=2, values=bad)
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 512])
+    def test_every_grid_route_stays_finite_at_the_bound(self, n):
+        # The suite turns RuntimeWarning into an error, so an overflow inside
+        # any route fails here rather than returning inf.
+        values = np.full((2 * n, 2 * n), phasespace.GRID_VALUE_BOUND)
+        values[::3] *= -1
+        grid = WignerGrid(n=n, values=values)
+        assert np.isfinite(overlap_from_grids(grid, grid))
+        for a, b, c in ((1, 0, 0), (0, -1, 1), (2, 6, 0), (1, 1, 3), (3, 5, 2)):
+            assert np.isfinite(line_sum(grid, a, b, c))
+        assert np.isfinite(reconstruct(grid).matrix).all()
+
+    def test_the_largest_pairing_stays_finite_at_the_bound(self):
+        # N (2N)^2 B^2 at N = 2048, the budget's largest grid: about 3.4e210.
+        grid = WignerGrid(n=2048, values=np.broadcast_to(-phasespace.GRID_VALUE_BOUND,
+                                                         (4096, 4096)))
+        assert overlap_from_grids(grid, grid) == pytest.approx(2048 * 4096**2 * 1e200)
+        assert line_sum(grid, 0, 2, 0) == pytest.approx(-2 * 4096 * 1e100)
