@@ -1,9 +1,10 @@
 """Dense complex linear algebra shared by every register-level module.
 
 Matrices are plain numpy arrays of dtype complex128. Every public function
-checks each matrix its caller passes exactly once, through
-``assert_density_matrix`` / ``assert_unitary``, and never re-checks arrays
-the library builds itself; private cores take raw, already-checked arrays.
+checks and coerces each matrix its caller passes exactly once, through
+``assert_density_matrix`` / ``assert_unitary`` (or ``as_square_matrix``,
+a size check, then ``_assert_unitary``), and never re-checks arrays the
+library builds itself; private cores take raw, already-checked arrays.
 The predicate ``is_density_matrix`` coerces its argument the same way. The
 check arithmetic runs with numpy's overflow warnings off: an overflow leaves
 inf or nan, which every check refuses.
@@ -179,11 +180,15 @@ def is_density_matrix(a) -> bool:
     return _state_defect(as_square_matrix(a), TRACE_TOL) is None
 
 
-def assert_unitary(a) -> np.ndarray:
-    m = as_square_matrix(a)
+def _assert_unitary(m: np.ndarray) -> np.ndarray:
+    # The verdict alone, for a route that coerced m and checked its size first.
     if not _is_unitary(m):
         raise InvalidValueError("operator is not unitary within tolerance 1e-12")
     return m
+
+
+def assert_unitary(a) -> np.ndarray:
+    return _assert_unitary(as_square_matrix(a))
 
 
 def assert_density_matrix(a) -> np.ndarray:

@@ -16,9 +16,9 @@ permutation times a diagonal (Leonhardt, PRA 53, 2998, 1996),
 and that index map, written once in ``_point_operator`` with the integer
 phase exponent reduced mod 2N before exponentiation, is the only form of
 A(q, p) the library uses: ``wigner_via_circuit`` hands the map of the
-unitary 2N * A(q, p) to the probe readout, which forms from it only the 4N
-entries it reads, and only ``phase_point_operator`` builds the dense N x N
-matrix.
+controlled unitary 2N * A(q, p), the identity on the probe-0 labels, to the
+probe readout, which forms from it only the 4N entries it reads, and only
+``phase_point_operator`` builds the dense N x N matrix.
 U, V and R are not built here: the tests hold A(q, p) to their dense product.
 
 W(q, p) = Re Tr[A(q, p) rho] is the quasi-probability distribution of rho.
@@ -171,8 +171,10 @@ def wigner_via_circuit(rho: np.ndarray, alpha: PhasePoint) -> float:
     check_qubit_budget(probe=1, system=wire_count(max(largest_side(rho), n)))
     rho = assert_density_matrix(rho)
     _check_size(rho, n)
-    wires = qubit_count(n) + 1
-    return _probe_readout(rho, wires, _point_operator(alpha)).sigma_z / (2 * n)
+    qubit_count(n)  # the register's power of two
+    label, phase = _point_operator(alpha)  # controlled: the identity on the probe-0 labels
+    controlled = np.concatenate((np.arange(n), n + label)), np.concatenate((np.ones(n), phase))
+    return _probe_readout(rho, controlled).sigma_z / (2 * n)
 
 
 @dataclass(frozen=True)

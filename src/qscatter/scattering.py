@@ -11,11 +11,11 @@ frame the x component holds minus the imaginary part, so
 exactly. Both components are read from the probe's reduced 2x2 state, summed
 once from the evolved density matrix, so no sampling noise enters.
 
-The controlled block is a dense U or one map over the basis labels,
-U|x> = phase[x] |label[x]>: an index map (label, phase), or a list of
-permutation-times-phase gates (``scattering_circuit_gates``) composed into
-one. Either way the readout forms just the entries it sums
-(``_probe_readout``), never the whole joint state.
+The controlled block is a dense U on the system or one map over every label
+of the register, G|x> = phase[x] |label[x]>, which its caller builds: a
+composed gate list (``scattering_circuit_gates``) or the point operator's
+index map behind the probe-0 identity (``phasespace.wigner_via_circuit``).
+Either way the readout (``_probe_readout``) forms just the entries it sums.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ import numpy as np
 
 from .circuits import _KINDS, HADAMARD, _check_gates, _compose_map, _contract, phase_gate
 from .errors import DimensionMismatchError, InvalidValueError
-from .linalg import as_square_matrix, assert_density_matrix, assert_unitary, check_int
+from .linalg import _assert_unitary, as_square_matrix, assert_density_matrix, check_int
 from .linalg import check_qubit_budget, largest_side, qubit_count, wire_count
 
 # The closing frame rotation makes the x readout return -Im Tr(U rho); it
@@ -50,8 +50,8 @@ def _check_size(rho: np.ndarray, dim: int) -> None:
 
 
 def _check_operands(rho, u) -> tuple[np.ndarray, np.ndarray]:
-    # The register budgeted, rho checked and u coerced to the same size; the
-    # caller checks that u is unitary.
+    # The register budgeted, rho checked and u coerced, once, to the same
+    # size; the caller checks that u is unitary.
     check_qubit_budget(probe=1, system=wire_count(largest_side(rho, u)))
     rho, u = assert_density_matrix(rho), as_square_matrix(u)
     _check_size(rho, u.shape[0])
@@ -61,19 +61,18 @@ def _check_operands(rho, u) -> tuple[np.ndarray, np.ndarray]:
 def direct_trace(rho: np.ndarray, u: np.ndarray) -> complex:
     """Tr(U rho) evaluated without any circuit; the oracle side of the duality."""
     rho, u = _check_operands(rho, u)
-    return complex(np.einsum("ij,ji->", assert_unitary(u), rho))
+    return complex(np.einsum("ij,ji->", _assert_unitary(u), rho))
 
 
-def _mapped_diagonals(rho: np.ndarray, num_qubits: int, label: np.ndarray,
-                      phase: np.ndarray) -> np.ndarray:
+def _mapped_diagonals(rho: np.ndarray, label: np.ndarray, phase: np.ndarray) -> np.ndarray:
     # The block diagonals joint[i half + y, j half + y], as a (2, 2, half)
     # array, of the prepared joint after the map G|s> = phase[s] |label[s]>
-    # over all its labels. Each is the prepared entry at the preimages (s, t),
+    # over its 2 half labels. Each is the prepared entry at the preimages (s, t),
     # (R h) h, the value the kernel's probe Hadamard leaves on |0><0| (x) R
     # (R being rho at every w-th row and column: the work wires in |0>),
     # times phase[s] conj(phase[t]), the products of ``_apply_map`` in its
     # order, so no other entry of the joint is formed.
-    half = 1 << (num_qubits - 1)
+    half = label.size // 2
     w = half // rho.shape[0]
     h = HADAMARD[0, 0]
     preimage = np.empty_like(label)
@@ -86,14 +85,12 @@ def _mapped_diagonals(rho: np.ndarray, num_qubits: int, label: np.ndarray,
     return entries
 
 
-def _probe_readout(rho: np.ndarray, num_qubits: int, controlled) -> ScatteringResult:
+def _probe_readout(rho: np.ndarray, controlled) -> ScatteringResult:
     # Unchecked core: rho is a valid state, and the controlled block is a
-    # dense unitary on the system with no work wires, or one map: the system's
-    # index map (label, phase), or a list of permutation-times-phase gates,
-    # empty and one-gate lists too, on the wires probe, system, work. The
-    # circuit starts from the probe's |+><+|. A dense U gives the block
-    # diagonals from one N x N product, a map from O(half) prepared entries.
-    d = rho.shape[0]
+    # dense unitary on the system with no work wires, or one map (label,
+    # phase) over every label of the wires probe, system, work. The circuit
+    # starts from the probe's |+><+|. A dense U gives the block diagonals
+    # from one N x N product, a map from O(half) prepared entries.
     if isinstance(controlled, np.ndarray):  # quadrants R, R U^dagger, U R, U R U^dagger
         # R = (rho h) h as prepared, X = U R, and diag(A U^dagger) as the row
         # dot products of conj U with A, for A = R and X: ``vecdot``
@@ -104,18 +101,11 @@ def _probe_readout(rho: np.ndarray, num_qubits: int, controlled) -> ScatteringRe
         r = rho * h
         r *= h
         x = controlled @ r
-        block = np.empty((2, 2, d), dtype=complex)
+        block = np.empty((2, 2, rho.shape[0]), dtype=complex)
         block[:, 0] = r.diagonal(), x.diagonal()
         block[:, 1] = np.vecdot(controlled, r), np.vecdot(controlled, x)
     else:
-        if isinstance(controlled, tuple):  # controlled: the identity on the probe-0 labels
-            label, phase = controlled
-            label = np.concatenate((np.arange(d), d + label))
-            phase = np.concatenate((np.ones(d), phase))
-        else:
-            label, phase = _compose_map(controlled, num_qubits,
-                                        np.ones(1 << num_qubits, dtype=complex))
-        block = _mapped_diagonals(rho, num_qubits, label, phase)
+        block = _mapped_diagonals(rho, *controlled)
     # The probe's reduced state sums only the block diagonals
     # joint[i*half + y, j*half + y], and the closing gates act on the probe
     # alone, so they run on those 4*half entries only, a contiguous array
@@ -137,7 +127,8 @@ def _probe_readout(rho: np.ndarray, num_qubits: int, controlled) -> ScatteringRe
 def scattering_circuit(rho: np.ndarray, u: np.ndarray) -> ScatteringResult:
     """Run the probe circuit with a dense controlled-U block; U is checked once, here."""
     rho, u = _check_operands(rho, u)
-    return _probe_readout(rho, qubit_count(u.shape[0]) + 1, assert_unitary(u))
+    qubit_count(u.shape[0])  # a power-of-two register, before the O(N^3) unitarity check
+    return _probe_readout(rho, _assert_unitary(u))
 
 
 def scattering_circuit_gates(
@@ -159,4 +150,4 @@ def scattering_circuit_gates(
         raise InvalidValueError("scattering_circuit_gates refuses a Hadamard: measure such a"
                                 " block by passing the probe-1 quadrant of compose_sequence("
                                 "gates, num_qubits) to scattering_circuit")
-    return _probe_readout(rho, n, gates)
+    return _probe_readout(rho, _compose_map(gates, n, np.ones(1 << n, dtype=complex)))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValueError
-from .linalg import as_real_array, as_square_matrix, assert_unitary, check_int
+from .linalg import _assert_unitary, as_real_array, as_square_matrix, assert_unitary, check_int
 from .linalg import check_qubit_budget, largest_side, qubit_count, wire_count
 
 _SERIES_SELF_CHECK_TOL = 1e-9
@@ -208,7 +208,7 @@ def spectral_density_via_circuit(u: np.ndarray, n1: int) -> SpectralSeries:
     check_qubit_budget(probe=1, counter=n1, system=wire_count(largest_side(u)))
     u = as_square_matrix(u)
     qubit_count(u.shape[0])  # a power-of-two register, before the O(N^3) unitarity check
-    u = assert_unitary(u)
+    u = _assert_unitary(u)
     n = u.shape[0]
     d = 1 << n1
 

@@ -7,10 +7,12 @@ the elementwise one-wire update the kernel's in-place branch is held to bit
 for bit, the per-gate slice kernel the ket path's composed maps are held to,
 the per-t trace series the spectrometer's power sum is held to bit for bit,
 the gate-by-gate counter circuit its circuit route is held to bit for bit,
-the whole-state probe readout the scattering readout is held to and the
+the whole-state probe readout the scattering readout is held to (its block
+a dense U or one map over the whole register, never a gate list) and the
 prepared whole joint state its mapped block diagonals are held to, the
-composition of a gate run on boolean bit planes its composition on integer
-wire planes is held to bit for bit, the complex-product unitarity check the
+composition of a gate run on boolean bit planes, which its composition on
+integer wire planes is held to bit for bit and which builds each gate
+list's map for the readout tests, the complex-product unitarity check the
 real Gram check is held to verdict for verdict, and a call recorder for the
 tests that count checks."""
 
@@ -256,33 +258,30 @@ def plus_joint(rho: np.ndarray, num_qubits: int) -> np.ndarray:
     return joint
 
 
-def probe_readout_full(rho: np.ndarray, num_qubits: int, controlled) -> ScatteringResult:
+def probe_readout_full(rho: np.ndarray, controlled) -> ScatteringResult:
     """The probe circuit with every probe gate run on the whole joint state by
     the gate kernel: |0><0| (x) rho (rho at every w-th row and column), a
-    Hadamard, the controlled block (a dense U, its index map (label, phase),
-    or any gate list, Hadamards included), a Hadamard and the frame
-    PhaseShift(-pi/2), then the z and x readout. The polarization
-    ``scattering._probe_readout`` must match, bit for bit but for a dense U,
-    which it meets to rounding; it takes the same unchecked arguments, and a
-    gate list there holds no Hadamard."""
+    Hadamard, the controlled block (a dense U on the system, or one map
+    (label, phase) over every label of the register, applied by
+    ``_apply_map``), a Hadamard and the frame PhaseShift(-pi/2), then the z
+    and x readout. The polarization ``scattering._probe_readout`` must match,
+    bit for bit but for a dense U, which it meets to rounding; it takes the
+    same unchecked arguments."""
     d = rho.shape[0]
-    w = (1 << num_qubits) // (2 * d)
+    size = 2 * d if isinstance(controlled, np.ndarray) else controlled[0].size
+    num_qubits, w = size.bit_length() - 1, size // (2 * d)
     hadamard = GateOp("Hadamard", (0,))
-    joint = np.zeros((2 * d * w, 2 * d * w), dtype=complex)
+    joint = np.zeros((size, size), dtype=complex)
     joint[: d * w : w, : d * w : w] = rho
-    gates = controlled if isinstance(controlled, list) else []
-    _apply_sequence(joint, [hadamard, *gates], num_qubits)
-    if isinstance(controlled, tuple):
-        label, phase = controlled
-        _apply_map(joint, np.r_[np.arange(d), d + label], np.r_[np.ones(d), phase])
-    elif isinstance(controlled, np.ndarray):
-        u = controlled
-        if d == 2:
-            contract_elementwise(joint[d:], 0, u)
-            contract_elementwise(joint[:, d:], 1, u.conj())
-        else:
-            joint[d:] = u @ joint[d:]
-            joint[:, d:] = joint[:, d:] @ u.conj().T
+    _apply_sequence(joint, [hadamard], num_qubits)
+    if not isinstance(controlled, np.ndarray):
+        _apply_map(joint, *controlled)
+    elif d == 2:
+        contract_elementwise(joint[d:], 0, controlled)
+        contract_elementwise(joint[:, d:], 1, controlled.conj())
+    else:
+        joint[d:] = controlled @ joint[d:]
+        joint[:, d:] = joint[:, d:] @ controlled.conj().T
     _apply_sequence(joint, [hadamard, GateOp("PhaseShift", (0,), theta=-np.pi / 2)], num_qubits)
     return ScatteringResult(sigma_z=pauli_expectation(joint, "z", 0),
                             sigma_x=pauli_expectation(joint, "x", 0))

@@ -4,7 +4,8 @@ Every public function checks each matrix its caller passes exactly once;
 arrays the library builds itself (the probe-and-system joint state, evolved
 states, depolarized and basis states, and the 2N * A(alpha) that
 ``wigner_via_circuit`` hands to the probe readout) are never checked again.
-``scattering_circuit`` checks its U once, and the gate kernel, which works in
+Each operand is coerced once and each U checked once, a route that checks a
+U's size before its unitarity included, and the gate kernel, which works in
 place, never reaches a caller's array. A gate is checked when it is made;
 where a gate list is used only its wires are held to the register. Every
 route, the dimension factories included, refuses an over-budget register
@@ -15,6 +16,7 @@ boolean, inside its range, and no message prints an integer too long to print.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -363,14 +365,26 @@ def _shape(a, *args, **kwargs):
 
 @pytest.mark.parametrize("name", CALL_COUNTS)
 def test_each_input_is_checked_exactly_once(name, monkeypatch):
+    # Every accepted state is factored once, so the factor shapes count the
+    # states, and each operand is coerced once. The library's checks are
+    # recorded at every qscatter module that binds them, so no route can
+    # coerce or check again through its own import.
     call, want_factor, want_unitary = CALL_COUNTS[name]
     factor_shapes = record_calls(monkeypatch, np.linalg, "cholesky", entry=_shape)
     eig_shapes = record_calls(monkeypatch, np.linalg, "eigvalsh", entry=_shape)
-    unitary_checks = record_calls(monkeypatch, linalg, "_is_unitary")
+    checks = []
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "qscatter"]
+    for checked in ("as_square_matrix", "_state_defect", "_is_unitary"):
+        original = getattr(linalg, checked)
+        for module in modules:
+            if vars(module).get(checked) is original:
+                record_calls(monkeypatch, module, checked, checks)
     call()
     assert factor_shapes == want_factor
     assert eig_shapes == []
-    assert len(unitary_checks) == want_unitary
+    assert checks.count("as_square_matrix") == len(want_factor) + want_unitary
+    assert checks.count("_state_defect") == len(want_factor)
+    assert checks.count("_is_unitary") == want_unitary
 
 
 def test_trace_series_self_check_does_not_call_eigvals(monkeypatch):
@@ -461,21 +475,23 @@ def test_budget_is_refused_before_any_check(name, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "route",
+    "route,slug",
     [
-        lambda u: scattering.scattering_circuit(np.eye(3) / 3, u),
-        lambda u: spectrometer.spectral_density_via_circuit(u, 2),
+        (lambda u: scattering.scattering_circuit(np.eye(3) / 3, u), "not-power-of-two"),
+        (lambda u: spectrometer.spectral_density_via_circuit(u, 2), "not-power-of-two"),
+        (lambda u: scattering.direct_trace(np.eye(2) / 2, u), "dimension-mismatch"),
     ],
-    ids=["scattering_circuit", "spectral_density_via_circuit"],
+    ids=["scattering_circuit", "spectral_density_via_circuit", "direct_trace"],
 )
-def test_circuit_routes_refuse_the_dimension_before_the_unitarity_check(route, monkeypatch):
+def test_circuit_routes_refuse_the_dimension_before_the_unitarity_check(route, slug, monkeypatch):
+    # direct_trace takes any size, so its 3x3 operator is refused by the 2x2 state's size.
     def refuse(*args, **kwargs):
         raise AssertionError("a 3x3 operator reached the unitarity check")
 
     monkeypatch.setattr(linalg, "_is_unitary", refuse)
-    with pytest.raises(PowerOfTwoError) as err:
+    with pytest.raises((PowerOfTwoError, DimensionMismatchError)) as err:
         route(np.diag([1.0, 2.0, 3.0]))  # not unitary either
-    assert err.value.slug == "not-power-of-two"
+    assert err.value.slug == slug
 
 
 def test_factory_rules_stop_at_the_largest_register():

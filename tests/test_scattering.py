@@ -4,11 +4,14 @@ The circuit route (Hadamard, controlled-U, Hadamard, frame rotation, Pauli
 readout) must reproduce Tr(U rho) computed directly, for every state and
 unitary, to near machine precision. The readout prepares the probe's
 |+><+| directly and runs the closing probe gates only on the entries it
-reads; its block, a dense U or one map (an index map, or a list of
-permutation-times-phase gates), forms only those entries, and a gate list
-with a Hadamard is refused. Its polarization is held to the circuit run gate
-by gate on the whole joint state (``reference.probe_readout_full``): bit for
-bit, and for a dense U, whose sums run in another order, to rounding.
+reads; its block, a dense U or one map over the whole register (a widened
+index map, or a composed list of permutation-times-phase gates), forms only
+those entries, and a gate list with a Hadamard is refused. Its polarization
+is held to the circuit run gate by gate on the whole joint state
+(``reference.probe_readout_full``): bit for bit, and for a dense U, whose
+sums run in another order, to rounding. The tests build each list's map with
+``reference.compose_map_bool_planes``, so neither side of a bit pin runs
+``circuits._compose_map``.
 """
 
 import tracemalloc
@@ -34,7 +37,7 @@ from qscatter.scattering import (
 from qscatter.states import basis_state, maximally_mixed
 from qscatter.synthesis import synth_phase_point_circuit
 from reference import plus_joint, probe_readout_full, random_density_matrix, random_unitary
-from reference import layouts, record_calls, sparse_state
+from reference import compose_map_bool_planes, layouts, record_calls, sparse_state
 
 
 class TestKnownTraces:
@@ -139,6 +142,13 @@ def mapped_gates(wires: int, count: int, rng) -> list[GateOp]:
     return gates
 
 
+def probe_zero_identity(label: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A system's index map as the controlled block's map over the whole
+    register: the identity on the probe-0 labels, the map on the probe-1 ones."""
+    n = label.size
+    return np.concatenate((np.arange(n), n + label)), np.concatenate((np.ones(n), phase))
+
+
 # How far a dense-U readout may sit from the whole-state circuit.
 DENSE_TOL = 1e-14
 
@@ -149,11 +159,12 @@ def polarization_bits(res: ScatteringResult) -> list[int]:
 
 class TestReadoutBits:
     """The readout starts from |+><+| (x) rho and runs the closing Hadamard
-    and frame on the block diagonals alone; under a map (an index map, a
-    synthesized point circuit with or without idle work wires, any list of
+    and frame on the block diagonals alone; under a map (an index map
+    widened by the probe-0 identity, or the map of a synthesized point
+    circuit with or without idle work wires or of any list of
     permutation-times-phase gates, empty and one-gate lists included) it
     forms only those. sigma_z and sigma_x are bit for bit those of the
-    whole-state circuit, which runs a lone gate and the frame as maps on the
+    whole-state circuit, which runs the map and the frame as maps on the
     whole joint, signed zeros included. A dense U forms its block diagonals
     from one N x N product and row sums, whose order moves last bits: it is
     held to the whole-state circuit within DENSE_TOL (2.8e-16 measured,
@@ -213,20 +224,20 @@ class TestReadoutBits:
         else:
             rho = random_density_matrix(n, rng)
         if route == "dense":
-            u = real_orthogonal(n, rng) if real else random_unitary(n, rng)
-            args = (k + 1, u)
+            block = real_orthogonal(n, rng) if real else random_unitary(n, rng)
         elif route == "mapped":  # any wires, the probe's too, and 0-2 work wires
             wires = k + 1 + work
-            args = (wires, mapped_gates(wires, int(rng.integers(0, 40)), rng))
+            block = compose_map_bool_planes(mapped_gates(wires, int(rng.integers(0, 40)), rng),
+                                            wires)
         else:
             q, p = (int(v) for v in rng.integers(2 * n, size=2))
             alpha = PhasePoint(q=q, p=0 if real else p, n=n)
             if route == "map":
-                args = (k + 1, _point_operator(alpha))
+                block = probe_zero_identity(*_point_operator(alpha))
             else:
                 seq = synth_phase_point_circuit(alpha)
-                args = (seq.num_qubits + 2 * (route == "idle"), list(seq.gates))
-        got, want = _probe_readout(rho, *args), probe_readout_full(rho, *args)
+                block = compose_map_bool_planes(seq.gates, seq.num_qubits + 2 * (route == "idle"))
+        got, want = _probe_readout(rho, block), probe_readout_full(rho, block)
         if route == "dense":
             assert abs(got.sigma_z - want.sigma_z) < DENSE_TOL
             assert abs(got.sigma_x - want.sigma_x) < DENSE_TOL
@@ -252,7 +263,8 @@ class TestReadoutBits:
                 targets = tuple(int(v) for v in rng.choice(wires, _KINDS[kind][0], replace=False))
                 theta = float(rng.uniform(-7, 7)) if "Phase" in kind else None
                 gates = [GateOp(kind, targets, theta=theta)]
-            got, want = _probe_readout(rho, wires, gates), probe_readout_full(rho, wires, gates)
+            block = compose_map_bool_planes(gates, wires)
+            got, want = _probe_readout(rho, block), probe_readout_full(rho, block)
             assert polarization_bits(got) == polarization_bits(want)
 
     @pytest.mark.parametrize("n", [2, 8, 64, 512, 2048])
@@ -261,10 +273,10 @@ class TestReadoutBits:
         rng = np.random.default_rng(n)
         rho = random_density_matrix(n, rng) if n <= 512 else sparse_state(n, rng, False, True)
         alpha = PhasePoint(*(int(v) for v in rng.integers(2 * n, size=2)), n=n)
-        args = (n.bit_length(), _point_operator(alpha))
-        got = _probe_readout(rho, *args)
+        block = probe_zero_identity(*_point_operator(alpha))
+        got = _probe_readout(rho, block)
         if n <= 512:
-            assert polarization_bits(got) == polarization_bits(probe_readout_full(rho, *args))
+            assert polarization_bits(got) == polarization_bits(probe_readout_full(rho, block))
         else:
             want = np.einsum("ij,ji->", phase_point_operator(alpha), rho) * 2 * n
             assert abs(got.trace_estimate - want) < 1e-10
@@ -275,10 +287,9 @@ class TestReadoutBits:
         # circuit would take a 2N x 2N joint, so Tr(U rho) is the judge.
         rng = np.random.default_rng(n)
         rho, u = random_density_matrix(n, rng), random_unitary(n, rng)
-        args = (n.bit_length(), u)
-        got = _probe_readout(rho, *args)
+        got = _probe_readout(rho, u)
         if n <= 512:
-            want = probe_readout_full(rho, *args)
+            want = probe_readout_full(rho, u)
             assert abs(got.sigma_z - want.sigma_z) < DENSE_TOL
             assert abs(got.sigma_x - want.sigma_x) < DENSE_TOL
         else:
@@ -293,7 +304,7 @@ class TestDenseLayouts:
     def test_every_layout_reads_as_the_c_ordered_one(self, n):
         rng = np.random.default_rng(70 + n)
         rho, u = random_density_matrix(n, rng), random_unitary(n, rng)
-        want, trace = _probe_readout(rho, n.bit_length(), u), direct_trace(rho, u)
+        want, trace = _probe_readout(rho, u), direct_trace(rho, u)
         for r in layouts(rho).values():
             for v in layouts(u).values():
                 got = scattering_circuit(r, v)
@@ -347,7 +358,7 @@ class TestNoNegativeZero:
         rho = np.eye(2, dtype=complex) / 2
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(scattering, "_mapped_diagonals", lambda *args: block.copy())
-            res = _probe_readout(rho, 2, (np.arange(2), np.ones(2, dtype=complex)))
+            res = _probe_readout(rho, (np.arange(4), np.ones(4, dtype=complex)))
         for value in (res.sigma_z, res.sigma_x):
             assert not (value == 0 and np.signbit(value))
 
@@ -365,13 +376,12 @@ class TestMappedBlock:
         n, wires = 1 << k, k + 1 + work
         rng = np.random.default_rng(100 * k + 10 * work + seed)
         rho = sparse_state(n, rng, bool(seed % 2), True)
-        label, phase = _compose_map(mapped_gates(wires, 30, rng), wires,
-                                    np.ones(1 << wires, dtype=complex))
+        label, phase = compose_map_bool_planes(mapped_gates(wires, 30, rng), wires)
         joint = plus_joint(rho, wires)
         _apply_map(joint, label, phase)
         half = 1 << (wires - 1)
         want = np.einsum("iyjy->ijy", joint.reshape(2, half, 2, half)).copy()
-        got = _mapped_diagonals(rho, wires, label, phase)
+        got = _mapped_diagonals(rho, label, phase)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
@@ -444,17 +454,25 @@ class TestHadamardRefusal:
         assert abs(res.trace_estimate - direct_trace(rho, PAULI_Z)) < 1e-12
 
 
+def composed(gates, wires: int) -> tuple[np.ndarray, np.ndarray]:
+    """A gate list's map as ``scattering_circuit_gates`` composes it."""
+    return _compose_map(gates, wires, np.ones(1 << wires, dtype=complex))
+
+
 class TestReadoutMemory:
     """Peak traced memory of one readout, in states (N x N complex); the
-    joint would be 4 states."""
+    joint would be 4 states. ``block()`` builds the readout's block inside
+    the measured window: a gate list is composed there, as
+    ``scattering_circuit_gates`` composes it, and an index map widened, as
+    ``phasespace.wigner_via_circuit`` widens it."""
 
     @staticmethod
-    def peak_bytes(rho, *args) -> int:
-        _probe_readout(rho, *args)  # first-call allocations, before the baseline
+    def peak_bytes(rho, block) -> int:
+        _probe_readout(rho, block())  # first-call allocations, before the baseline
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _probe_readout(rho, *args)
+            _probe_readout(rho, block())
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -464,14 +482,14 @@ class TestReadoutMemory:
         # copy beside them took 3.07; the joint alone would be 4.
         rng = np.random.default_rng(128)
         rho, u = random_density_matrix(128, rng), random_unitary(128, rng)
-        assert self.peak_bytes(rho, 8, u) / (128 * 128 * 16) < 2.25
+        assert self.peak_bytes(rho, lambda: u) / (128 * 128 * 16) < 2.25
 
     def test_index_map(self):
         # A few (2, 2, N) arrays: 0.24 states. The joint and the map's spare
         # took 2.01 joints, 8.04 states.
         rho = random_density_matrix(128, np.random.default_rng(129))
         u = _point_operator(PhasePoint(q=77, p=201, n=128))
-        assert self.peak_bytes(rho, 8, u) / (128 * 128 * 16) < 0.5
+        assert self.peak_bytes(rho, lambda: probe_zero_identity(*u)) / (128 * 128 * 16) < 0.5
 
     def test_synthesized_list(self):
         # 426 gates on 9 wires, whose joint would be 16 states: the composed
@@ -479,26 +497,26 @@ class TestReadoutMemory:
         rho = random_density_matrix(128, np.random.default_rng(130))
         seq = synth_phase_point_circuit(PhasePoint(q=77, p=201, n=128))
         assert seq.num_qubits == 9
-        assert self.peak_bytes(rho, 9, list(seq.gates)) / (128 * 128 * 16) < 1.0
+        assert self.peak_bytes(rho, lambda: composed(seq.gates, 9)) / (128 * 128 * 16) < 1.0
 
     def test_synthesized_list_with_an_idle_work_wire(self):
         # The same circuit on 10 wires, whose joint would be 64 states: 0.91
         # states, the composed map's bit planes and labels over 1,024 labels.
         rho = random_density_matrix(128, np.random.default_rng(132))
         seq = synth_phase_point_circuit(PhasePoint(q=77, p=201, n=128))
-        assert self.peak_bytes(rho, 10, list(seq.gates)) / (128 * 128 * 16) < 1.0
+        assert self.peak_bytes(rho, lambda: composed(seq.gates, 10)) / (128 * 128 * 16) < 1.0
 
     def test_empty_list(self):
         # The identity map and the block diagonals: 0.22 states.
         rho = random_density_matrix(128, np.random.default_rng(133))
-        assert self.peak_bytes(rho, 8, []) / (128 * 128 * 16) < 1.0
+        assert self.peak_bytes(rho, lambda: composed([], 8)) / (128 * 128 * 16) < 1.0
 
     @pytest.mark.parametrize("gate", [GateOp("CNOT", (0, 1)), GateOp("PauliX", (3,))])
     def test_one_gate(self, gate):
         # The composed map of one gate and the block diagonals: 0.20 states.
         # Run on the joint, the gate held 6.0-8.0.
         rho = random_density_matrix(128, np.random.default_rng(131))
-        assert self.peak_bytes(rho, 8, [gate]) / (128 * 128 * 16) < 0.5
+        assert self.peak_bytes(rho, lambda: composed([gate], 8)) / (128 * 128 * 16) < 0.5
 
 
 class TestValidation:
