@@ -113,7 +113,8 @@ def _check_gates(gates, num_qubits: int) -> list[GateOp]:
     for g in gates:
         if not isinstance(g, GateOp):
             raise InvalidValueError(f"gate lists hold GateOp records, got {brief(g)}")
-        check_int(max(g.targets), f"{g.kind} wire index", 0, num_qubits)
+        if max(g.targets) >= num_qubits:  # each wire is an int >= 0 since made
+            check_int(max(g.targets), f"{g.kind} wire index", 0, num_qubits)
     return gates
 
 
@@ -165,9 +166,10 @@ def _compose_map(gates, n: int, phase: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # planes is set. ``phase`` holds the starting phases, one per label along
     # its first axis. The labels are read from the planes once, at the end.
     size = 1 << n
-    place = 1 << np.arange(n - 1, -1, -1)
-    planes = [_pack(row) for row in np.arange(size) & place[:, None] != 0]
     every = (1 << size) - 1
+    # Plane w is bit s = n - 1 - w of each label, runs of 2^s zeros then ones: the low
+    # 2^s bits of each 2^(s+1)-bit block, every // (2^(2^s) + 1) exactly, shifted up.
+    planes = [every // ((1 << (1 << s)) + 1) << (1 << s) for s in range(n - 1, -1, -1)]
     lead = (size,) + (1,) * (phase.ndim - 1)
     for g in gates:
         *controls, t = g.targets
@@ -182,16 +184,13 @@ def _compose_map(gates, n: int, phase: np.ndarray) -> tuple[np.ndarray, np.ndarr
                 np.multiply(phase, factor, out=phase, where=_unpack(where, size).reshape(lead))
         if flip:
             planes[t] ^= on
-    return place @ np.array([_unpack(p, size) for p in planes]), phase
-
-
-def _pack(mask: np.ndarray) -> int:
-    # A boolean row as an int whose bit i is mask[i].
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+    width = (size + 7) // 8 * 8  # each plane in whole bytes, so one unpack reads them all
+    bits = _unpack(sum(p << w * width for w, p in enumerate(planes)), n * width)
+    return (1 << np.arange(n - 1, -1, -1)) @ bits.reshape(n, width)[:, :size], phase
 
 
 def _unpack(bits: int, size: int) -> np.ndarray:
-    # The inverse of ``_pack``: bits 0 .. size-1 of a non-negative int as a boolean row.
+    # Bits 0 .. size-1 of a non-negative int as a boolean row.
     raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=size, bitorder="little").view(bool)
 

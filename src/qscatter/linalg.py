@@ -35,11 +35,10 @@ EIGENVALUE_FLOOR = -1e-10
 
 def check_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
     """``value`` as a plain int; anything else, a boolean, or outside [lo, hi) is refused."""
-    # A plain int first: the common case, and the cheapest test.
-    if type(value) is int or (isinstance(value, (int, np.integer))
-                              and not isinstance(value, bool)):
+    plain = type(value) is int  # the common case, the cheapest test, and returned as is
+    if plain or (isinstance(value, (int, np.integer)) and not isinstance(value, bool)):
         if (lo is None or value >= lo) and (hi is None or value < hi):
-            return int(value)
+            return value if plain else int(value)
     span = f" in [{lo}, {brief(hi)})" if hi is not None else f" >= {lo}" if lo is not None else ""
     raise InvalidValueError(f"{what} must be an integer{span}, got {brief(value)}")
 

@@ -145,7 +145,7 @@ def wigner_direct(rho: np.ndarray) -> WignerGrid:
     # row q of f is the FFT of the anti-diagonal rho[j, (q - j) % n], shared by q + n
     f = np.fft.fft(rho[j, (j[:, None] - j) % n], axis=1)
     phase = np.exp(1j * np.pi * k / n) / m
-    raw = f[np.ix_(k % n, k % n)]
+    raw = np.broadcast_to(f[:, None], (2, n, 2, n)).reshape(m, m)  # copies f to all 4 blocks
     del f
     rows = max(1, _PHASE_BLOCK_BYTES // (24 * m))  # int64 index + complex gather
     for top in range(0, m, rows):
@@ -234,6 +234,10 @@ def line_sum(w: WignerGrid, a: int, b: int, c: int) -> float:
             f"line direction (a, b) = ({brief(a)}, {brief(b)}) is (0, 0) mod {m}: no line"
         )
     a, b = a % m, b % m
+    if a * b == 0 and math.gcd(a + b, m) == 1:  # an axis line: one whole row or column
+        k = c * pow(a + b, -1, m) % m  # row q = -k (a = 0), or column p = k (b = 0)
+        line = w.values[-k] if a == 0 else np.ascontiguousarray(w.values[:, k])
+        return float(np.add.reduce(line))
     # Row q meets the line where a p = b q + c (mod m): at the g = gcd(a, m)
     # cells p0 + k m/g when g divides b q + c. With h = gcd(b, g), that holds
     # for the rows q = q0 (mod g/h) if h divides c, and for no row otherwise.
@@ -246,7 +250,5 @@ def line_sum(w: WignerGrid, a: int, b: int, c: int) -> float:
     q0 = -(c // h) * pow(b // h, -1, step) % step
     p0, dp = (b * q0 + c) // g * inverse % width, b // h * inverse % width
     cells = w.values.reshape(m, g, width)
-    if dp == 0:  # a column that does not move: basic slicing, copied to sum in order
-        return float(np.ascontiguousarray(cells[q0::step, :, p0]).sum())
     q = np.arange(q0, m, step)
-    return float(cells[q, :, np.arange(p0, p0 + q.size * dp, dp) % width].sum())
+    return float(cells[q, :, (p0 + dp * np.arange(q.size)) % width].sum())

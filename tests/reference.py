@@ -12,9 +12,11 @@ a dense U or one map over the whole register, never a gate list) and the
 prepared whole joint state its mapped block diagonals are held to, the
 composition of a gate run on boolean bit planes, which its composition on
 integer wire planes is held to bit for bit and which builds each gate
-list's map for the readout tests, the complex-product unitarity check the
-real Gram check is held to verdict for verdict, and a call recorder for the
-tests that count checks."""
+list's map for the readout tests, the starting wire planes packed from
+boolean rows that its integer planes are held to, the Wigner grid with its
+four blocks gathered whole that the tiled grid is held to bit for bit, the
+complex-product unitarity check the real Gram check is held to verdict for
+verdict, and a call recorder for the tests that count checks."""
 
 from functools import reduce
 
@@ -66,6 +68,20 @@ def point_operator(q: int, p: int, n: int) -> np.ndarray:
 
 # Subnormal and signed-zero parts for the off-diagonals a sparse state leaves zero.
 TINY = np.array([5e-324, -5e-324, 1e-320, -1e-320, -3e-310, 0.0, -0.0])
+
+
+def wigner_grid_gather(rho: np.ndarray) -> np.ndarray:
+    """W(q, p) over the 2N x 2N grid with its four N x N blocks gathered whole
+    by ``np.ix_``: one FFT per anti-diagonal rho[j, (q - j) % N], the grid
+    cell (q, p) read from row q % N, column p % N, and multiplied once by
+    exp(i pi (q p mod 2N) / N) / 2N. ``wigner_direct`` tiles the blocks and
+    multiplies by rows and must match it bit for bit."""
+    n = rho.shape[0]
+    m = 2 * n
+    j, k = np.arange(n), np.arange(m)
+    f = np.fft.fft(rho[j, (j[:, None] - j) % n], axis=1)
+    phase = np.exp(1j * np.pi * k / n) / m
+    return (f[np.ix_(k % n, k % n)] * phase[k[:, None] * k % m]).real + 0.0
 
 
 def sparse_state(n: int, rng, real: bool, signed: bool, tiny: bool = False) -> np.ndarray:
@@ -285,6 +301,15 @@ def probe_readout_full(rho: np.ndarray, controlled) -> ScatteringResult:
     _apply_sequence(joint, [hadamard, GateOp("PhaseShift", (0,), theta=-np.pi / 2)], num_qubits)
     return ScatteringResult(sigma_z=pauli_expectation(joint, "z", 0),
                             sigma_x=pauli_expectation(joint, "x", 0))
+
+
+def wire_planes_packbits(n: int) -> list[int]:
+    """Wire w of every label 0 .. 2^n - 1 as a Python int whose bit i is wire
+    w of label i, packed from a boolean row by ``np.packbits``: the starting
+    planes ``circuits._compose_map`` builds by integer arithmetic."""
+    place = 1 << np.arange(n - 1, -1, -1)
+    rows = np.arange(1 << n) & place[:, None] != 0
+    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in rows]
 
 
 def compose_map_bool_planes(gates, n: int) -> tuple[np.ndarray, np.ndarray]:

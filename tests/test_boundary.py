@@ -15,6 +15,7 @@ Every integer argument follows one rule: a Python or numpy integer, never a
 boolean, inside its range, and no message prints an integer too long to print.
 """
 
+import enum
 import json
 import sys
 
@@ -262,6 +263,20 @@ def test_integer_rule_returns_a_plain_int():
     for value, lo, hi in ((4, 0, 4), (-1, 0, None), (np.bool_(True), None, None), (2.0, None, None)):
         with pytest.raises(InvalidValueError, match="^x must be an integer"):
             linalg.check_int(value, "x", lo, hi)
+
+
+def test_integer_rule_passes_a_plain_int_through_and_converts_int_subclasses():
+    class Wire(enum.IntEnum):
+        TOP = 2
+
+    big = 10**30
+    assert linalg.check_int(big, "x", 0) is big
+    got = linalg.check_int(Wire.TOP, "x", 0, 4)
+    assert type(got) is int and got == 2
+    with pytest.raises(InvalidValueError, match=r"^x must be an integer in \[0, 2\), got "):
+        linalg.check_int(Wire.TOP, "x", 0, 2)
+    with pytest.raises(InvalidValueError, match=r"^x must be an integer in \[0, 4\), got True$"):
+        linalg.check_int(True, "x", 0, 4)
 
 
 @pytest.mark.parametrize("p", [True, False, np.bool_(True), "0.5", None, "", -0.1, 1.5, np.nan])

@@ -37,7 +37,7 @@ from qscatter.states import basis_state, maximally_mixed, pseudo_pure
 from qscatter.synthesis import GateSequence, sequence_to_json, synth_phase_point_circuit
 from reference import compose_map_bool_planes, controlled, dense_gate, dense_product
 from reference import gate_from_record, hadamards_elementwise, kets_gate_by_gate
-from reference import random_density_matrix, random_unitary, record_calls
+from reference import random_density_matrix, random_unitary, record_calls, wire_planes_packbits
 
 
 def bit(index, wire, n):
@@ -418,6 +418,25 @@ class TestComposedMapBits:
             self.assert_same_map(list(seq.gates), seq.num_qubits + idle)
 
 
+class TestStartingPlanes:
+    """The starting wire planes, built by integer arithmetic, are the
+    ``np.packbits`` planes of ``reference.wire_planes_packbits``, and the
+    labels read back from them in one unpack are the identity."""
+
+    @pytest.mark.parametrize("n", range(QUBIT_BUDGET + 1))
+    def test_planes_match_the_packbits_oracle(self, n, monkeypatch):
+        # n = 0: one label and no planes, so nothing to unpack but one label.
+        label, phase = _compose_map([], n, np.ones(1 << n, dtype=complex))
+        assert label.dtype == np.intp and np.array_equal(label, np.arange(1 << n))
+        assert np.array_equal(phase, np.ones(1 << n))
+        # A PauliZ on wire w unpacks one mask, plane w, before the labels.
+        unpacked = record_calls(monkeypatch, circuits, "_unpack", entry=lambda bits, size: bits)
+        for w, plane in enumerate(wire_planes_packbits(n)):
+            unpacked.clear()
+            _compose_map([GateOp("PauliZ", (w,))], n, np.ones(1 << n, dtype=complex))
+            assert len(unpacked) == 2 and unpacked[0] == plane
+
+
 SYNTH_VERIFY_POINTS = [
     tuple(int(x) for x in re.fullmatch(r"n(\d+)_q(\d+)_p(\d+)", key).groups())
     for key in json.loads((Path(__file__).parent / "fixtures" / "synth_verify.json").read_text())
@@ -522,6 +541,23 @@ class TestValidation:
     def test_wire_out_of_range(self):
         with pytest.raises(InvalidValueError, match=r"wire index must be an integer in \[0, 2\)"):
             apply_sequence(maximally_mixed(4), [GateOp("Hadamard", (2,))])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda gates: apply_sequence(maximally_mixed(4), gates),
+            lambda gates: compose_sequence(gates, 2),
+            lambda gates: scattering_circuit_gates(maximally_mixed(2), gates, 2),
+            lambda gates: GateSequence(num_qubits=2, gates=gates),
+        ],
+        ids=["apply_sequence", "compose_sequence", "scattering_circuit_gates", "GateSequence"],
+    )
+    def test_every_gate_list_words_the_wire_refusal_alike(self, call):
+        # The widest wire is the control here, not the target.
+        gates = [GateOp("PauliX", (1,)), GateOp("CNOT", (2, 0))]
+        with pytest.raises(InvalidValueError) as refusal:
+            call(gates)
+        assert str(refusal.value) == "CNOT wire index must be an integer in [0, 2), got 2"
 
     def test_missing_theta(self):
         with pytest.raises(InvalidValueError, match="theta"):

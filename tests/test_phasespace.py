@@ -34,8 +34,8 @@ from qscatter.phasespace import (
     wigner_via_circuit,
 )
 from qscatter.states import basis_state, maximally_mixed, pseudo_pure
-from reference import dft_matrix, point_operator, random_density_matrix, record_calls
-from reference import reflection, shift_u, shift_v
+from reference import dft_matrix, layouts, point_operator, random_density_matrix, record_calls
+from reference import reflection, shift_u, shift_v, wigner_grid_gather
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -204,6 +204,13 @@ class TestWignerGrids:
         for label in range(n):
             w = wigner_direct(basis_state(label, n))
             assert np.abs(w.values - strip_pattern(label, n)).max() < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 32, 512])
+    def test_tiled_grid_matches_the_whole_gather_bit_for_bit(self, n):
+        # Odd N too: the grid side 2N is then no power of two.
+        rho = random_density_matrix(n, np.random.default_rng(300 + n))
+        want = wigner_grid_gather(rho)
+        assert np.array_equal(wigner_direct(rho).values.view(np.uint64), want.view(np.uint64))
 
     def test_maximally_mixed_lattice(self):
         # 1/N^2 on points with both coordinates even, zero elsewhere
@@ -437,6 +444,27 @@ class TestLineSums:
         cells = [w.values[q, p] for q in range(m) for p in range(m) if (a * p - b * q - c) % m == 0]
         got, want = np.array(line_sum(w, a, b, c)), np.array(cells, dtype=float).sum()
         assert got.view(np.uint64) == want.view(np.uint64)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 8, 32])
+    def test_every_axis_line_equals_the_row_major_cell_sum(self, n):
+        # Each coefficient prime to 2N makes one whole row (a = 0) or column
+        # (b = 0); a shared factor makes several rows or columns, or none.
+        # Values spread over ten decades, so a change of summation order
+        # shows; the grid in each memory layout.
+        m = 2 * n
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal((m, m)) * 10.0 ** rng.uniform(-5, 5, (m, m))
+        for values in layouts(v).values():
+            w = WignerGrid(n, values)
+            for u in range(1, m):
+                for c in range(m):
+                    # The line's cells in row-major order: whole rows q with
+                    # -u q = c, or the columns p with u p = c, row by row.
+                    rows = [q for q in range(m) if (-u * q - c) % m == 0]
+                    cols = [p for p in range(m) if (u * p - c) % m == 0]
+                    for (a, b), cells in (((0, u), v[rows]), ((u, 0), v[:, cols])):
+                        got, want = np.array(line_sum(w, a, b, c)), cells.ravel().sum()
+                        assert got.view(np.uint64) == want.view(np.uint64)
 
     def test_every_axis_line_at_n_1024(self):
         # All 4N axis-parallel lines of an N = 1024 grid: the populations in
