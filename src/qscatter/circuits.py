@@ -1,24 +1,22 @@
-"""Gate-level engine evolving density matrices and kets on qubit registers.
+"""Gate-level engine evolving kets on qubit registers.
 
 Wire convention: qubit 0 is the most significant bit of the computational
 basis index, so a basis label reads left to right as |q0 q1 ... >. Gates
-list control wires first and the target wire last, and a density matrix
-evolves by conjugation, rho -> G rho G^dagger. A ``GateOp`` is checked once,
-when it is made, against one table of fixed kinds, and stores its 2x2
+list control wires first and the target wire last. A ``GateOp`` is checked
+once, when it is made, against one table of fixed kinds, and stores its 2x2
 target matrix; a gate list is held only to the register width where it is
 used.
 
-States evolve by two rules. A Hadamard acts on a density matrix viewed as a
-(2,)*2n tensor (row wires, then column wires): on its target's row axis and,
-conjugated, on its column axis, updating the two slices in place (the
-one-target density-matrix kernels of QuEST, Jones et al., Sci. Rep. 9, 10736,
-2019), at O(4^n); a ket takes the row pass alone, at O(2^n). Every other kind
-is a permutation times a phase, as the kinds table records, and each run of
-them is composed into one map over the 2^n basis labels,
-G|i> = phase[i] |label[i]>, applied in one pass: rho'[label[i], label[j]] =
-phase[i] conj(phase[j]) rho[i, j] on a density matrix, v'[label[i]] =
-phase[i] v[i] on kets. Kets lie along the first axis of any array that is not
-2-D, so ``compose_sequence`` runs the gates on the columns of the identity.
+Kets lie along the first axis of any array, so the columns of a state and
+of the identity are kets, and each gate class has one rule on them. A
+Hadamard updates the two slices of its target's axis in place, at O(2^n) a
+ket. Every other kind is a permutation times a phase, as the kinds table
+records, and each run of them is composed into one map over the 2^n basis
+labels, G|i> = phase[i] |label[i]>, applied in one pass, v'[label[i]] =
+phase[i] v[i]. A density matrix needs no rule of its own: it evolves as
+kets, as QuEST runs it as one ket on 2n wires (Jones et al., Sci. Rep. 9,
+10736, 2019), here in two passes, G rho G^dagger = (G (G rho)^dagger)^dagger,
+and ``compose_sequence`` runs the gates on the columns of the identity.
 """
 
 import sys
@@ -119,41 +117,42 @@ def _check_gates(gates, num_qubits: int) -> list[GateOp]:
 
 
 def apply_sequence(rho: np.ndarray, gates) -> np.ndarray:
-    """Apply gates in list order (index 0 acts first).
+    """G rho G^dagger for gates applied in list order (index 0 acts first).
 
     Refuses a register over the qubit budget from the shape alone, then
-    checks the state and every gate's wires once; the private core it then
-    runs, on a copy, checks nothing.
+    checks the state and every gate's wires once. The private core, which
+    checks nothing, runs the gates on the columns of a copy of rho, then on
+    those of its conjugate transpose, which is transposed back; each
+    conjugate transpose is a new array, and the one it read is then freed.
     """
     check_qubit_budget(system=wire_count(largest_side(rho)))
     rho = assert_density_matrix(rho)
     n = qubit_count(rho.shape[0])
-    return _apply_sequence(np.array(rho, order="C"), _check_gates(gates, n), n)
+    gates = _check_gates(gates, n)
+    rho = np.array(rho, order="C")
+    for _ in range(2):
+        rho = _apply_sequence(rho, gates, n)
+        rho = np.conjugate(rho.T, out=np.empty_like(rho))
+    return rho
 
 
 def _apply_sequence(state: np.ndarray, gates, num_qubits: int) -> np.ndarray:
-    # Unchecked core: state is a C-ordered complex density matrix on
-    # num_qubits wires, or kets along the first axis of any other array, that
-    # the caller owns, and every gate fits that register. Evolves it in place,
-    # viewed as a tensor with row wires on axes 0..n-1 and, for a density
-    # matrix, column wires on n..2n-1, and returns it. On kets the amplitudes
-    # are the map's starting phases, so each is multiplied by the same factors
-    # in the same order as gate by gate.
+    # Unchecked core: state is a C-ordered complex array of kets along its
+    # first axis, on num_qubits wires, that the caller owns, and every gate
+    # fits that register. Evolves it in place, viewed as a tensor with the
+    # wires on axes 0..n-1, and returns it. The amplitudes are the map's
+    # starting phases, so each is multiplied by the same factors in the same
+    # order as gate by gate.
     n = num_qubits
-    density = state.ndim == 2
-    tensor = state.reshape((2,) * (2 * n) if density else (2,) * n + state.shape[1:])
+    tensor = state.reshape((2,) * n + state.shape[1:])
     for mapped, run in groupby(gates, key=lambda g: _KINDS[g.kind][2]):
-        if mapped and density:
-            _apply_map(state, *_compose_map(run, n, np.ones(1 << n, dtype=complex)))
-        elif mapped:
+        if mapped:
             label, phase = _compose_map(run, n, state)
             if (label != np.arange(label.size)).any():
                 state[label] = phase
         else:
             for g in run:
-                (t,) = g.targets
-                for axis, m in ((t, HADAMARD), (n + t, HADAMARD.conj()))[: 1 + density]:
-                    _contract(tensor, axis, m)
+                _contract(tensor, g.targets[0], HADAMARD)
     return state
 
 
@@ -195,21 +194,6 @@ def _unpack(bits: int, size: int) -> np.ndarray:
     return np.unpackbits(raw, count=size, bitorder="little").view(bool)
 
 
-def _apply_map(rho: np.ndarray, label: np.ndarray, phase: np.ndarray) -> None:
-    # In place: rho[label[i], label[j]] <- phase[i] conj(phase[j]) rho[i, j].
-    # Scales rho, then gathers its rows into one spare array and the columns
-    # back, so one state-sized temporary is held.
-    if (phase != 1).any():
-        rho *= phase[:, None]
-        rho *= phase.conj()
-    rows = np.arange(label.size)
-    if (label != rows).any():
-        source = np.empty_like(label)
-        source[label] = rows
-        spare = np.take(rho, source, axis=0, mode="clip")
-        np.take(spare, source, axis=1, out=rho, mode="clip")
-
-
 def _contract(view: np.ndarray, axis: int, m: np.ndarray) -> None:
     # In place: view[..., i, ...] <- sum_j m[i, j] view[..., j, ...], with i
     # and j on ``axis``, for a Hadamard or its conjugate, c [[1, 1], [1, -1]]
@@ -241,9 +225,7 @@ def compose_sequence(gates, num_qubits: int) -> np.ndarray:
     num_qubits = check_int(num_qubits, "number of qubits", 0)
     check_qubit_budget(system=num_qubits)
     gates = _check_gates(gates, num_qubits)
-    dim = 1 << num_qubits
-    identity = np.eye(dim, dtype=complex)[..., None]
-    return _apply_sequence(identity, gates, num_qubits).reshape(dim, dim)
+    return _apply_sequence(np.eye(1 << num_qubits, dtype=complex), gates, num_qubits)
 
 
 def gate_matrix(g: GateOp, num_qubits: int) -> np.ndarray:

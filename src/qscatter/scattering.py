@@ -70,8 +70,8 @@ def _mapped_diagonals(rho: np.ndarray, label: np.ndarray, phase: np.ndarray) -> 
     # over its 2 half labels. Each is the prepared entry at the preimages (s, t),
     # (R h) h, the value the kernel's probe Hadamard leaves on |0><0| (x) R
     # (R being rho at every w-th row and column: the work wires in |0>),
-    # times phase[s] conj(phase[t]), the products of ``_apply_map`` in its
-    # order, so no other entry of the joint is formed.
+    # times phase[s] conj(phase[t]), the row factor first, as a map scales
+    # the whole joint, so no other entry of the joint is formed.
     half = label.size // 2
     w = half // rho.shape[0]
     h = HADAMARD[0, 0]

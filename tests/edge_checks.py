@@ -1,5 +1,5 @@
 """The checks at the edges of the 12-qubit budget, each against an independent
-oracle, outside tier-1: about 30 s and 0.9 GB. From a scratch directory,
+oracle, outside tier-1: about 35 s and 1.1 GB. From a scratch directory,
 ``PYTHONPATH=<repo>/src python <repo>/tests/edge_checks.py`` writes the inputs
 there, prints one line per check and exits nonzero, naming each that failed."""
 
@@ -12,8 +12,8 @@ import traceback
 
 import numpy as np
 
-from qscatter import GateOp, compose_sequence, io
-from reference import point_operator
+from qscatter import GateOp, apply_sequence, compose_sequence, io
+from reference import kets_gate_by_gate, point_operator
 
 QSCATTER = [sys.executable, "-m", "qscatter"]
 
@@ -95,17 +95,22 @@ def synth_1024():
     return verify["ok"] is True, f"verify {verify}"
 
 
-def compose_12_wires():
-    """One 12-wire list of Hadamards and mapped runs, composed on the columns
-    of the identity as kets on 12 wires: G must be unitary, and the process
-    must stay well under the 4.4 GB that composing on one 24-wire ket took."""
+def gates_12():
+    """One 12-wire list of Hadamards and mapped runs."""
     n = 12
     gates = [GateOp("Hadamard", (w,)) for w in range(0, n, 3)]
     gates += [GateOp("CNOT", (w, (w + 1) % n)) for w in range(n)]
     gates += [GateOp("Toffoli", (0, 5, 9)), GateOp("PhaseShift", (4,), theta=0.3),
               GateOp("ControlledPhase", (2, 7), theta=-1.1), GateOp("PauliY", (11,))]
     gates += [GateOp("Hadamard", (w,)) for w in range(1, n, 4)]
-    gates += [GateOp("PauliZ", (3,)), GateOp("CNOT", (8, 1))]
+    return gates + [GateOp("PauliZ", (3,)), GateOp("CNOT", (8, 1))]
+
+
+def compose_12_wires():
+    """The 12-wire list composed on the columns of the identity as kets on 12
+    wires: G must be unitary, and the process must stay well under the 4.4 GB
+    that composing on one 24-wire ket took."""
+    n, gates = 12, gates_12()
     g = compose_sequence(gates, n)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     product = g @ g.conj().T
@@ -114,6 +119,29 @@ def compose_12_wires():
     gap = np.abs(product).max()
     ok = gap < 1e-12 and rss_mb < 1536
     return ok, f"{len(gates)} gates: ru_maxrss {rss_mb:.0f} MB, |G G^dagger - I| {gap:.3e}"
+
+
+def apply_12_wires():
+    """The 12-wire list on rho = 3/4 |psi><psi| + I/4N, N = 4096: the result
+    must be 3/4 |G psi><G psi| + I/4N, with G psi taken gate by gate
+    (``reference.kets_gate_by_gate``), and the route, input included, must
+    stay under 1280 MB."""
+    n, gates = 12, gates_12()
+    d = 1 << n
+    rs = np.random.RandomState(d)
+    psi = rs.standard_normal(d) + 1j * rs.standard_normal(d)
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2))
+    rho = 0.75 * np.outer(psi, psi.conj())
+    rho[np.diag_indices(d)] += 0.25 / d
+    got = apply_sequence(rho, gates)
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    del rho
+    g_psi = kets_gate_by_gate(psi.copy(), gates, n)
+    got -= 0.75 * np.outer(g_psi, g_psi.conj())
+    got[np.diag_indices(d)] -= 0.25 / d
+    gap = np.abs(got).max()
+    ok = gap < 1e-12 and rss_mb < 1280
+    return ok, f"{len(gates)} gates: ru_maxrss {rss_mb:.0f} MB, gap {gap:.3e}"
 
 
 def scatter():
@@ -183,15 +211,19 @@ def circuit_2():
 
 
 def main():
-    # The compose check reads its route's peak in its own interpreter, which
-    # starts at its parent's ru_maxrss, so it starts before the inputs exist.
-    with multiprocessing.get_context("spawn").Pool(1) as fresh:
+    # The 12-wire checks read their routes' peaks each in its own interpreter,
+    # which starts at its parent's ru_maxrss, so both start before the inputs
+    # exist.
+    spawn = multiprocessing.get_context("spawn")
+    with spawn.Pool(1) as compose_pool, spawn.Pool(1) as apply_pool:
+        fresh = {compose_12_wires: compose_pool, apply_12_wires: apply_pool}
         write_probe_inputs()
         failed = []
-        for check in (synth_1024, compose_12_wires, scatter, wigner, refused_state,
-                      refused_operator, fourier_12, circuit_9, circuit_5, circuit_2):
+        for check in (synth_1024, compose_12_wires, apply_12_wires, scatter, wigner,
+                      refused_state, refused_operator, fourier_12, circuit_9, circuit_5,
+                      circuit_2):
             try:
-                ok, detail = fresh.apply(check) if check is compose_12_wires else check()
+                ok, detail = fresh[check].apply(check) if check in fresh else check()
             except Exception:  # a check that raises fails, and the others still run
                 traceback.print_exc()
                 ok, detail = False, "raised"

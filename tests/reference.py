@@ -7,23 +7,24 @@ the elementwise one-wire update the kernel's in-place branch is held to bit
 for bit, the per-gate slice kernel the ket path's composed maps are held to,
 the per-t trace series the spectrometer's power sum is held to bit for bit,
 the gate-by-gate counter circuit its circuit route is held to bit for bit,
-the whole-state probe readout the scattering readout is held to (its block
-a dense U or one map over the whole register, never a gate list) and the
-prepared whole joint state its mapped block diagonals are held to, the
-composition of a gate run on boolean bit planes, which its composition on
-integer wire planes is held to bit for bit and which builds each gate
-list's map for the readout tests, the starting wire planes packed from
-boolean rows that its integer planes are held to, the Wigner grid with its
-four blocks gathered whole that the tiled grid is held to bit for bit, the
-complex-product unitarity check the real Gram check is held to verdict for
-verdict, and a call recorder for the tests that count checks."""
+a density-matrix gate pass of its own, the whole-state probe readout run on
+it that the scattering readout is held to (its block a dense U or one map
+over the whole register, never a gate list) and the prepared whole joint
+state its mapped block diagonals are held to, the composition of a gate run
+on boolean bit planes, which its composition on integer wire planes is held
+to bit for bit and which builds each gate list's map for the readout tests,
+the starting wire planes packed from boolean rows that its integer planes
+are held to, the Wigner grid with its four blocks gathered whole that the
+tiled grid is held to bit for bit, the complex-product unitarity check the
+real Gram check is held to verdict for verdict, and a call recorder for the
+tests that count checks."""
 
 from functools import reduce
+from itertools import groupby
 
 import numpy as np
 
-from qscatter.circuits import HADAMARD, GateOp, _apply_map, _apply_sequence
-from qscatter.circuits import pauli_expectation
+from qscatter.circuits import HADAMARD, GateOp, pauli_expectation
 from qscatter.errors import InvalidValueError
 from qscatter.scattering import ScatteringResult
 
@@ -274,12 +275,45 @@ def plus_joint(rho: np.ndarray, num_qubits: int) -> np.ndarray:
     return joint
 
 
+def apply_map(rho: np.ndarray, label: np.ndarray, phase: np.ndarray) -> None:
+    """In place: rho[label[i], label[j]] <- phase[i] conj(phase[j]) rho[i, j].
+    Scales rho by the phases, rows first, then gathers its rows into one
+    spare array and the columns back."""
+    if (phase != 1).any():
+        rho *= phase[:, None]
+        rho *= phase.conj()
+    rows = np.arange(label.size)
+    if (label != rows).any():
+        source = np.empty_like(label)
+        source[label] = rows
+        spare = np.take(rho, source, axis=0, mode="clip")
+        np.take(spare, source, axis=1, out=rho, mode="clip")
+
+
+def density_gate_by_gate(rho: np.ndarray, gates, n: int) -> np.ndarray:
+    """G rho G^dagger for a gate list on an n-wire density matrix, a C-ordered
+    array: each Hadamard by ``contract_elementwise`` on its row axis and then,
+    conjugated, on its column axis, each run of the other kinds as one map
+    from ``compose_map_bool_planes`` applied by ``apply_map``. Evolves rho in
+    place and returns it: the whole-state circuit the probe readout is held
+    to runs on it, and it shares no arithmetic with ``circuits``."""
+    tensor = rho.reshape((2,) * (2 * n))
+    for mapped, run in groupby(gates, key=lambda g: g.kind != "Hadamard"):
+        if mapped:
+            apply_map(rho, *compose_map_bool_planes(run, n))
+        else:
+            for g in run:
+                contract_elementwise(tensor, g.targets[0], HADAMARD)
+                contract_elementwise(tensor, n + g.targets[0], HADAMARD.conj())
+    return rho
+
+
 def probe_readout_full(rho: np.ndarray, controlled) -> ScatteringResult:
     """The probe circuit with every probe gate run on the whole joint state by
-    the gate kernel: |0><0| (x) rho (rho at every w-th row and column), a
-    Hadamard, the controlled block (a dense U on the system, or one map
-    (label, phase) over every label of the register, applied by
-    ``_apply_map``), a Hadamard and the frame PhaseShift(-pi/2), then the z
+    ``density_gate_by_gate``: |0><0| (x) rho (rho at every w-th row and
+    column), a Hadamard, the controlled block (a dense U on the system, or one
+    map (label, phase) over every label of the register, applied by
+    ``apply_map``), a Hadamard and the frame PhaseShift(-pi/2), then the z
     and x readout. The polarization ``scattering._probe_readout`` must match,
     bit for bit but for a dense U, which it meets to rounding; it takes the
     same unchecked arguments."""
@@ -289,16 +323,17 @@ def probe_readout_full(rho: np.ndarray, controlled) -> ScatteringResult:
     hadamard = GateOp("Hadamard", (0,))
     joint = np.zeros((size, size), dtype=complex)
     joint[: d * w : w, : d * w : w] = rho
-    _apply_sequence(joint, [hadamard], num_qubits)
+    density_gate_by_gate(joint, [hadamard], num_qubits)
     if not isinstance(controlled, np.ndarray):
-        _apply_map(joint, *controlled)
+        apply_map(joint, *controlled)
     elif d == 2:
         contract_elementwise(joint[d:], 0, controlled)
         contract_elementwise(joint[:, d:], 1, controlled.conj())
     else:
         joint[d:] = controlled @ joint[d:]
         joint[:, d:] = joint[:, d:] @ controlled.conj().T
-    _apply_sequence(joint, [hadamard, GateOp("PhaseShift", (0,), theta=-np.pi / 2)], num_qubits)
+    density_gate_by_gate(joint, [hadamard, GateOp("PhaseShift", (0,), theta=-np.pi / 2)],
+                         num_qubits)
     return ScatteringResult(sigma_z=pauli_expectation(joint, "z", 0),
                             sigma_x=pauli_expectation(joint, "x", 0))
 

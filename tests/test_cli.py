@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qscatter import circuits, cli, errors, io, synthesis
-from qscatter.phasespace import wigner_direct
+from qscatter.phasespace import PhasePoint, wigner_direct
 from qscatter.scattering import direct_trace
 from qscatter.spectrometer import spectral_density
 from qscatter.states import maximally_mixed
@@ -214,6 +214,20 @@ class TestSynth:
         assert (payload["num_qubits"], len(payload["gates"])) == (12, 4496)
         assert payload["verify"]["ok"] is True
 
+    def test_verify_failure_prints_the_payload_then_refuses(self, monkeypatch, capsys):
+        # A gap of 2e-12 is over the 1e-12 bound: the payload still goes to
+        # stdout, marked not ok, and the refusal to stderr.
+        monkeypatch.setattr(cli, "point_circuit_error", lambda seq, alpha: 2e-12)
+        assert cli.main(["synth", "--n", "4", "--q", "1", "--p", "3", "--verify"]) == 1
+        out = capsys.readouterr()
+        seq = synthesis.synth_phase_point_circuit(PhasePoint(q=1, p=3, n=4))
+        payload = {**synthesis.sequence_to_json(seq), "verify": {"max_error": 2e-12, "ok": False}}
+        assert out.out == json.dumps(payload) + "\n"
+        assert [json.loads(line) for line in out.err.splitlines()] == [{
+            "error": "error",
+            "message": "synthesized circuit disagrees with its target (2.000e-12)",
+        }]
+
     @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["emit", "verify"])
     @pytest.mark.parametrize("n", [2048, 4096, 2**40])
     def test_register_over_budget_is_refused_before_emission(self, n, verify):
@@ -365,6 +379,25 @@ class TestErrorExits:
     def test_point_format_error(self, inputs):
         cp = run_cli("wigner", "--rho", inputs["rho4"], "--point", "3;5")
         assert cp.returncode == 3
+
+    @pytest.mark.parametrize("point,message", [
+        ("3", "--point expects 'q,p', got '3'"),
+        ("a,b", "--point expects integers, got 'a,b'"),
+    ], ids=["one-part", "not-integers"])
+    def test_point_refusals(self, inputs, point, message, capsys):
+        assert cli.main(["wigner", "--rho", inputs["rho4"], "--point", point]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {"error": "bad-input", "message": message}
+
+    def test_entries_that_are_not_a_list(self, tmp_path, capsys):
+        path = tmp_path / "matrix.json"
+        path.write_text('{"dim": 1, "entries": {"0": [1, 0]}}')
+        assert cli.main(["wigner", "--rho", str(path)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {
+            "error": "bad-input", "message": "matrix 'entries' must be a list, got dict"}
 
     def test_structure_with_via_circuit_rejected(self, inputs):
         cp = run_cli("spectrum", "--u", inputs["sz"], "--n1", 3, "--structure", "--via-circuit")

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qscatter import phasespace, scattering
-from qscatter.circuits import _KINDS, HADAMARD, PAULI_Y, GateOp, _apply_map, _apply_sequence
+from qscatter.circuits import _KINDS, HADAMARD, PAULI_Y, GateOp
 from qscatter.circuits import PAULI_Z, _compose_map, compose_sequence
 from qscatter.errors import DimensionMismatchError, InvalidValueError, QubitBudgetError
 from qscatter.phasespace import PhasePoint, _point_operator, phase_point_operator
@@ -37,7 +37,8 @@ from qscatter.scattering import (
 from qscatter.states import basis_state, maximally_mixed
 from qscatter.synthesis import synth_phase_point_circuit
 from reference import plus_joint, probe_readout_full, random_density_matrix, random_unitary
-from reference import compose_map_bool_planes, layouts, record_calls, sparse_state
+from reference import apply_map, compose_map_bool_planes, density_gate_by_gate, layouts
+from reference import record_calls, sparse_state
 
 
 class TestKnownTraces:
@@ -315,11 +316,12 @@ class TestDenseLayouts:
 
 class TestPreparation:
     """The prepared |+><+| (x) R (``reference.plus_joint``, whose entries the
-    readout's map route forms) is the kernel's probe Hadamard on
-    |0><0| (x) R, entry by entry, work wires included: equal values, so
-    every nonzero entry bit for bit. The signs of zeros are not kept; the
-    readout's + 0 clears them from the polarization (TestReadoutBits,
-    TestNoNegativeZero)."""
+    readout's map route forms) is the probe Hadamard of the whole-state
+    circuit (``reference.density_gate_by_gate``, whose update the kernel's
+    matches bit for bit) on |0><0| (x) R, entry by entry, work wires
+    included: equal values, so every nonzero entry bit for bit. The signs of
+    zeros are not kept; the readout's + 0 clears them from the polarization
+    (TestReadoutBits, TestNoNegativeZero)."""
 
     @pytest.mark.parametrize("k", [0, 1, 2, 4])
     @pytest.mark.parametrize("work", [0, 1])
@@ -332,7 +334,7 @@ class TestPreparation:
         w = 1 << work
         joint = np.zeros((1 << wires, 1 << wires), dtype=complex)
         joint[: n * w : w, : n * w : w] = rho
-        want = _apply_sequence(joint, [GateOp("Hadamard", (0,))], wires)
+        want = density_gate_by_gate(joint, [GateOp("Hadamard", (0,))], wires)
         assert np.array_equal(plus_joint(rho, wires), want)
 
 
@@ -365,9 +367,9 @@ class TestNoNegativeZero:
 
 class TestMappedBlock:
     """Under a map, the (2, 2, half) block diagonals are the whole joint's
-    after ``reference.plus_joint`` and ``_apply_map``, entry by entry and bit
-    for bit; the sums that follow can hide a zero's sign, so the entries are
-    compared here."""
+    after ``reference.plus_joint`` and ``reference.apply_map``, entry by
+    entry and bit for bit; the sums that follow can hide a zero's sign, so the
+    entries are compared here."""
 
     @pytest.mark.parametrize("k", [0, 1, 3, 5])
     @pytest.mark.parametrize("work", [0, 2])
@@ -378,7 +380,7 @@ class TestMappedBlock:
         rho = sparse_state(n, rng, bool(seed % 2), True)
         label, phase = compose_map_bool_planes(mapped_gates(wires, 30, rng), wires)
         joint = plus_joint(rho, wires)
-        _apply_map(joint, label, phase)
+        apply_map(joint, label, phase)
         half = 1 << (wires - 1)
         want = np.einsum("iyjy->ijy", joint.reshape(2, half, 2, half)).copy()
         got = _mapped_diagonals(rho, label, phase)
