@@ -4,8 +4,8 @@ Wire convention: qubit 0 is the most significant bit of the computational
 basis index, so a basis label reads left to right as |q0 q1 ... >. Gates
 list control wires first and the target wire last. A ``GateOp`` is checked
 once, when it is made, against one table of fixed kinds, and stores its 2x2
-target matrix; a gate list is held only to the register width where it is
-used.
+target matrix and that matrix's action, which the compose loop reads; a gate
+list is held only to the register width where it is used.
 
 Kets lie along the first axis of any array, so the columns of a state and
 of the identity are kets, and each gate class has one rule on them. A
@@ -54,6 +54,17 @@ _KINDS = {
 }
 
 
+def _action(u: np.ndarray) -> tuple[bool, tuple[tuple[int, complex], ...]]:
+    # Where its controls are all 1, a diagonal or anti-diagonal u sends target bit
+    # b to b ^ flip with the factor u[b ^ flip, b]: flip, and each (b, factor) but 1.
+    (u00, u01), (u10, u11) = u.tolist()
+    flip = u00 == 0
+    return flip, tuple((b, f) for b, f in enumerate((u10, u01) if flip else (u00, u11)) if f != 1)
+
+
+_FIXED_ACTIONS = {kind: _action(m) for kind, (_, m, _) in _KINDS.items() if not callable(m)}
+
+
 @dataclass(frozen=True, eq=False)
 class GateOp:
     """One gate: a kind, the wires it acts on, and optional parameters.
@@ -63,39 +74,48 @@ class GateOp:
 
     Checked once, when made, except for the register width, which a gate
     list is held to where it is used. ``matrix`` holds the 2x2 target matrix
-    the gate applies.
+    the gate applies, and ``action`` what the compose loop reads of it, once.
     """
 
     kind: str
     targets: tuple[int, ...]
     theta: float | None = None
     matrix: np.ndarray = field(init=False, repr=False)
+    action: tuple[bool, tuple[tuple[int, complex], ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (isinstance(self.kind, str) and self.kind in _KINDS):
+        # The common case first: a str kind looked up once, and a tuple of plain
+        # ints >= 0, as check_int would return them. Anything else takes check_int.
+        spec = _KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if spec is None:
             raise InvalidValueError(f"unknown gate kind {brief(self.kind)}")
-        wires, matrix, _ = _KINDS[self.kind]
+        wires, matrix, _ = spec
         t = self.targets
-        if not isinstance(t, tuple):
-            raise InvalidValueError(
-                f"{self.kind} targets must be a tuple of integer wire indices, got {brief(t)}"
-            )
-        t = tuple(check_int(i, f"{self.kind} wire index", 0) for i in t)
+        plain = type(t) is tuple
+        for i in t if plain else ():
+            plain = plain and type(i) is int and i >= 0
+        if not plain:
+            if not isinstance(t, tuple):
+                raise InvalidValueError(
+                    f"{self.kind} targets must be a tuple of integer wire indices, got {brief(t)}"
+                )
+            t = tuple(check_int(i, f"{self.kind} wire index", 0) for i in t)
+            object.__setattr__(self, "targets", t)
         if len(set(t)) != len(t):
             raise InvalidValueError(f"{self.kind} wires must be distinct, got {brief(t)}")
         if callable(matrix):
             # An int compares with a float exactly: one beyond float range fails.
             th = self.theta
-            if not (_is_real(th) and (abs(th) <= sys.float_info.max if isinstance(th, int)
-                                      else np.isfinite(th))):
+            if not (_is_real(th) and (abs(th) <= sys.float_info.max
+                                      if isinstance(th, (int, float)) else np.isfinite(th))):
                 raise InvalidValueError(f"{self.kind} needs a finite theta")
             matrix = matrix(th)
         elif self.theta is not None:
             raise InvalidValueError(f"{self.kind} takes no theta")
         if len(t) != wires:
             raise InvalidValueError(f"{self.kind} acts on {wires} wires, got {len(t)}")
-        object.__setattr__(self, "targets", t)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "action", _FIXED_ACTIONS.get(self.kind) or _action(matrix))
 
 
 def _check_gates(gates, num_qubits: int) -> list[GateOp]:
@@ -158,12 +178,11 @@ def _apply_sequence(state: np.ndarray, gates, num_qubits: int) -> np.ndarray:
 
 def _compose_map(gates, n: int, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The run as G|i> = phase[i] |label[i]>, composed on wire planes: bit i
-    # of the Python int planes[w] is wire w of label[i]. Each gate's one-wire
-    # target matrix u is diagonal or anti-diagonal, so where its controls are
-    # all 1 it sends target bit b to b ^ flip with the factor u[b ^ flip, b],
-    # which multiplies the phases in place where a mask unpacked from the
-    # planes is set. ``phase`` holds the starting phases, one per label along
-    # its first axis. The labels are read from the planes once, at the end.
+    # of the Python int planes[w] is wire w of label[i]. Where its controls are
+    # all 1, a gate flips its target's plane or not, and each of its factors
+    # (``GateOp.action``) multiplies the phases in place where a mask unpacked
+    # from the planes is set. ``phase`` holds the starting phases, one per
+    # label along its first axis. The labels are read from the planes once.
     size = 1 << n
     every = (1 << size) - 1
     # Plane w is bit s = n - 1 - w of each label, runs of 2^s zeros then ones: the low
@@ -175,12 +194,10 @@ def _compose_map(gates, n: int, phase: np.ndarray) -> tuple[np.ndarray, np.ndarr
         on = every
         for c in controls:
             on &= planes[c]
-        (u00, u01), (u10, u11) = g.matrix.tolist()
-        flip = u00 == 0
-        for b, factor in enumerate((u10, u01) if flip else (u00, u11)):
-            if factor != 1:
-                where = on & planes[t] if b else on & ~planes[t]
-                np.multiply(phase, factor, out=phase, where=_unpack(where, size).reshape(lead))
+        flip, factors = g.action
+        for b, factor in factors:
+            where = on & planes[t] if b else on & ~planes[t]
+            np.multiply(phase, factor, out=phase, where=_unpack(where, size).reshape(lead))
         if flip:
             planes[t] ^= on
     width = (size + 7) // 8 * 8  # each plane in whole bytes, so one unpack reads them all

@@ -149,19 +149,19 @@ def _state_defect(a: np.ndarray, trace_tol: float) -> str | None:
     # C-ordered too, so the later passes run on contiguous arrays when a is
     # C-ordered; the factorization takes that same h.
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.conjugate(a.T, out=np.empty_like(a, order="C"))
+        h = np.conjugate(a.T, order="C")
         gap = np.subtract(a, h, order="C")
         # |gap| in place, so no third array, and its max over the float view:
         # every imaginary part is then 0, and the real parts are contiguous.
         if np.abs(gap, out=gap).view(float).max() > HERMITIAN_TOL:
             return "state is not Hermitian within tolerance 1e-12"
-        trace = np.trace(a)
+        trace = a.trace()
         if not abs(trace - 1.0) <= trace_tol:
             return f"state trace is {trace:.6g}, expected 1"
         h *= 0.5
         h += np.multiply(a, 0.5, out=gap)
         del gap
-    diagonal = np.einsum("ii->i", h)  # a writable view
+    diagonal = h.reshape(-1)[:: h.shape[0] + 1]  # a writable view, as h is C-ordered
     unshifted = diagonal.copy()
     diagonal -= EIGENVALUE_FLOOR
     try:

@@ -78,8 +78,9 @@ def _mapped_diagonals(rho: np.ndarray, label: np.ndarray, phase: np.ndarray) -> 
     preimage = np.empty_like(label)
     preimage[label] = np.arange(label.size)
     s, t = preimage.reshape(2, 1, half), preimage.reshape(1, 2, half)
-    x, z = s % half, t % half
-    entries = np.where((x % w == 0) & (z % w == 0), rho[x // w, z // w], 0) * h * h
+    x, z = s & (half - 1), t & (half - 1)  # half and w are powers of two
+    shift = w.bit_length() - 1
+    entries = np.where(((x | z) & (w - 1)) == 0, rho[x >> shift, z >> shift], 0) * h * h
     if (phase != 1).any():
         entries = entries * phase[s] * phase.conj()[t]
     return entries

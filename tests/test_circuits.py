@@ -409,6 +409,22 @@ class TestComposedMapBits:
                  GateOp("Toffoli", (0, 2, 1)), GateOp("PhaseShift", (1,), theta=-theta)]
         self.assert_same_map(gates, 3)
 
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_every_kind_composes_the_action_its_matrix_reads(self, kind):
+        # Where its controls are all 1, a gate sends target bit b to b ^ flip
+        # with the factor u[b ^ flip, b] of its matrix u; the compose loop
+        # skips a factor of 1. The theta kinds run at the exact angles above.
+        thetas = [0.0, np.pi / 2, np.pi, -np.pi / 2] if callable(_KINDS[kind][1]) else [None]
+        for theta in thetas:
+            g = GateOp(kind, tuple(range(_KINDS[kind][0])), theta=theta)
+            u = g.matrix
+            flip = u[0, 0] == 0
+            want = [(b, u[b ^ flip, b]) for b in (0, 1) if u[b ^ flip, b] != 1]
+            got_flip, got = g.action
+            assert got_flip == flip and [b for b, _ in got] == [b for b, _ in want]
+            assert same_bits(np.array([f for _, f in got], dtype=complex),
+                             np.array([f for _, f in want], dtype=complex))
+
     # Every point at N = 2 and 4, which need no work wire, and a few points
     # from N = 8 on, whose circuits use it; an idle wire beyond them too.
     # The N = 1024 circuit fills the 12-wire budget, so it has no idle wire.
@@ -550,6 +566,20 @@ class TestValidation:
         with pytest.raises(InvalidValueError, match="unknown gate kind"):
             GateOp("Fredkin", (0, 1, 2))
 
+    @pytest.mark.parametrize("kind", [["CNOT"], None, 1, b"CNOT"], ids=repr)
+    def test_a_kind_that_is_not_a_str_is_unknown(self, kind):
+        # An unhashable kind too: a refusal, never a TypeError from the table.
+        with pytest.raises(InvalidValueError, match="unknown gate kind"):
+            GateOp(kind, (0, 1))
+
+    def test_a_str_subclass_kind_is_a_kind(self):
+        class Kind(str):
+            pass
+
+        g = GateOp(Kind("CNOT"), (1, 0))
+        assert g.kind == "CNOT" and g.action == GateOp("CNOT", (1, 0)).action
+        assert np.array_equal(compose_sequence([g], 2), gate_matrix(GateOp("CNOT", (1, 0)), 2))
+
     def test_duplicate_wires(self):
         with pytest.raises(InvalidValueError, match="distinct"):
             GateOp("CNOT", (0, 0))
@@ -580,7 +610,9 @@ class TestValidation:
             GateOp("PhaseShift", (0,))
 
     @pytest.mark.parametrize("theta", ["0.5", 1j, True, np.inf, [0.5],
-                                       pytest.param(10**400, id="10**400")])
+                                       pytest.param(10**400, id="10**400"),
+                                       float("nan"), -np.inf, np.float64("nan"),
+                                       np.float32("inf")])
     def test_theta_must_be_a_finite_real(self, theta):
         with pytest.raises(InvalidValueError, match="needs a finite theta"):
             GateOp("PhaseShift", (0,), theta=theta)
@@ -605,7 +637,8 @@ class TestValidation:
         with pytest.raises(TypeError, match="unitary"):
             GateOp("PauliX", (0,), unitary=PAULI_X)
 
-    @pytest.mark.parametrize("targets", [0, [0], "0", (0.0,), ("a",), (True,), None])
+    @pytest.mark.parametrize("targets", [0, [0], "0", (0.0,), ("a",), (True,), None,
+                                         (np.int64(-1),), (0, np.uint8(1), -2)])
     def test_targets_must_be_a_tuple_of_ints(self, targets):
         with pytest.raises(
             InvalidValueError, match=r"tuple of integer|wire index must be an integer >= 0"
@@ -613,8 +646,19 @@ class TestValidation:
             GateOp("Hadamard", targets)
 
     def test_wires_are_stored_as_plain_ints(self):
-        g = GateOp("CNOT", (np.int64(1), np.int64(0)))
-        assert g.targets == (1, 0) and all(type(t) is int for t in g.targets)
+        for wire in (np.int64, np.uint8):
+            g = GateOp("CNOT", (wire(1), wire(0)))
+            assert g.targets == (1, 0) and all(type(t) is int for t in g.targets)
+
+    @pytest.mark.parametrize("wire", [np.int64(-1), np.int8(-1), np.int64(-7)], ids=repr)
+    def test_a_negative_numpy_wire_is_worded_as_a_negative_int(self, wire):
+        words = []
+        for w in (-1, wire):
+            with pytest.raises(InvalidValueError) as refusal:
+                GateOp("CNOT", (0, w))
+            words.append(str(refusal.value))
+        assert words[1] == words[0].replace("got -1", f"got {wire!r}")
+        assert words[0] == "CNOT wire index must be an integer >= 0, got -1"
 
     @pytest.mark.parametrize(
         "call",
