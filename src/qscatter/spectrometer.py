@@ -33,7 +33,7 @@ from .linalg import _assert_unitary, as_real_array, as_square_matrix, assert_uni
 from .linalg import check_qubit_budget, largest_side, qubit_count, wire_count
 
 _SERIES_SELF_CHECK_TOL = 1e-9
-_BABY_STACK_BYTES = 4 << 20  # caps the self-check's baby-step stack and each block of powers
+_BABY_STACK_BYTES = 4 << 20  # caps each block of powers; the self-check peaks at it plus 3 N x N
 _SCALE_ROW = 256  # the counter circuit scales its powers in rows of about this many entries
 _CPOW_FROM = 100  # numpy's complex power multiplies repeatedly below this |t|, calls cpow from it
 
@@ -101,15 +101,16 @@ def trace_powers(u: np.ndarray, t_max: int) -> TraceSeries:
     exp(t * log(lam)), the log taken once per call and the exp run in place,
     which rounds identically at a fraction of the cost. So every value has
     the bits of its own np.sum(lam**t). The series is cross-checked at every
-    t against matrix products of U: with m baby-step powers B_b = U^b and
-    giant steps G_a = U^(am), Tr(U^(am+b)) = sum(G_a * B_b^T), one
-    matrix-vector product per giant step, so about m + t_max/m matrix
-    products instead of t_max (Paterson and Stockmeyer, SIAM J. Comput. 2,
-    60, 1973). m is about sqrt(t_max), capped by a 4 MiB stack of baby
-    steps: 35 products at N=256 and t_max=127 (m = 4), and m = 1, so t_max
-    products, for N >= 512. Disagreement beyond 1e-9 at any t
-    aborts, naming the first such t, rather than returning a silently wrong
-    series.
+    t against matrix products of U: with m baby-step powers B_b = U^b,
+    b = 1 .. m, and giant steps G_a = U^(am), each stepped by B_m into a
+    spare buffer, Tr(U^(am+b)) = sum(G_a * B_b^T), one matrix-vector
+    product per giant step, so about m + t_max/m matrix products instead of
+    t_max (Paterson and Stockmeyer, SIAM J. Comput. 2, 60, 1973); Tr(U^0)
+    is N exactly. m is about sqrt(t_max), capped at one power more than
+    4 MiB holds: 29 products at N=256 and t_max=127 (m = 5), about t_max/2
+    at N=512 (m = 2), and t_max - 1 for N > 512 (m = 1). Disagreement beyond
+    1e-9 at any t aborts, naming the first such t, rather than returning a
+    silently wrong series.
     """
     t_max = check_int(t_max, "t_max", 0)
     check_qubit_budget(counter=t_max.bit_length())
@@ -132,20 +133,21 @@ def trace_powers(u: np.ndarray, t_max: int) -> TraceSeries:
     if t_max >= 2:  # a scalar 2 takes numpy's square, an array exponent does not
         values[2] = np.sum(lam**2)
 
-    m = max(1, min(math.isqrt(t_max) + 1, _BABY_STACK_BYTES // (16 * n * n)))
-    baby = np.empty((m, n, n), dtype=complex)  # baby[b] = (U^b)^T
-    baby[0] = np.eye(n)
+    m = min(math.isqrt(t_max) + 1, _BABY_STACK_BYTES // (16 * n * n) + 1)
+    stack = np.empty((m, n, n), dtype=complex)  # stack[b - 1] = (U^b)^T
+    stack[0] = u.T
     for b in range(1, m):
-        baby[b] = baby[b - 1] @ u.T
-    stack = baby.reshape(m, n * n)
-    giant_step = (baby[m - 1] @ u.T).T  # U^m
-    giant = np.eye(n, dtype=complex)
+        np.matmul(stack[b - 1], stack[0], out=stack[b])
+    step = stack[m - 1].T  # U^m
+    giant, spare = np.eye(n, dtype=complex), np.empty((n, n), dtype=complex)
     products = np.empty(t_max + 1, dtype=complex)
-    for start in range(0, t_max + 1, m):
+    products[0] = n
+    for start in range(1, t_max + 1, m):
         count = min(m, t_max + 1 - start)
-        products[start:start + count] = stack[:count] @ giant.ravel()
+        products[start:start + count] = stack[:count].reshape(count, n * n) @ giant.ravel()
         if start + m <= t_max:
-            giant = giant @ giant_step
+            np.matmul(giant, step, out=spare)
+            giant, spare = spare, giant
     failed = np.flatnonzero(np.abs(products - values) > _SERIES_SELF_CHECK_TOL)
     if failed.size:
         raise InvalidValueError(

@@ -8,6 +8,7 @@ import multiprocessing
 import resource
 import subprocess
 import sys
+import time
 import traceback
 
 import numpy as np
@@ -187,6 +188,23 @@ def fourier_12():
     return ok and ok_structure, f"density {density_bins}; structure {structure_bins}"
 
 
+def fourier_512():
+    """Both Fourier routes on a dense N=512 unitary V diag(exp(i phi)) V^dagger,
+    V Haar, with phi on counter labels, phi = 4 pi E / D, at n1=8: there the
+    trace series' self-check takes about t_max/2 N x N products."""
+    rs = np.random.RandomState(512)
+    q, r = np.linalg.qr(rs.standard_normal((512, 512)) + 1j * rs.standard_normal((512, 512)))
+    v = q * (np.diag(r) / np.abs(np.diag(r)))
+    phi = 4 * np.pi * rs.randint(256, size=512) / 256
+    io.save_matrix("dense512.json", (v * np.exp(1j * phi)) @ v.conj().T)
+    density, structure = explicit_sums(phi, 256)
+    start = time.perf_counter()
+    ok, density_bins = spectrum_bins("dense512.json", 8, density)
+    ok_structure, structure_bins = spectrum_bins("dense512.json", 8, structure, "--structure")
+    took = time.perf_counter() - start
+    return ok and ok_structure, f"density {density_bins}; structure {structure_bins}; {took:.1f} s"
+
+
 def circuit_9():
     """The counter circuit at its budget edge, 1 + 9 + 2 = 12 qubits: a 4x4
     diagonal unitary whose eigenphases sit on counter labels."""
@@ -220,8 +238,8 @@ def main():
         write_probe_inputs()
         failed = []
         for check in (synth_1024, compose_12_wires, apply_12_wires, scatter, wigner,
-                      refused_state, refused_operator, fourier_12, circuit_9, circuit_5,
-                      circuit_2):
+                      refused_state, refused_operator, fourier_12, fourier_512, circuit_9,
+                      circuit_5, circuit_2):
             try:
                 ok, detail = fresh[check].apply(check) if check in fresh else check()
             except Exception:  # a check that raises fails, and the others still run

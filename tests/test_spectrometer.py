@@ -156,6 +156,19 @@ def _with_eigvals(monkeypatch, perturb):
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: perturb(eigvals(a)))
 
 
+def _count_products(monkeypatch, n):
+    """A list that gains one entry per np.matmul call on two n x n operands."""
+    calls, matmul = [], np.matmul
+
+    def counted(a, b, *args, **kwargs):
+        if np.shape(a) == np.shape(b) == (n, n):
+            calls.append(n)
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    return calls
+
+
 class TestSelfCheck:
     def test_shifted_eigenvalues_fail_at_t1(self, monkeypatch):
         u = random_unitary(8, np.random.default_rng(11))
@@ -182,6 +195,43 @@ class TestSelfCheck:
         _with_eigvals(monkeypatch, lambda lam: lam * np.exp(1j * delta))
         with pytest.raises(InvalidValueError, match=rf"self-check failed at t={t_star}:"):
             trace_powers(u, t_max)
+
+    def test_phase_drift_fails_at_the_same_t_when_memory_sets_m(self, monkeypatch):
+        # The cap holds two 8 x 8 powers, so m = 3, not sqrt(4095) + 1 = 64:
+        # 2 stack products, then a giant step by U^3 after each of the giants
+        # at t = 1, 4, .., 4090.
+        monkeypatch.setattr(spectrometer, "_BABY_STACK_BYTES", 2 * 16 * 8 * 8)
+        calls = _count_products(monkeypatch, 8)
+        self.test_phase_drift_fails_at_the_first_t_past_tolerance(monkeypatch)
+        assert len(calls) == 2 + 1364
+
+
+class TestSelfCheckCost:
+    """Baby steps U^1 .. U^m stacked, giants stepped by U^m into one spare."""
+
+    @pytest.mark.parametrize(
+        ("n", "t_max", "products", "peak"),
+        [
+            (256, 127, 29, 7.25),  # m = 5: 4 stack products, 25 giant steps
+            (512, 31, 16, 4.25),  # m = 2: 1 stack product, 15 giant steps
+        ],
+    )
+    def test_products_and_peak_on_the_default_cap(self, monkeypatch, n, t_max, products, peak):
+        # The peak of the whole call, in n x n complex arrays, is the check's
+        # m stacked powers, the giant and its spare: 7 at N=256, 4 at N=512.
+        u = random_unitary(n, np.random.default_rng(n))
+        with monkeypatch.context() as mp:
+            calls = _count_products(mp, n)
+            trace_powers(u, t_max)  # first-call allocations, before the baseline
+        assert len(calls) == products
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trace_powers(u, t_max)
+            used = (tracemalloc.get_traced_memory()[1] - base) / (16 * n * n)
+        finally:
+            tracemalloc.stop()
+        assert used < peak
 
 
 class TestSpectralDensity:
